@@ -10,10 +10,29 @@ grow like ``q**(-n)`` and satisfy the two-sided bracket
 
     q**(-n) - 1/(1 - q**n)  <=  lambda_n  <=  q**(-n)      (n >= 1),
 
-with ``lambda_0`` in ``(0, 1)``.  Root localization sharp enough for tiny
-residuals requires precision growing like ``n**2 log(1/q)`` digits (the
-derivative at ``lambda_n`` grows like ``q**(-n(n-1)/2)``), so everything here
-runs in mpmath with per-root working precision.
+with ``lambda_0`` in ``(0, 1)``.
+
+Series evaluation.  A :class:`_QSeries` holds the coefficients of ``F`` at
+one base and one working precision, extended lazily, and sums ``F`` and
+``F'`` from them; :func:`phi11` and :func:`phi11_derivative` are thin calls
+into it.
+
+Precision.  Near ``lambda_n ~ Q**n`` (``Q = 1/q``) the largest series term
+and ``|lambda_n F'(lambda_n)|`` are both about ``Q**(n(n+1)/2)``.  At
+relative distance ``eps`` from the root, ``|F|`` is therefore about ``eps``
+times the largest term, while the rounding error of a ``d``-digit sum is
+about ``10**-d`` times it: signs and Newton steps locate the root to
+relative accuracy near ``10**-d`` with ``d`` digits, whatever ``n`` is.
+Only the absolute statements need precision that grows with ``n``.  The
+gate ``|F(lambda_n)| < target_tol`` needs an absolute error below the
+target, about ``n(n+1)/2 log10 Q`` digits more than the target's own, and
+the final enclosure ``lambda_n (1 -+ 10**-(dps-15))`` is sized from the
+per-root precision of :func:`_root_dps`.  So :func:`find_roots` searches at
+low precision: bisection to 1e-15 relative at ``_SEARCH_DPS`` digits, then
+Newton lifted through the precision-doubling schedule of
+:func:`_newton_levels`.  It certifies at ``_root_dps``: the bracket endpoint
+signs, the residual gate and the enclosure signs.  Everything runs in
+mpmath.
 
 Also provided: the forward recurrence for the tridiagonal eigenvector at a
 given eigenvalue (a shooting diagnostic: at a true eigenvalue the decaying
@@ -24,11 +43,16 @@ cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (
+    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_pos,
+)
+from mpmath.libmp import round_nearest as _RND
 
 from .field_model import FieldParams
 
@@ -47,6 +71,15 @@ __all__ = [
     "eigvec_series_c",
     "eigvec_from_series",
 ]
+
+# Precision of the root search: bisection, and the floor of the Newton
+# precision schedule.  Certification runs at _root_dps.
+_SEARCH_DPS = 30
+# Digits added at each halving of the Newton precision schedule.
+_SCHEDULE_GUARD_DPS = 10
+# Guard bits carried by the coefficient table and the powers of z, so that
+# their rounding stays far inside the error bound of _QSeries.sign.
+_GUARD_BITS = 32
 
 
 class BracketError(RuntimeError):
@@ -76,30 +109,125 @@ def q_pochhammer(q, n: int):
     return out
 
 
-def _phi11_sum(q: mp.mpf, z: mp.mpf, target_tol, max_terms: int, derivative: bool):
-    """Shared evaluator for the series and its z-derivative."""
-    if not 0 < q < 1:
-        raise ValueError("q must lie in (0, 1)")
-    if target_tol is None:
-        target_tol = mp.mpf(10) ** (-(mp.mp.dps - 5))
-    term = mp.mpf(1)  # series term t_n at n=0
-    total = mp.mpf(0) if derivative else mp.mpf(1)
-    prev_mag = abs(term)
-    decreasing_ok = False
-    for n in range(1, max_terms + 1):
-        term = term * (-z) * q ** (n - 1) / (1 - q**n) ** 2
-        contrib = n * term / z if derivative else term
-        total += contrib
-        mag = abs(contrib)
-        if mag < target_tol * max(1, abs(total)) and mag <= prev_mag:
-            decreasing_ok = True
-            break
-        prev_mag = mag
-    if not decreasing_ok:
-        raise SeriesError(
-            f"series did not meet tail tolerance {target_tol} within {max_terms} terms"
-        )
-    return total
+def _tail_ends(mag, prev, total, floor, tol, prec: int) -> bool:
+    """The tail rule of :func:`phi11` on raw mpf values: a term magnitude
+    ``mag`` no larger than the one before and below ``tol * max(floor, |total|)``."""
+    if not mpf_le(mag, prev):
+        return False
+    size = mpf_abs(total)
+    return mpf_lt(mag, mpf_mul(tol, size if mpf_gt(size, floor) else floor, prec, _RND))
+
+
+class _QSeries:
+    """``F`` and ``F'`` at one base ``q`` and one working precision ``dps``.
+
+    Holds the coefficients ``a_k = (-1)**k q**(k(k-1)/2) / ((q;q)_k)**2`` of
+    ``F(z) = sum a_k z**k``, extended lazily as evaluations reach further, and
+    sums both series from them, so no evaluation recomputes a power of ``q``.
+    The table and the powers of ``z`` carry guard bits; terms and partial
+    sums are rounded to ``dps`` digits.  The hot loop works on mpmath's raw
+    ``libmp`` values.
+    """
+
+    def __init__(self, q, dps: int):
+        with mp.workdps(dps):
+            q = mp.mpf(q)
+            if not 0 < q < 1:
+                raise ValueError("q must lie in (0, 1)")
+            self.dps = dps
+            self._prec = mp.mp.prec
+            self._default_tol = mp.mpf(10) ** (-(dps - 5))
+            self._rel_error = mp.mpf(10) ** (-(dps - 1))
+        self._q = q
+        self._q_pow = mp.mpf(1)  # q**(k-1) for the next coefficient a_k
+        self._coeffs = [fone]
+
+    def _extend(self) -> None:
+        """Append ``a_k = -a_(k-1) q**(k-1) / (1 - q**k)**2``."""
+        with mp.workprec(self._prec + _GUARD_BITS):
+            q_k = self._q_pow * self._q
+            a_k = -mp.make_mpf(self._coeffs[-1]) * self._q_pow / (1 - q_k) ** 2
+        self._q_pow = q_k
+        self._coeffs.append(a_k._mpf_)
+
+    def rounded(self, dps: int) -> _QSeries:
+        """This series at a lower precision ``dps``, its table rounded from this one."""
+        lower = _QSeries(self._q, dps)
+        wide = lower._prec + _GUARD_BITS
+        lower._coeffs = [mpf_pos(a, wide, _RND) for a in self._coeffs]
+        with mp.workprec(wide):
+            lower._q_pow = +self._q_pow
+        return lower
+
+    def sums(self, z, target_tol=None, max_terms: int = 2000,
+             value: bool = True, derivative: bool = False):
+        """``F(z)`` and ``F'(z)`` from one pass over the terms ``t_k = a_k z**k``.
+
+        ``F = sum t_k`` and ``F' = (sum k t_k) / z``.  Each sum ends by the
+        tail rule of :func:`phi11` on its own terms (``t_k``, ``k t_k / z``),
+        and the pass ends once every requested sum has ended.  Returns
+        ``(F, F', terms, largest)``: the sums (``None`` where not requested)
+        and, when ``F`` is requested, its number of terms and its largest
+        term magnitude.  Raises :class:`SeriesError` when ``max_terms`` runs
+        out first.
+        """
+        prec = self._prec
+        wide = prec + _GUARD_BITS
+        with mp.workprec(prec):
+            z = mp.mpf(z)._mpf_
+            tol = (self._default_tol if target_tol is None else mp.mpf(target_tol))._mpf_
+        size_z = mpf_abs(z)
+        coeffs = self._coeffs
+        f_open, d_open = value, derivative and z != fzero
+        f_sum = largest = f_prev = fone  # F, starting from t_0 = 1
+        d_sum, d_prev = fzero, size_z  # z F', its rule scaled by |z|
+        terms, power, k = 1, fone, 0
+        while f_open or d_open:
+            k += 1
+            if k > max_terms:
+                raise SeriesError(
+                    f"series did not meet tail tolerance {mp.make_mpf(tol)} "
+                    f"within {max_terms} terms"
+                )
+            if k == len(coeffs):
+                self._extend()
+            power = mpf_mul(power, z, wide, _RND)
+            term = mpf_mul(coeffs[k], power, prec, _RND)
+            if f_open:
+                f_sum = mpf_add(f_sum, term, prec, _RND)
+                mag = mpf_abs(term)
+                if mpf_gt(mag, largest):
+                    largest = mag
+                f_open = not _tail_ends(mag, f_prev, f_sum, fone, tol, prec)
+                f_prev, terms = mag, k + 1
+            if d_open:
+                d_term = mpf_mul_int(term, k, prec, _RND)
+                d_sum = mpf_add(d_sum, d_term, prec, _RND)
+                mag = mpf_abs(d_term)
+                d_open = not _tail_ends(mag, d_prev, d_sum, size_z, tol, prec)
+                d_prev = mag
+        f_value = mp.make_mpf(f_sum) if value else None
+        d_value = None
+        if derivative:
+            if z == fzero:  # F'(0) = a_1
+                if len(coeffs) < 2:
+                    self._extend()
+                d_sum, z = mpf_pos(coeffs[1], prec, _RND), fone
+            d_value = mp.make_mpf(mpf_div(d_sum, z, prec, _RND))
+        return f_value, d_value, terms, mp.make_mpf(largest)
+
+    def value(self, z):
+        """``F(z)`` with the default tail tolerance."""
+        return self.sums(z)[0]
+
+    def sign(self, z):
+        """Sign of ``F(z)``, or ``None`` when ``|F(z)|`` does not exceed the
+        evaluation's error bound: terms summed times the largest term times
+        ``10**-(dps-1)``."""
+        value, _, terms, largest = self.sums(z)
+        if abs(value) > terms * largest * self._rel_error:
+            return int(mp.sign(value))
+        return None
 
 
 def phi11(q, z, target_tol=None, max_terms: int = 2000):
@@ -110,16 +238,22 @@ def phi11(q, z, target_tol=None, max_terms: int = 2000):
     ``max_terms`` is exhausted first.  Runs at the caller's mpmath precision
     (``target_tol=None`` uses that precision's floor).
     """
-    return _phi11_sum(mp.mpf(q), mp.mpf(z), target_tol, max_terms, derivative=False)
+    return _QSeries(mp.mpf(q), mp.mp.dps).sums(z, target_tol, max_terms)[0]
 
 
 def phi11_derivative(q, z, target_tol=None, max_terms: int = 2000):
     """Derivative in ``z`` of :func:`phi11` (termwise differentiation)."""
-    return _phi11_sum(mp.mpf(q), mp.mpf(z), target_tol, max_terms, derivative=True)
+    series = _QSeries(mp.mpf(q), mp.mp.dps)
+    return series.sums(z, target_tol, max_terms, value=False, derivative=True)[1]
 
 
 def _mp_q(params: FieldParams) -> mp.mpf:
     return mp.power(params.p, -mp.mpf(2) / params.e)
+
+
+def _series_at(params: FieldParams, dps: int) -> _QSeries:
+    with mp.workdps(dps):
+        return _QSeries(_mp_q(params), dps)
 
 
 def lower_bracket(params: FieldParams, n: int) -> float:
@@ -148,7 +282,8 @@ class RootTable:
         params: Field parameters.
         roots: Roots as mpmath floats, ascending.
         residuals: ``|F(lambda_n)|`` as floats (evaluated at full precision).
-        brackets: The certified sign-change intervals used per root.
+        brackets: The certified sign-change intervals per root, as floats
+            rounded outward so that each encloses its root.
         dps_used: Working decimal precision per root.
     """
 
@@ -168,88 +303,145 @@ class RootTable:
     def values_float(self) -> np.ndarray:
         return np.array([float(r) for r in self.roots])
 
+    def prefix(self, n_max: int) -> RootTable:
+        """The table of roots ``0..n_max``."""
+        k = n_max + 1
+        return RootTable(self.params, self.roots[:k], self.residuals[:k],
+                         self.brackets[:k], self.dps_used[:k])
+
 
 def _root_dps(params: FieldParams, n: int) -> int:
-    """Working precision for root ``n``.
+    """Certification precision for root ``n``.
 
     Near ``lambda_n ~ Q**n`` the series terms peak at roughly
-    ``Q**(n(n+1)/2)`` while the values being sign-certified are as small as
-    roughly ``Q**(-n(n+1)/2)``, so the cancellation spans about
-    ``n(n+1) log10(Q)`` digits; add fixed headroom.
+    ``Q**(n(n+1)/2)``, so an evaluation's absolute error is that size times
+    ``10**-dps``.  The absolute gate ``|F(lambda_n)| < target_tol`` thus
+    needs about ``n(n+1)/2 log10(Q)`` digits more than the target's own, and
+    the root to a matching relative accuracy.  This allows
+    ``n(n+1) log10(Q)`` digits plus 60 of headroom, and the final enclosure
+    ``lambda_n (1 -+ 10**-(dps-15))`` is sized from it, so the last Newton
+    level runs here too.  The search needs only relative accuracy and runs
+    at ``_SEARCH_DPS`` digits and on the levels of :func:`_newton_levels`.
     """
     log10Q = 2 * mp.log10(mp.mpf(params.p)) / params.e
     return int(n * (n + 1) * log10Q) + 60
 
 
-def _find_one_root(params: FieldParams, n: int, target_tol: float):
-    """Locate lambda_n: certified bisection bracket, then Newton polish."""
-    dps = _root_dps(params, n)
-    with mp.workdps(dps):
-        q = _mp_q(params)
-        one = mp.mpf(1)
-        if n == 0:
-            lo = mp.mpf(10) ** (-12)
-            hi = one
-        else:
-            lower = q ** (-n) - 1 / (1 - q**n)
-            lo = max(lower, q ** (-(n - 1)))
-            hi = q ** (-n)
-        f_lo = phi11(q, lo)
-        f_hi = phi11(q, hi)
-        if f_lo == 0 or f_hi == 0 or mp.sign(f_lo) == mp.sign(f_hi):
-            # Do not silently widen; scan the interval once for a sign change
-            # and report failure if none is found.
-            grid = [lo + (hi - lo) * k / 64 for k in range(65)]
-            vals = [phi11(q, g) for g in grid]
-            found = None
-            for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
-                if fa != 0 and fb != 0 and mp.sign(fa) != mp.sign(fb):
-                    found = (a, b, fa, fb)
-                    break
-            if found is None:
-                raise BracketError(
-                    f"no sign change on the bracket for root {n} "
-                    f"(params p={params.p}, e={params.e}, f={params.f})"
-                )
-            lo, hi, f_lo, f_hi = found
-        # Bisection: certify and localize to ~1e-15 relative.
+def _newton_levels(dps: int) -> list[int]:
+    """Backward precision-doubling schedule ``dps, dps//2 + c, ...``, lowest first.
+
+    Halving stops before the search precision; each level starts from a root
+    good to about the previous level's digits, which Newton doubles.
+    """
+    levels = [dps]
+    while levels[-1] // 2 + _SCHEDULE_GUARD_DPS > _SEARCH_DPS:
+        levels.append(levels[-1] // 2 + _SCHEDULE_GUARD_DPS)
+    return levels[::-1]
+
+
+def _certified_bracket(full: _QSeries, params: FieldParams, n: int):
+    """Bracket of root ``n`` with endpoint signs certified at full precision.
+
+    Returns ``(lo, hi, sign of F(lo))``.  The bracket is not widened: when
+    its endpoints do not differ in sign it is scanned once at 64 points, and
+    :class:`BracketError` is raised if no sign change turns up.
+    """
+    q = _mp_q(params)
+    if n == 0:
+        lo, hi = mp.mpf(10) ** (-12), mp.mpf(1)
+    else:
+        lower = q ** (-n) - 1 / (1 - q**n)
+        lo, hi = max(lower, q ** (-(n - 1))), q ** (-n)
+    f_lo, f_hi = full.value(lo), full.value(hi)
+    if f_lo != 0 and f_hi != 0 and mp.sign(f_lo) != mp.sign(f_hi):
+        return lo, hi, int(mp.sign(f_lo))
+    grid = [lo + (hi - lo) * k / 64 for k in range(65)]
+    vals = [full.value(g) for g in grid]
+    for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
+        if fa != 0 and fb != 0 and mp.sign(fa) != mp.sign(fb):
+            return a, b, int(mp.sign(fa))
+    raise BracketError(
+        f"no sign change on the bracket for root {n} "
+        f"(params p={params.p}, e={params.e}, f={params.f})"
+    )
+
+
+def _bisect(search: _QSeries, full: _QSeries, lo, hi, sign_lo):
+    """Bisect ``(lo, hi)`` at the search precision to ~1e-15 relative.
+
+    A sign taken at the search precision counts only when ``|F|`` exceeds
+    that evaluation's error bound (:meth:`_QSeries.sign`); otherwise the
+    point is evaluated again at full precision.  So the bracket returned
+    keeps a sign change that holds at full precision.
+    """
+    with mp.workdps(search.dps):
         for _ in range(60):
             mid = (lo + hi) / 2
-            f_mid = phi11(q, mid)
-            if f_mid == 0:
-                lo = hi = mid
-                break
-            if mp.sign(f_mid) == mp.sign(f_lo):
-                lo, f_lo = mid, f_mid
+            sign = search.sign(mid)
+            if sign is None:
+                sign = int(mp.sign(full.value(mid)))
+            if sign == 0:
+                return mid, mid
+            if sign == sign_lo:
+                lo = mid
             else:
-                hi, f_hi = mid, f_mid
+                hi = mid
             if hi - lo < mp.mpf(10) ** (-15) * hi:
                 break
-        root = (lo + hi) / 2
-        # Newton polish down to the precision floor.
+    return lo, hi
+
+
+def _newton(series: _QSeries, root, lo, hi):
+    """Newton iteration at the series' precision ``d`` until a step is below
+    ``10**-(d-10)`` relative; a step leaving ``(lo/2, 2 hi)`` is not taken."""
+    with mp.workdps(series.dps):
+        root = mp.mpf(root)
+        tol = mp.mpf(10) ** (-(series.dps - 10))
         for _ in range(40):
-            fval = phi11(q, root)
-            if abs(fval) == 0:
+            fval, dval, _, _ = series.sums(root, derivative=True)
+            if fval == 0:
                 break
-            dval = phi11_derivative(q, root)
             step = fval / dval
             new_root = root - step
             if not lo / 2 < new_root < hi * 2:
                 break
             root = new_root
-            if abs(step) < mp.mpf(10) ** (-(dps - 10)) * abs(root):
+            if abs(step) < tol * abs(root):
                 break
-        residual = abs(phi11(q, root))
+    return root
+
+
+def _outward(lo, hi) -> tuple[float, float]:
+    """``(lo, hi)`` as floats rounded outward, so they still enclose the root."""
+    a, b = float(lo), float(hi)
+    if a > lo:
+        a = math.nextafter(a, -math.inf)
+    if b < hi:
+        b = math.nextafter(b, math.inf)
+    return a, b
+
+
+def _find_one_root(params: FieldParams, n: int, target_tol: float, search: _QSeries):
+    """Locate lambda_n at low precision, then certify it at ``_root_dps``."""
+    dps = _root_dps(params, n)
+    full = _series_at(params, dps)
+    with mp.workdps(dps):
+        lo, hi, sign_lo = _certified_bracket(full, params, n)
+        lo, hi = _bisect(search, full, lo, hi, sign_lo)
+        root = (lo + hi) / 2
+        for level in _newton_levels(dps):
+            root = _newton(full if level == dps else full.rounded(level), root, lo, hi)
+        residual = abs(full.value(root))
         if float(residual) >= target_tol:
             raise BracketError(
                 f"root {n} residual {float(residual):.3e} above target {target_tol}"
             )
         # Certify the final enclosure by endpoint signs.
         delta = mp.mpf(10) ** (-(dps - 15)) * root
-        f_left, f_right = phi11(q, root - delta), phi11(q, root + delta)
+        f_left, f_right = full.value(root - delta), full.value(root + delta)
         if f_left != 0 and f_right != 0 and mp.sign(f_left) == mp.sign(f_right):
             raise BracketError(f"final enclosure for root {n} lost its sign change")
-        return root, float(residual), (float(lo), float(hi)), dps
+        return root, float(residual), _outward(lo, hi), dps
 
 
 _ROOT_CACHE: dict[tuple, RootTable] = {}
@@ -260,22 +452,39 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> Ro
 
     Each root is isolated by endpoint sign checks on its bracket (for
     ``n >= 1``: from ``max(lower bracket, previous upper)`` to ``q**(-n)``;
-    for ``lambda_0``: ``(1e-12, 1]``), refined by bisection plus a Newton
-    polish at per-root precision, and re-certified by a final sign change.
+    for ``lambda_0``: ``(1e-12, 1]``).  The search then runs at low
+    precision: bisection to 1e-15 relative at ``_SEARCH_DPS`` digits, and
+    Newton on each level of :func:`_newton_levels` until its step is below
+    ``10**-(d-10)`` relative at that level's ``d`` digits.  Locating a root
+    needs only relative accuracy, which ``d`` digits give whatever ``n`` is.
+    A bisection sign counts only when ``|F|`` exceeds its evaluation's error
+    bound; otherwise that point is evaluated again at full precision.
+
+    Certification runs at the per-root precision of :func:`_root_dps`:
+    the bracket endpoint signs (and the 64-point scan when they agree),
+    ``|F(root)| < target_tol``, and a sign change across
+    ``root (1 -+ 10**-(dps-15))``.  These are the steps that need the
+    ``n(n+1) log10 Q`` digits: the gate is absolute while the terms reach
+    ``Q**(n(n+1)/2)``, and the enclosure width is sized from ``_root_dps``.
     Raises :class:`BracketError` on any certification failure rather than
-    widening brackets silently.  Results are cached per parameter set.
+    widening brackets silently.
+
+    Returns exactly ``n_max + 1`` roots.  Results are cached per parameter
+    set: a request of the cached size returns the cached table, a shorter
+    one its prefix, and a longer one extends it.
     """
     key = (params.p, params.e, params.f, target_tol)
     cached = _ROOT_CACHE.get(key)
     if cached is not None and cached.n_max >= n_max:
-        return cached
+        return cached if cached.n_max == n_max else cached.prefix(n_max)
     start = cached.n_max + 1 if cached is not None else 0
     roots = list(cached.roots) if cached is not None else []
     residuals = list(cached.residuals) if cached is not None else []
     brackets = list(cached.brackets) if cached is not None else []
     dps_used = list(cached.dps_used) if cached is not None else []
+    search = _series_at(params, _SEARCH_DPS)
     for n in range(start, n_max + 1):
-        root, res, bracket, dps = _find_one_root(params, n, target_tol)
+        root, res, bracket, dps = _find_one_root(params, n, target_tol, search)
         roots.append(root)
         residuals.append(res)
         brackets.append(bracket)

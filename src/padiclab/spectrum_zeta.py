@@ -29,7 +29,7 @@ symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 
 from .field_model import FieldParams, count_g
 from .operators import assemble_DstarD, _deterministic_start
-from .qspecial import RootTable, find_roots, lower_bracket
+from .qspecial import RootTable, find_roots
 from .tree import tree_window_r
 
 __all__ = [
@@ -571,7 +571,7 @@ def schatten_partial(params: FieldParams, s: float, m_max: int, n_max: int) -> f
         raise ValueError("s must be positive")
     roots = find_roots(params, n_max)
     factor = schatten_m_factor(params, s, m_max=m_max)
-    lam = roots.values_float()[: n_max + 1]
+    lam = roots.values_float()
     return float(factor * np.sum(lam ** (-s)))
 
 

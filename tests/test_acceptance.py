@@ -80,7 +80,7 @@ def test_criterion_2_certified_roots_in_brackets():
     failures = []
     for params in ALL_PARAMS:
         table = find_roots(params, 19)
-        values = table.values_float()[:20]  # cache may hold more than requested
+        values = table.values_float()
         for i, (val, res, (lo, hi)) in enumerate(
             zip(values, table.residuals, table.brackets)
         ):
@@ -174,7 +174,7 @@ def test_criterion_5_eigenvector_dual_route():
     worst_match = 0.0
     for params in ALL_PARAMS:
         table = find_roots(params, 4)
-        for n, lam in enumerate(table.roots[:5]):  # cache may hold more
+        for n, lam in enumerate(table.roots):
             phi = eigvec_recurrence(params, lam, 80)
             tail = eigvec_tail_mass(phi)
             worst_tail = max(worst_tail, tail)

@@ -36,6 +36,53 @@ FROZEN_ROOTS = {
 }
 
 
+# Float roots (``repr``) from the per-term recurrence evaluator below, with
+# the search run at full precision.  The coefficient-table kernel and the
+# low-precision search must reproduce them bit for bit.
+EXACT_ROOTS = {
+    (3, 1, 1): (
+        0.8767287339708753, 8.998271537198672, 80.99999972883097, 728.9999999999994,
+        6561.0, 59049.0, 531441.0, 4782969.0, 43046721.0, 387420489.0, 3486784401.0,
+        31381059609.0, 282429536481.0, 2541865828329.0, 22876792454961.0,
+        205891132094649.0, 1853020188851841.0, 1.6677181699666568e+16,
+        1.5009463529699914e+17, 1.350851717672992e+18, 1.2157665459056929e+19,
+    ),
+    (2, 2, 1): (
+        0.3438704523794896, 1.6965788205582684, 3.960531832134273, 7.999023608598318,
+        15.999995291406833, 31.99999999492412, 63.9999999999987, 128.0, 256.0, 512.0,
+        1024.0, 2048.0, 4096.0, 8192.0, 16384.0, 32768.0,
+    ),
+}
+
+# One parameter set for each base q = p**(-2/e) of the benchmark's root pool:
+# 1/4, 1/2, 1/9, 1/3, 1/25 and 1/49.  (5, 1, 2) stands for (5, 1, 1), whose
+# cache another test needs cold; f does not enter q.
+KERNEL_PARAMS = [FieldParams(2, 1, 1), P221, P311, FieldParams(3, 2, 1),
+                 FieldParams(5, 1, 2), FieldParams(7, 1, 1)]
+
+
+def _reference_sum(q, z, derivative=False, max_terms=2000):
+    """The per-term recurrence: each term from the last through a fresh
+    ``q**(n-1)`` and ``(1 - q**n)**2``.  Same tail rule as :func:`phi11`.
+
+    Returns the sum and its largest term magnitude.
+    """
+    target_tol = mp.mpf(10) ** (-(mp.mp.dps - 5))
+    term = mp.mpf(1)
+    total = mp.mpf(0) if derivative else mp.mpf(1)
+    prev_mag = largest = abs(term)
+    for n in range(1, max_terms + 1):
+        term = term * (-z) * q ** (n - 1) / (1 - q**n) ** 2
+        contrib = n * term / z if derivative else term
+        total += contrib
+        mag = abs(contrib)
+        largest = max(largest, mag)
+        if mag < target_tol * max(1, abs(total)) and mag <= prev_mag:
+            return total, largest
+        prev_mag = mag
+    raise AssertionError("reference series did not converge")
+
+
 def _series_base(params: FieldParams) -> mp.mpf:
     return mp.power(params.p, -mp.mpf(2) / params.e)
 
@@ -77,10 +124,29 @@ class TestPhi11:
             d = phi11_derivative(q, z)
         assert float(d) == pytest.approx(float(fd), rel=1e-6)
 
+    def test_derivative_at_zero(self):
+        # F'(0) is the first coefficient, -1/(1-q)**2.
+        assert phi11_derivative(0.25, 0.0) == -1 / mp.mpf(0.75) ** 2
+
     def test_sign_change_across_first_root(self):
         # The series starts at 1 for small z and is negative past the first root.
         assert phi11(0.25, 0.01) > 0
         assert phi11(0.25, 1.0) < 0
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("dps", [30, 100, 400])
+    @pytest.mark.parametrize("params", KERNEL_PARAMS, ids=str)
+    def test_value_and_derivative(self, params, dps):
+        roots = find_roots(params, 5).roots
+        with mp.workdps(dps):
+            q = _series_base(params)
+            for root in roots:
+                for z in (+root, root * (1 - mp.mpf(10) ** -3), root * (1 + mp.mpf(10) ** -3)):
+                    for fn, derivative in ((phi11, False), (phi11_derivative, True)):
+                        want, largest = _reference_sum(q, z, derivative)
+                        got = fn(q, z)
+                        assert abs(got - want) <= mp.mpf(10) ** (-(dps - 10)) * largest
 
 
 class TestBrackets:
@@ -121,11 +187,28 @@ class TestFindRoots:
         for n in range(1, 6):
             assert upper_bracket(params, n - 1) < values[n] <= upper_bracket(params, n)
 
+    @pytest.mark.parametrize("key", sorted(EXACT_ROOTS))
+    def test_float_roots_bit_exact(self, key):
+        frozen = EXACT_ROOTS[key]
+        table = find_roots(FieldParams(*key), len(frozen) - 1)
+        assert tuple(float(r) for r in table.roots) == frozen
+
+    @pytest.mark.parametrize("params", ALL_PARAMS)
+    def test_brackets_hold_full_precision_sign_change(self, params):
+        table = find_roots(params, 19)
+        for n, (root, (lo, hi), dps) in enumerate(
+            zip(table.roots, table.brackets, table.dps_used)
+        ):
+            assert lo <= root <= hi, n
+            with mp.workdps(dps):
+                q = _series_base(params)
+                assert mp.sign(phi11(q, lo)) * mp.sign(phi11(q, hi)) == -1, n
+
     def test_direct_residual(self):
         table = find_roots(P211, 2)
         with mp.workdps(60):
             q = _series_base(P211)
-            for root in table.roots[:3]:  # cache may hold more roots
+            for root in table.roots:
                 assert abs(phi11(q, root)) < 1e-10
 
     def test_cache_reuse_and_extension(self):
@@ -136,7 +219,19 @@ class TestFindRoots:
         assert t1 is t2
         t3 = find_roots(params, 3)
         assert t3.roots[: len(t1.roots)] == t1.roots
-        assert find_roots(params, 2) is t3  # shorter request served from cache
+        t4 = find_roots(params, 2)  # shorter request: a prefix of the cache
+        assert t4.roots == t3.roots[:3]
+        assert t4.brackets == t3.brackets[:3]
+        assert t4.dps_used == t3.dps_used[:3]
+        assert find_roots(params, 3) is t3
+
+    def test_returns_exactly_the_requested_roots(self):
+        long = find_roots(P211, 6)
+        for n_max in range(7):
+            table = find_roots(P211, n_max)
+            assert table.n_max == n_max
+            assert len(table.residuals) == len(table.brackets) == len(table.dps_used) == n_max + 1
+            assert table.roots == long.roots[: n_max + 1]
 
 
 class TestEigvectors:
@@ -154,7 +249,7 @@ class TestEigvectors:
     @pytest.mark.parametrize("params", [P211, P311])
     def test_tail_mass_small_at_roots(self, params):
         table = find_roots(params, 3)
-        for lam in table.roots[:4]:  # cache may hold more roots
+        for lam in table.roots:
             phi = eigvec_recurrence(params, lam, 80)
             assert eigvec_tail_mass(phi) < 1e-8
 
@@ -179,7 +274,7 @@ class TestEigvectors:
     def test_recurrence_matches_series(self, params):
         """Dual route: forward recurrence vs series reconstruction."""
         table = find_roots(params, 2)
-        for lam in table.roots[:3]:  # cache may hold more roots
+        for lam in table.roots:
             phi = eigvec_recurrence(params, lam, 12)
             ratio = phi[1] / eigvec_from_series(params, lam, 1)
             for l in range(2, 9):

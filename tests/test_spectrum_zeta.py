@@ -139,6 +139,13 @@ class TestZetaD0:
         assert abs(few.value - many.value) <= few.tail_bound
         assert many.tail_bound < few.tail_bound
 
+    def test_sums_only_the_requested_roots(self):
+        # A longer cached table must not leak extra roots into the sum.
+        roots = find_roots(P311, 10).roots
+        z = zeta_D0(P311, 2.0, n_roots=3)
+        assert z.n_roots_used == 3
+        assert z.value.real == pytest.approx(float(sum(r**-2 for r in roots[:3])), rel=1e-14)
+
     def test_real_positive_on_real_axis(self):
         z = zeta_D0(P311, 2.0)
         assert z.value.imag == pytest.approx(0.0, abs=1e-15)
