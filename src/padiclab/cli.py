@@ -33,11 +33,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import Any
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import __version__
 from .field_model import FieldParams
@@ -68,6 +70,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
+def _checked(convert, valid, rule: str):
+    """Argument type: ``convert(text)``, rejected unless ``valid`` (``must be rule``)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            message = f"invalid {convert.__name__} value: {text!r}"
+            raise argparse.ArgumentTypeError(message) from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+_FINITE = _checked(float, math.isfinite, "finite")
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="padiclab", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,24 +106,24 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("spectrum", help="analytic eigenvalue table")
     add_common(sp)
-    sp.add_argument("--m-max", type=int, default=3)
-    sp.add_argument("--n-max", type=int, default=5)
+    sp.add_argument("--m-max", type=_COUNT, default=3)
+    sp.add_argument("--n-max", type=_COUNT, default=5)
     sp.add_argument("--root-tol", type=float, default=1e-10)
 
     va = sub.add_parser("validate", help="cross-validation suite")
     add_common(va)
-    va.add_argument("--depth", type=int, default=10, help="window depth N")
-    va.add_argument("--k", type=int, default=8, help="eigenvalues compared")
+    va.add_argument("--depth", type=_POSITIVE_INT, default=10, help="window depth N")
+    va.add_argument("--k", type=_POSITIVE_INT, default=8, help="eigenvalues compared")
     va.add_argument("--tol", type=float, default=1e-6)
-    va.add_argument("--seminorm-depth", type=int, default=8)
+    va.add_argument("--seminorm-depth", type=_POSITIVE_INT, default=8)
     va.add_argument("--no-drift", action="store_true", help="skip N+2 drift figures")
     va.add_argument("--inject-error", type=float, default=None, help=argparse.SUPPRESS)
 
     ze = sub.add_parser("zeta", help="zeta values on a real s-grid")
     add_common(ze)
-    ze.add_argument("--s-min", type=float, default=1.0)
-    ze.add_argument("--s-max", type=float, default=8.0)
-    ze.add_argument("--s-step", type=float, default=1.0)
+    ze.add_argument("--s-min", type=_FINITE, default=1.0)
+    ze.add_argument("--s-max", type=_FINITE, default=8.0)
+    ze.add_argument("--s-step", type=_POSITIVE, default=1.0)
     ze.add_argument("--n-roots", type=int, default=25)
     return parser
 
@@ -309,12 +333,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
     params = _make_params(args)
-    if args.s_step <= 0:
-        print("error: --s-step must be positive", file=sys.stderr)
-        return EXIT_CONFIG
     count = int(np.floor((args.s_max - args.s_min) / args.s_step + 1e-9)) + 1
     results = []
-    for i in range(max(count, 0)):
+    for i in range(count):
         s = args.s_min + i * args.s_step
         try:
             z = zeta_DR(params, s, n_roots=args.n_roots, method="factor")
@@ -355,6 +376,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "zeta" and args.s_max < args.s_min:
+            parser.error("argument --s-max: must be >= --s-min")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -372,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_zeta(args)
         print(f"error: unknown command {args.command}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BracketError, SeriesError, CutoffError) as exc:
+    except (BracketError, SeriesError, CutoffError, ArpackNoConvergence) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

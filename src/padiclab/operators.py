@@ -8,10 +8,15 @@ This module assembles and applies:
 * its adjoint with respect to the weighted inner product, and the symmetric
   square ``D*D`` on a window with a zero (Dirichlet) boundary condition past
   the deepest level;
-* diagonal multiplication operators built from test functions (with the
-  convention that the zero vertex of level ``n`` carries the value at the
-  point ``pi**n``);
-* commutators ``[D, multiplication]`` and their operator norms;
+* diagonal multiplication operators built from test functions.  A test
+  function is evaluated a whole tree level at a time, from the rank numerals
+  of the level-major layout in :mod:`padiclab.tree`; :func:`rho_diag` makes
+  one such call per level and is the only code applying the convention that
+  the zero vertex of level ``n`` carries the value at the point ``pi**n``;
+* commutators ``[D, multiplication]`` and their operator norms.  Each
+  commutator column holds at most one nonzero (every child has one parent),
+  so the rows have disjoint supports and the operator norm is the largest
+  row norm, a certificate checked on the assembled matrix;
 * the depth-direction tridiagonal (Jacobi) form of each fixed-tail block of
   ``D*D``, plus a certified high-precision solver for its lowest eigenvalues;
 * Hilbert-Schmidt sums for inverse blocks, in closed form and by direct
@@ -35,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .field_model import Center, FieldParams, pi_power
+from .field_model import Center, FieldParams
 from .tree import TreeWindow, WeightedVector
 
 __all__ = [
@@ -69,14 +74,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A scalar function evaluated on digit-string points.
+    """A scalar function evaluated on digit-string points, a batch at a time.
 
     Attributes:
         name: Stable identifier (used in reports and seeding).
-        evaluator: Deterministic callable on :class:`Center` points.  Points
-            are centers with enough digits to resolve the function; functions
-            must depend only on the element the string represents (trailing
-            zeros are immaterial).
+        evaluator: Deterministic ``evaluator(start, width, ranks) -> ndarray``.
+            ``ranks`` are the base-``q_res`` numerals of digit strings
+            ``d_start .. d_(start+width-1)`` (most significant digit first,
+            the rank layout of :mod:`padiclab.tree`); the result holds one
+            value per rank.  Functions must depend only on the element a
+            string represents, so appending zero digits (``rank * q_res`` at
+            ``width + 1``) leaves every value unchanged.
         known_lipschitz: Exact Lipschitz seminorm when known analytically.
         decay_alpha: Decay exponent ``alpha`` for functions intended on
             enlarged windows, certifying ``|a(x)| <= C/(1 + |x|**alpha)``.
@@ -84,13 +92,18 @@ class TestFunction:
     """
 
     name: str
-    evaluator: Callable[[Center], float]
+    evaluator: Callable[[int, int, np.ndarray], np.ndarray]
     known_lipschitz: float | None = None
     decay_alpha: float | None = None
     decay_constant: float = 1.0
 
     def __call__(self, point: Center) -> float:
-        return float(self.evaluator(point))
+        """Value at one :class:`Center`."""
+        rank = 0
+        for d in point.digits:
+            rank = rank * point.params.q_res + d
+        values = self.evaluator(point.start, len(point.digits), np.array([rank], dtype=np.int64))
+        return float(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +226,18 @@ def rho_diag(window: TreeWindow, a: TestFunction) -> np.ndarray:
     """Diagonal of the multiplication operator for ``a`` on the window.
 
     The entry at vertex ``(n, x)`` is ``a(x)`` for ``x != 0`` and
-    ``a(pi**n)`` at the zero center (rank 0) of level ``n``.
+    ``a(pi**n)`` at the zero center (rank 0) of level ``n``.  Each level is
+    one call of ``a.evaluator`` at width ``n + 1 - min_level``: vertex ``x``
+    is evaluated at its digit-0 child ``x * q_res`` (the same element), and
+    the zero vertex at its digit-1 child, rank 1, which is ``pi**n``.  This
+    is the only place the zero-vertex convention is applied.
     """
+    q = window.params.q_res
     out = np.empty(window.total)
-    params = window.params
     for n in window.levels:
-        seg = window.level_slice(n)
-        for rank in range(seg.stop - seg.start):
-            if rank == 0:
-                point = pi_power(params, n, n + 1, start=window.min_level)
-            else:
-                point = window.center(n, rank)
-            out[seg.start + rank] = a(point)
+        ranks = np.arange(window.level_size(n), dtype=np.int64) * q
+        ranks[0] = 1
+        out[window.level_slice(n)] = a.evaluator(window.min_level, n + 1 - window.min_level, ranks)
     return out
 
 
@@ -269,41 +282,28 @@ def _deterministic_start(size: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _top_singular_value(mat: sp.csr_matrix) -> float:
-    """Largest singular value, dense for small matrices, Lanczos otherwise."""
-    m, n = mat.shape
-    if mat.nnz == 0:
-        return 0.0
-    if min(m, n) <= 1 or max(m, n) <= 1500:
-        return float(np.linalg.norm(mat.toarray(), 2))
-    s = spla.svds(
-        mat,
-        k=1,
-        which="LM",
-        v0=_deterministic_start(min(m, n)),
-        maxiter=5000,
-        tol=0,
-        return_singular_vectors=False,
-    )
-    return float(s[0])
-
-
-def commutator_norm(window: TreeWindow, a: TestFunction) -> float:
-    """Operator norm (largest singular value) of the symmetrized commutator."""
-    return _top_singular_value(assemble_commutator(window, a))
-
-
 def commutator_row_norms(window: TreeWindow, a: TestFunction) -> np.ndarray:
     """Euclidean norms of the commutator rows.
 
-    The commutator's rows have pairwise-disjoint column supports (each row
-    touches only one vertex's children), so the operator norm equals the
-    maximum row norm; this provides an exact cross-check of
-    :func:`commutator_norm`.
+    Every child has one parent, so each column of the commutator holds at
+    most one nonzero; this is asserted on the assembled matrix.  The rows
+    therefore have pairwise-disjoint column supports, and the operator norm
+    is the maximum row norm.
     """
     mat = assemble_commutator(window, a)
+    assert np.unique(mat.indices).size == mat.nnz, "commutator column with two nonzeros"
     sq = np.asarray(mat.multiply(mat).sum(axis=1)).ravel()
     return np.sqrt(sq)
+
+
+def commutator_norm(window: TreeWindow, a: TestFunction) -> float:
+    """Operator norm of the symmetrized commutator: its largest row norm.
+
+    Exact by the disjoint row supports checked in
+    :func:`commutator_row_norms`; no iterative or dense SVD is needed.
+    """
+    rows = commutator_row_norms(window, a)
+    return float(rows.max()) if rows.size else 0.0
 
 
 # ---------------------------------------------------------------------------

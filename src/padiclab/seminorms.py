@@ -3,20 +3,27 @@
 Window quantities at explicit depth ``N``:
 
 * ``lipschitz_depth`` — the sup of ``|a(x) - a(y)| / dist(x, y)`` over
-  distinct deepest-level centers (the zero center evaluated at its
-  representative point ``pi**N``), computed exactly by a subtree min/max
-  sweep rather than over all pairs;
+  distinct deepest-level centers (the zero center evaluated both at zero and
+  at its representative point ``pi**N``), computed exactly by a subtree
+  min/max sweep rather than over all pairs;
 * ``spectral_seminorm_formula`` — the explicit maximum of weighted
   child-difference row sums whose square root equals the commutator operator
-  norm (rows of the symmetrized commutator have disjoint column supports);
+  norm (every child has one parent, so rows of the symmetrized commutator
+  have disjoint column supports);
 * ``check_norm_comparison`` — evaluates the two-sided comparison
   ``c_lower * L1 <= L_D <= c_upper * L1`` with
   ``c_lower = (p**(1/e) - 1)/(2 p**(1/e) sqrt(p**f))`` and
   ``c_upper = sqrt((p**f - 1)/p**f)``, plus the formula-vs-matrix equality,
   and reports pass flags.
 
-The formula route never touches the sparse matrix; the matrix route never
-uses the formula — their agreement is part of the validation surface.
+Both sweeps read the level-major diagonal of :func:`rho_diag`, which
+evaluates a test function once per tree level and applies the zero-vertex
+convention; the zero row of the formula is then an ordinary row.  The
+library functions depend only on a digit prefix or the valuation, so they
+evaluate a level by integer arithmetic on its rank numerals and a small
+table of floats.  The formula route never touches the sparse matrix; the
+matrix route never uses the formula — their agreement is part of the
+validation surface.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_model import Center, FieldParams, norm, pi_power
-from .operators import TestFunction, commutator_norm
+from .field_model import FieldParams
+from .operators import TestFunction, commutator_norm, rho_diag
 from .tree import TreeWindow
 
 __all__ = [
@@ -54,18 +61,14 @@ def _deepest_values(window: TreeWindow, a: TestFunction) -> tuple[np.ndarray, np
     minima, maxima, and the zero-pair ratio
     ``|a(0) - a(pi**N)| * p**(N/e)`` (that pair meets below the window).
     """
-    params = window.params
     N = window.max_level
-    size = window.level_size(N)
-    mins = np.empty(size)
-    a_zero = a(window.center(N, 0))
-    a_pin = a(pi_power(params, N, N + 1, start=window.min_level))
-    mins[0] = min(a_zero, a_pin)
-    for rank in range(1, size):
-        mins[rank] = a(window.center(N, rank))
+    mins = rho_diag(window, a)[window.level_slice(N)]
     maxs = mins.copy()
+    a_pin = float(mins[0])
+    a_zero = float(a.evaluator(window.min_level, 0, np.zeros(1, dtype=np.int64))[0])
+    mins[0] = min(a_zero, a_pin)
     maxs[0] = max(a_zero, a_pin)
-    zero_pair = abs(a_zero - a_pin) * params.scale_float(N)
+    zero_pair = abs(a_zero - a_pin) * window.params.scale_float(N)
     return mins, maxs, zero_pair
 
 
@@ -112,71 +115,34 @@ def lipschitz_depth(window: TreeWindow, a: TestFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _zero_row_terms(
-    params: FieldParams, a: TestFunction, n: int, start: int
-) -> tuple[float, list[float]]:
-    """Zero-vertex child differences at level ``n``.
-
-    Returns ``(d_next, d_sibs)``: the difference ``a(pi**n) - a(pi**(n+1))``
-    toward the deeper zero vertex, and the differences
-    ``a(pi**n) - a(s * pi**n)`` toward the nonzero-digit children.  The
-    digit-1 sibling is the point ``pi**n`` itself, so its difference
-    vanishes identically.
-    """
-    a_zero = a(pi_power(params, n, n + 1, start=start))
-    d_next = a_zero - a(pi_power(params, n + 1, n + 2, start=start))
-    d_sibs = []
-    depth_digits = n - start
-    for digit in range(1, params.q_res):
-        sib = Center(params, start, (0,) * depth_digits + (digit,))
-        d_sibs.append(a_zero - a(sib))
-    return d_next, d_sibs
-
-
-def spectral_seminorm_formula(
-    window: TreeWindow, a: TestFunction, literal_families: bool = False
-) -> float:
+def spectral_seminorm_formula(window: TreeWindow, a: TestFunction) -> float:
     """Explicit maximum-row formula for the commutator operator norm.
 
-    For a nonzero level-``n`` center ``x`` the row contributes
-    ``(1/p**f) * sum_children (a(x) - a(child))**2 * p**(2n/e)``; the zero
-    vertex contributes the same sum over its children with the convention
-    values ``a(pi**n)``, ``a(pi**(n+1))``.  The square root of the maximum
-    over ``n <= N-1`` equals the commutator norm exactly (disjoint row
-    supports).
+    Row ``(n, x)`` contributes
+    ``(1/p**f) * sum_children (a_n(x) - a_(n+1)(child))**2 * p**(2n/e)``
+    with the values of :func:`rho_diag`, so the zero vertex uses the
+    convention values ``a(pi**n)`` and, at its zero child, ``a(pi**(n+1))``.
+    The square root of the maximum over ``n <= N-1`` equals the commutator
+    norm exactly (disjoint row supports).
 
-    ``literal_families=True`` instead takes, at the zero vertex, the larger
-    of two separately displayed families: the next-level difference counted
-    with multiplicity ``p**f - 1``, and the sibling differences alone.  For
-    ``p**f = 2`` this coincides with the default (the digit-1 sibling
-    difference vanishes identically); for ``p**f >= 3`` it overcounts the
-    next-level term and can exceed the matrix norm — it is kept as the
-    displayed-form variant, not used in comparisons.
+    Each row sums its digit-``1..q-1`` terms in order from ``0.0`` and then
+    adds the digit-0 term in front, with squares taken as ``float ** 2``:
+    the float operations of the per-vertex sums this replaces (the digit-0
+    term of a nonzero row is exactly zero).
     """
     params = window.params
     q = params.q_res
+    diag = rho_diag(window, a)
     best_sq = 0.0
     for n in range(window.min_level, window.max_level):
-        weight = params.scale_float(2 * n)
-        # Nonzero centers: exact child-difference rows.
-        size = window.level_size(n)
-        for rank in range(1, size):
-            x = window.center(n, rank)
-            ax = a(x)
-            row = 0.0
-            for digit in range(q):
-                child = Center(params, window.min_level, x.digits + (digit,))
-                row += (ax - a(child)) ** 2
-            best_sq = max(best_sq, row / q * weight)
-        # Zero vertex.
-        d_next, d_sibs = _zero_row_terms(params, a, n, window.min_level)
-        sib_sq = sum(d * d for d in d_sibs)
-        if literal_families:
-            fam_next = (q - 1) / q * d_next**2 * weight
-            fam_sibs = sib_sq / q * weight
-            best_sq = max(best_sq, fam_next, fam_sibs)
-        else:
-            best_sq = max(best_sq, (d_next**2 + sib_sq) / q * weight)
+        parents = diag[window.level_slice(n)]
+        children = diag[window.level_slice(n + 1)].reshape(-1, q)
+        sq = np.float_power(parents[:, None] - children, 2)
+        sibs = np.zeros(len(parents))
+        for digit in range(1, q):
+            sibs += sq[:, digit]
+        rows = sq[:, 0] + sibs
+        best_sq = max(best_sq, float(np.max(rows / q * params.scale_float(2 * n))))
     return float(np.sqrt(best_sq))
 
 
@@ -249,30 +215,45 @@ def check_norm_comparison(
 # ---------------------------------------------------------------------------
 
 
-def _norm_float(x: Center) -> float:
-    return norm(x).to_float()
+def _prefix(q: int, width: int, ranks: np.ndarray, k: int) -> np.ndarray:
+    """Numerals of the first ``k`` digits of each string, zero-padded past ``width``."""
+    if width >= k:
+        return ranks // q ** (width - k)
+    return ranks * q ** (k - width)
 
 
-def _dist_to_point(x: Center, c_digits: tuple[int, ...], params: FieldParams) -> float:
-    """``|x - c|`` for the representative point of ``x`` (zero-padded tail).
+def _agreement(
+    q: int, width: int, ranks: np.ndarray, c_digits: tuple[int, ...]
+) -> tuple[np.ndarray, int]:
+    """Leading digits each string shares with ``c_digits``, both zero-padded.
 
-    ``c`` is the finite digit string of a point at the window's start level.
+    Returns the counts and the compared length; a count equal to the length
+    means the string represents the point ``c``.
     """
-    length = max(len(x.digits), len(c_digits))
-    for j in range(length):
-        xd = x.digits[j] if j < len(x.digits) else 0
-        cd = c_digits[j] if j < len(c_digits) else 0
-        if xd != cd:
-            return params.scale_float(-(x.start + j))
-    return 0.0
+    length = max(width, len(c_digits))
+    padded = c_digits + (0,) * (length - len(c_digits))
+    agree = np.zeros(len(ranks), dtype=np.int64)
+    c_rank = 0
+    for k in range(1, length + 1):
+        c_rank = c_rank * q + padded[k - 1]
+        agree += _prefix(q, width, ranks, k) == c_rank
+    return agree, length
+
+
+def _distance_table(params: FieldParams, start: int, length: int) -> list[float]:
+    """``|x - c|`` by agreement count ``j``: ``p**(-(start + j)/e)``, then 0."""
+    return [params.scale_float(-(start + j)) for j in range(length)] + [0.0]
 
 
 def _make_abs_shift(params: FieldParams, c_digits: tuple[int, ...], name: str) -> TestFunction:
-    return TestFunction(
-        name=name,
-        evaluator=lambda x: _dist_to_point(x, c_digits, params),
-        known_lipschitz=1.0,
-    )
+    """``|x - c|`` for ``c`` the finite digit string of a point at the window's
+    start level (``c_digits = ()`` gives the norm)."""
+
+    def ev(start: int, width: int, ranks: np.ndarray) -> np.ndarray:
+        agree, length = _agreement(params.q_res, width, ranks, c_digits)
+        return np.array(_distance_table(params, start, length))[agree]
+
+    return TestFunction(name=name, evaluator=ev, known_lipschitz=1.0)
 
 
 def _make_ball_indicator(
@@ -281,12 +262,8 @@ def _make_ball_indicator(
     """Indicator of the radius-``p**(-k/e)`` ball with digit prefix of length k."""
     k = len(prefix)
 
-    def ev(x: Center) -> float:
-        for j in range(k):
-            xd = x.digits[j] if j < len(x.digits) else 0
-            if xd != prefix[j]:
-                return 0.0
-        return 1.0
+    def ev(start: int, width: int, ranks: np.ndarray) -> np.ndarray:
+        return (_agreement(params.q_res, width, ranks, prefix)[0] >= k).astype(float)
 
     # Nearest point outside the ball differs in the last prefix digit:
     # separation p**(-(k-1)/e), giving seminorm p**((k-1)/e).
@@ -298,22 +275,18 @@ def _make_random_locally_constant(
 ) -> TestFunction:
     rng = np.random.default_rng(seed)
     table = rng.uniform(0.0, 1.0, size=params.q_res**depth)
-    q = params.q_res
 
-    def ev(x: Center) -> float:
-        rank = 0
-        for j in range(depth):
-            xd = x.digits[j] if j < len(x.digits) else 0
-            rank = rank * q + xd
-        return float(table[rank])
+    def ev(start: int, width: int, ranks: np.ndarray) -> np.ndarray:
+        return table[_prefix(params.q_res, width, ranks, depth)]
 
     return TestFunction(name=f"rand-depth{depth}-seed{seed}", evaluator=ev)
 
 
 def _make_decay(params: FieldParams, alpha: float, name: str) -> TestFunction:
-    def ev(x: Center) -> float:
-        r = _norm_float(x)
-        return 1.0 / (1.0 + r**alpha)
+    def ev(start: int, width: int, ranks: np.ndarray) -> np.ndarray:
+        agree, length = _agreement(params.q_res, width, ranks, ())
+        norms = _distance_table(params, start, length)
+        return np.array([1.0 / (1.0 + r**alpha) for r in norms])[agree]
 
     return TestFunction(name=name, evaluator=ev, decay_alpha=alpha, decay_constant=1.0)
 
@@ -328,8 +301,12 @@ def testfn_library(params: FieldParams) -> list[TestFunction]:
     the ``alpha = ef`` entry fails that exactly when ``ef = 1``).
     """
     lib = [
-        TestFunction(name="const-1", evaluator=lambda x: 1.0, known_lipschitz=0.0),
-        TestFunction(name="abs", evaluator=_norm_float, known_lipschitz=1.0),
+        TestFunction(
+            name="const-1",
+            evaluator=lambda start, width, ranks: np.ones(len(ranks)),
+            known_lipschitz=0.0,
+        ),
+        _make_abs_shift(params, (), "abs"),
         _make_abs_shift(params, (1,), "abs-shift-1"),
         _make_abs_shift(params, (0, 1), "abs-shift-pi"),
         _make_abs_shift(params, (1, 0, 1), "abs-shift-1+pi2"),

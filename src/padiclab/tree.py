@@ -29,7 +29,6 @@ __all__ = [
     "WeightedVector",
     "tree_window_r",
     "tree_window_f",
-    "weight",
     "children",
     "weighted_inner",
 ]
@@ -162,14 +161,6 @@ def tree_window_f(params: FieldParams, M: int, N: int) -> TreeWindow:
     if M < 0:
         raise ValueError("M must be nonnegative")
     return TreeWindow(params, -M, N)
-
-
-def weight(params: FieldParams, n: int) -> Fraction:
-    """Exact level weight ``p**(-n*f)`` without a window context."""
-    pf = params.p**params.f
-    if n >= 0:
-        return Fraction(1, pf**n)
-    return Fraction(pf ** (-n))
 
 
 def children(window: TreeWindow, idx: int) -> list[int]:

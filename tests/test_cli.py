@@ -1,17 +1,25 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from padiclab import spectrum_zeta
 from padiclab.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     main,
 )
 
 P211_ARGS = ["--p", "2", "--e", "1", "--f", "1"]
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _run(tmp_path, name, argv):
@@ -135,6 +143,46 @@ class TestConfigErrors:
     def test_no_command(self):
         assert main([]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["validate", *P211_ARGS, "--k", "0"], "argument --k: must be >= 1, got 0"),
+            (["validate", *P211_ARGS, "--k", "-3"], "argument --k: must be >= 1, got -3"),
+            (["validate", *P211_ARGS, "--depth", "0"], "argument --depth: must be >= 1, got 0"),
+            (["validate", *P211_ARGS, "--seminorm-depth", "0"],
+             "argument --seminorm-depth: must be >= 1, got 0"),
+            (["zeta", *P211_ARGS, "--s-min", "nan"], "argument --s-min: must be finite, got nan"),
+            (["zeta", *P211_ARGS, "--s-max", "inf"], "argument --s-max: must be finite, got inf"),
+            (["zeta", *P211_ARGS, "--s-min", "5", "--s-max", "2"],
+             "argument --s-max: must be >= --s-min"),
+            (["zeta", *P211_ARGS, "--s-step", "0"],
+             "argument --s-step: must be finite and positive, got 0"),
+            (["spectrum", *P211_ARGS, "--n-max", "-1"], "argument --n-max: must be >= 0, got -1"),
+            (["spectrum", *P211_ARGS, "--m-max", "-2"], "argument --m-max: must be >= 0, got -2"),
+            (["validate", *P211_ARGS, "--k", "x"], "argument --k: invalid int value: 'x'"),
+        ],
+    )
+    def test_bad_values_rejected_at_parse_time(self, argv, message, capsys):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+class TestNumericalFailures:
+    def test_arpack_no_convergence_exits_2(self, tmp_path, monkeypatch, capsys):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("No convergence", [], [])
+
+        monkeypatch.setattr(spectrum_zeta, "_EIG_CACHE", {})
+        monkeypatch.setattr(spectrum_zeta.spla, "eigsh", no_convergence)
+        # (5,1,1) at depth 5 has 3906 vertices, above the dense limit.
+        rc = main(["validate", "--p", "5", "--e", "1", "--f", "1", "--depth", "5",
+                   "--k", "1", "--no-drift", "--out", str(tmp_path / "v.json")])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "numerical failure: ARPACK error -1: No convergence\n"
+
 
 class TestOutputRouting:
     def test_outdir_env(self, tmp_path, monkeypatch):
@@ -158,3 +206,20 @@ class TestDeterminism:
         _, a = _run(tmp_path, f"a.{fmt}", argv)
         _, b = _run(tmp_path, f"b.{fmt}", argv)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestTracer:
+    def test_tracer_starts_and_counts(self, tmp_path):
+        """The benchmark tracer wraps public names; a rename must fail here."""
+        spans = tmp_path / "spans.jsonl"
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "bench" / "tracer.py"), str(spans), "0",
+             "validate", *P211_ARGS, "--depth", "6", "--k", "4", "--no-drift",
+             "--seminorm-depth", "4", "--out", str(tmp_path / "val.json")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        last = json.loads(spans.read_text().splitlines()[-1])
+        assert last["request"] == 0
+        assert "counters" in last

@@ -39,6 +39,7 @@ P311 = FieldParams(3, 1, 1)
 P221 = FieldParams(2, 2, 1)
 P212 = FieldParams(2, 1, 2)
 P321 = FieldParams(3, 2, 1)
+P511 = FieldParams(5, 1, 1)
 ALL_PARAMS = [P211, P311, P221, P212]
 
 
@@ -170,11 +171,22 @@ class TestRho:
 
 
 class TestCommutator:
-    def test_norm_equals_max_row_norm(self):
-        w = tree_window_r(P211, 8)
-        a = _lib(P211)["abs"]
-        rows = commutator_row_norms(w, a)
-        assert commutator_norm(w, a) == pytest.approx(rows.max(), rel=1e-10)
+    @pytest.mark.parametrize("params", [P211, P311, P221, P212, P321, P511])
+    def test_norm_matches_dense_svd(self, params):
+        """The row-norm certificate against a dense SVD of the assembled matrix."""
+        w = tree_window_r(params, 5)
+        for fn in function_library(params):
+            dense = np.linalg.norm(assemble_commutator(w, fn).toarray(), 2)
+            assert commutator_norm(w, fn) == pytest.approx(dense, rel=1e-13, abs=0.0), fn.name
+
+    def test_row_norms_and_column_structure(self):
+        w = tree_window_r(P311, 4)
+        a = _lib(P311)["rand-depth3-seed7"]
+        mat = assemble_commutator(w, a).toarray()
+        assert np.count_nonzero(mat, axis=0).max() == 1
+        np.testing.assert_allclose(
+            commutator_row_norms(w, a), np.linalg.norm(mat, axis=1), rtol=1e-15
+        )
 
     def test_frozen_abs_norm(self):
         w = tree_window_r(P211, 8)
@@ -268,6 +280,6 @@ class TestTestFunction:
         assert isinstance(a(c), float)
 
     def test_custom_function(self):
-        a = PointFunction(name="unit", evaluator=lambda c: 1.0)
+        a = PointFunction(name="unit", evaluator=lambda start, width, ranks: np.ones(len(ranks)))
         w = tree_window_r(P211, 3)
         assert commutator_norm(w, a) == 0.0

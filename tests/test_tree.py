@@ -13,7 +13,6 @@ from padiclab import (
     children,
     tree_window_f,
     tree_window_r,
-    weight,
     weighted_inner,
 )
 
@@ -99,7 +98,7 @@ class TestWeights:
         assert w.weight(3) == Fraction(1, 8)
         assert tree_window_r(P311, 2).weight(2) == Fraction(1, 9)
         assert tree_window_f(P211, 2, 3).weight(-2) == Fraction(4)
-        assert weight(P212, 2) == Fraction(1, 16)
+        assert tree_window_r(P212, 2).weight(2) == Fraction(1, 16)
 
     def test_weight_float_matches_fraction(self):
         w = tree_window_f(P212, 2, 4)
