@@ -23,8 +23,9 @@ directory named by ``PADICLAB_OUTDIR``, else stdout).  Machine output goes to
 stdout or the file only; diagnostics go to stderr.  Identical configuration
 and seed produce byte-identical output.
 
-Exit codes: 0 success; 1 configuration error; 2 numerical failure (bracket or
-convergence); 3 validation failure.
+Exit codes: 0 success; 1 configuration error; 2 numerical failure
+(uncertifiable root bracket, series tolerance not met, window cutoff too low);
+3 validation failure.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import sys
 from typing import Any
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import __version__
 from .field_model import FieldParams
@@ -395,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_zeta(args)
         print(f"error: unknown command {args.command}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BracketError, SeriesError, CutoffError, ArpackNoConvergence) as exc:
+    except (BracketError, SeriesError, CutoffError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -346,11 +346,12 @@ def _mp_Q(params: FieldParams) -> mp.mpf:
 def jacobi_lowest_eigs(params: FieldParams, L: int, count: int = 1) -> list[mp.mpf]:
     """Certified lowest eigenvalues of :func:`jacobi_D0` via Sturm bisection.
 
-    The matrix entries grow like ``p**(2L/e)``, so float64 dense solvers lose
-    the small eigenvalues entirely (absolute error scales with the matrix
-    norm).  This routine counts eigenvalues below a shift through the
-    tridiagonal ``LDL^T`` sign sequence in arbitrary precision and bisects,
-    which is accurate relative to the eigenvalue itself.
+    Counts eigenvalues below a shift through the tridiagonal ``LDL^T`` sign
+    sequence in arbitrary precision and bisects, so each eigenvalue is
+    accurate relative to itself whatever the grading.  The matrix entries
+    grow like ``p**(2L/e)``; float64 ``np.linalg.eigvalsh`` nevertheless keeps
+    the low eigenvalues of this graded matrix to a few ulps (pinned against
+    this routine by a grid test), and this routine is its oracle.
     """
     if count < 1 or count > L:
         raise ValueError("need 1 <= count <= L")

@@ -11,6 +11,9 @@ deterministic.
 
 The Hilbert space is weighted little-l2 with level weight ``p**(-n*f)`` (the
 volume of a depth-``n`` ball).
+
+The same rank arithmetic gives the orthonormal Haar (level-group) columns of
+:func:`haar_columns`, in which the window square ``D*D`` is block-diagonal.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .field_model import Center, FieldParams
 
@@ -30,6 +34,7 @@ __all__ = [
     "tree_window_r",
     "tree_window_f",
     "children",
+    "haar_columns",
     "weighted_inner",
 ]
 
@@ -169,6 +174,75 @@ def children(window: TreeWindow, idx: int) -> list[int]:
     if n == window.max_level:
         return []
     return [window.index(n + 1, r) for r in window.children_ranks(n, rank)]
+
+
+def _helmert(q: int) -> np.ndarray:
+    """Orthogonal ``q x q`` matrix whose row 0 is the mean direction.
+
+    Row ``k >= 1`` is ``(1, ..., 1, -k, 0, ..., 0) / sqrt(k(k+1))`` with ``k``
+    leading ones; it sums to zero, so it is orthogonal to the mean.
+    """
+    w = np.zeros((q, q))
+    w[0] = 1.0 / np.sqrt(q)
+    for k in range(1, q):
+        norm = np.sqrt(k * (k + 1))
+        w[k, :k] = 1.0 / norm
+        w[k, k] = -k / norm
+    return w
+
+
+def haar_columns(window: TreeWindow, m: int) -> sp.csr_matrix:
+    """Orthonormal Haar columns of tail length ``m``, grouped by copy.
+
+    The result is a sparse ``total x (copies * L)`` matrix with
+    ``L = max_level - min_level + 1 - m``; copy ``c`` owns columns
+    ``c*L .. c*L + L - 1``, one per level ``min_level + m + l``.
+
+    * ``m = 0`` is the single radial copy: column ``l`` is the constant
+      ``q_res**(-l/2)`` on level ``min_level + l``.
+    * ``m >= 1`` has ``q_res**(m-1) * (q_res - 1)`` copies, one per vertex
+      ``r`` at level ``min_level + m - 1`` and direction ``k = 1 .. q_res-1``
+      (copy ``c = r*(q_res-1) + k-1``).  Column ``l`` is
+      ``W[k, d] * q_res**(-l/2)`` on the level-``min_level + m + l``
+      descendants of ``r``, where ``d`` is the digit each inherits from its
+      level-``min_level + m`` ancestor and ``W`` is an orthogonal matrix whose
+      row 0 is the mean, so the copy sums to zero below ``r``.
+
+    Rank ``R`` at width ``m + l`` has that ancestor at ``R // q_res**l``,
+    which is all the addressing needed.  Over ``m = 0 .. max_level -
+    min_level`` the columns form an orthonormal basis of the window.
+    """
+    q = window.params.q_res
+    span = window.max_level - window.min_level
+    if not 0 <= m <= span:
+        raise ValueError(f"tail length {m} outside 0..{span}")
+    L = span + 1 - m
+    w = _helmert(q)
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    data: list[np.ndarray] = []
+    for l in range(L):
+        seg = window.level_slice(window.min_level + m + l)
+        ranks = np.arange(seg.stop - seg.start, dtype=np.int64)
+        scale = 1.0 / np.sqrt(float(q) ** l)
+        if m == 0:
+            rows.append(seg.start + ranks)
+            cols.append(np.full(ranks.size, l))
+            data.append(np.full(ranks.size, scale))
+            continue
+        head, digit = np.divmod(ranks // q**l, q)
+        for k in range(1, q):
+            vals = w[k, digit]
+            keep = vals != 0.0
+            rows.append(seg.start + ranks[keep])
+            cols.append((head[keep] * (q - 1) + k - 1) * L + l)
+            data.append(vals[keep] * scale)
+    copies = 1 if m == 0 else q ** (m - 1) * (q - 1)
+    mat = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(window.total, copies * L),
+    )
+    return mat.tocsr()
 
 
 @dataclass(frozen=True)

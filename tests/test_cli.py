@@ -7,12 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
-from padiclab import spectrum_zeta
 from padiclab.cli import (
     EXIT_CONFIG,
-    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     main,
@@ -169,21 +166,6 @@ class TestConfigErrors:
         assert captured.err == f"error: {message}\n"
 
 
-class TestNumericalFailures:
-    def test_arpack_no_convergence_exits_2(self, tmp_path, monkeypatch, capsys):
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("No convergence", [], [])
-
-        monkeypatch.setattr(spectrum_zeta, "_EIG_CACHE", {})
-        monkeypatch.setattr(spectrum_zeta.spla, "eigsh", no_convergence)
-        # (5,1,1) at depth 5 has 3906 vertices, above the dense limit.
-        rc = main(["validate", "--p", "5", "--e", "1", "--f", "1", "--depth", "5",
-                   "--k", "1", "--no-drift", "--out", str(tmp_path / "v.json")])
-        assert rc == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert err == "numerical failure: ARPACK error -1: No convergence\n"
-
-
 class TestOutputRouting:
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PADICLAB_OUTDIR", str(tmp_path))
@@ -206,6 +188,16 @@ class TestDeterminism:
         _, a = _run(tmp_path, f"a.{fmt}", argv)
         _, b = _run(tmp_path, f"b.{fmt}", argv)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_validate_identical_across_fresh_processes(self):
+        """In-process reruns share module caches; fresh interpreters do not."""
+        argv = [sys.executable, "-m", "padiclab.cli", "validate", "--p", "2", "--e", "2",
+                "--f", "1", "--depth", "12", "--seminorm-depth", "3"]
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        env.pop("PADICLAB_OUTDIR", None)
+        runs = [subprocess.run(argv, env=env, capture_output=True, timeout=120) for _ in range(2)]
+        assert [r.returncode for r in runs] == [EXIT_OK, EXIT_OK], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
 
 
 class TestTracer:

@@ -153,6 +153,21 @@ class TestJacobi:
         with pytest.raises(ValueError):
             jacobi_lowest_eigs(P211, 5, count=6)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_float_eigvalsh_keeps_low_eigenvalues(self, p, e):
+        """Float64 ``eigvalsh`` on the graded block vs the Sturm route.
+
+        The validator solves the Haar blocks this way, so their low
+        eigenvalues must stay accurate relative to themselves.  ``jacobi_D0``
+        depends on ``(p, e)`` only, so ``f`` is not varied.
+        """
+        params = FieldParams(p, e, 1)
+        for L in (5, 13):
+            exact = np.array([float(v) for v in jacobi_lowest_eigs(params, L, count=5)])
+            got = np.linalg.eigvalsh(jacobi_D0(params, L))[:5]
+            assert np.max(np.abs(got - exact) / exact) <= 1e-13
+
 
 class TestRho:
     def test_frozen_diag_abs_depth2(self):

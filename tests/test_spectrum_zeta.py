@@ -5,8 +5,10 @@ import pytest
 
 from padiclab import (
     CutoffError,
+    assemble_DstarD,
     count_g,
     FieldParams,
+    haar_columns,
     PoleError,
     factor_poles,
     factor_zeros,
@@ -19,6 +21,7 @@ from padiclab import (
     zeta_DR,
     zeta_factor,
 )
+from padiclab import spectrum_zeta, tree_window_r
 
 P211 = FieldParams(2, 1, 1)
 P311 = FieldParams(3, 1, 1)
@@ -97,9 +100,59 @@ class TestValidateSpectrum:
     def test_shallow_window_misses_tolerance(self):
         """Negative control: a too-shallow window must fail the comparison,
         not silently pass at a weaker accuracy."""
-        rep = validate_spectrum(P211, 6, with_drift=False)
+        rep = validate_spectrum(P211, 5, with_drift=False)
         assert rep.failures() == ["eigenvalue-match"]
         assert rep.max_rel_error > 1e-6
+
+    def test_injected_coupling_breaks_block_identity(self, monkeypatch):
+        """Negative control: a symmetric coupling of 1e-6 (relative to the
+        diagonal it meets) between two Haar copies, added to the assembled
+        matrix, must fail the block-structure gate."""
+
+        def coupled(window):
+            mat = assemble_DstarD(window)
+            cols = haar_columns(window, 2)  # two copies of L = N - 1 columns
+            L = window.N - 1
+            x, y = cols[:, L - 1], cols[:, 2 * L - 1]  # both copies at level N
+            strength = 1e-6 * (x.T @ mat @ x).toarray().item()
+            return (mat + strength * (x @ y.T + y @ x.T)).tocsr()
+
+        monkeypatch.setattr(spectrum_zeta, "assemble_DstarD", coupled)
+        rep = validate_spectrum(P211, 8, with_drift=False)
+        assert rep.failures() == ["block-scaling-identity"]
+        assert rep.scaling_max_dev > 1e-7
+
+
+# Every window the suite assembles through ``validate_spectrum``.
+SUITE_WINDOWS = [
+    (P211, 4), (P211, 5), (P211, 6), (P211, 8), (P211, 10),
+    (P311, 10), (P221, 10), (P221, 12), (P221, 14), (P212, 5), (P212, 6),
+]
+
+
+class TestHaarBlocks:
+    @pytest.mark.parametrize(
+        "params,N",
+        [(P212, 2), (FieldParams(3, 2, 1), 4), (FieldParams(5, 1, 1), 3), (P211, 6), (P311, 4),
+         (P221, 6)],
+    )
+    def test_block_union_is_the_assembled_spectrum(self, params, N):
+        """All copies' block spectra, with repetition, against a dense solve of
+        the assembled window: measures the multiplicity pattern."""
+        blocks = spectrum_zeta._haar_blocks(params, N)
+        for m, spec in enumerate(blocks.spectra):
+            assert spec.shape == (count_g(params, m), N + 1 - m)
+        dense = np.linalg.eigvalsh(assemble_DstarD(tree_window_r(params, N)).toarray())
+        union = blocks.union()
+        assert union.shape == dense.shape
+        assert np.max(np.abs(union - dense) / dense) <= 1e-12
+        assert blocks.residual <= 1e-13
+
+    @pytest.mark.parametrize("params,N", SUITE_WINDOWS)
+    def test_invariant_subspace_residual(self, params, N):
+        blocks = spectrum_zeta._haar_blocks(params, N)
+        assert blocks.residual <= 1e-13
+        assert blocks.scaling_dev <= 1e-13
 
 
 class TestSchatten:

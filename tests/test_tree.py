@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from padiclab import (
     FieldParams,
     WeightedVector,
+    assemble_DstarD,
     children,
+    count_g,
+    haar_columns,
+    jacobi_D0,
     tree_window_f,
     tree_window_r,
     weighted_inner,
@@ -89,6 +93,47 @@ class TestFamilyStructure:
                 for kid in w.children_ranks(n, rank):
                     kc = w.center(n + 1, kid)
                     assert kc.digits[: len(c.digits)] == c.digits
+
+
+class TestHaarColumns:
+    @pytest.mark.parametrize("params", ALL_PARAMS)
+    def test_orthonormal_basis_with_count_g_copies(self, params):
+        for w in [tree_window_r(params, 3), tree_window_f(params, 1, 2)]:
+            parts = [haar_columns(w, m) for m in range(4)]
+            for m, cols in enumerate(parts):
+                assert cols.shape == (w.total, count_g(params, m) * (4 - m))
+            basis = np.hstack([c.toarray() for c in parts])
+            assert np.abs(basis.T @ basis - np.eye(w.total)).max() < 1e-15
+
+    def test_frozen_columns(self):
+        w = tree_window_r(P211, 2)
+        # Radial copy: the normalised constant of each level.
+        assert haar_columns(w, 0).toarray()[:, 2].tolist() == [0, 0, 0, 0.5, 0.5, 0.5, 0.5]
+        # Tail length 2: one copy per level-1 vertex, +-1/sqrt(2) on its children.
+        s = 1 / np.sqrt(2)
+        assert haar_columns(w, 2).toarray().T.tolist() == [
+            [0, 0, 0, s, -s, 0, 0],
+            [0, 0, 0, 0, 0, s, -s],
+        ]
+
+    @pytest.mark.parametrize("params", ALL_PARAMS)
+    def test_every_copy_block_is_a_scaled_jacobi_block(self, params):
+        """``V_m^T (D*D) V_m`` is block-diagonal with blocks ``Q**m jacobi_D0``."""
+        N = 3
+        w = tree_window_r(params, N)
+        mat = assemble_DstarD(w)
+        for m in range(N + 1):
+            cols = haar_columns(w, m)
+            L = N + 1 - m
+            expected = np.kron(
+                np.eye(count_g(params, m)), params.scale_float(2 * m) * jacobi_D0(params, L)
+            )
+            got = (cols.T @ mat @ cols).toarray()
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_tail_length_range(self):
+        with pytest.raises(ValueError):
+            haar_columns(tree_window_r(P211, 2), 3)
 
 
 class TestWeights:
