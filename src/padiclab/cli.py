@@ -11,7 +11,8 @@ Subcommands
     Run the cross-validation suite — truncated-window spectrum checks,
     Hilbert–Schmidt closed-form checks, and the seminorm comparisons — and
     exit 0 only if every gated check passes (informational rows report the
-    depth-drift figures).
+    depth-drift figures).  A window over ``MAX_WINDOW_VERTICES`` is refused
+    before anything is assembled.
 
 ``zeta``
     Evaluate the full-spectrum zeta on a real s-grid (columns ``re_s, im_s,
@@ -39,8 +40,6 @@ import os
 import sys
 from typing import Any
 
-import numpy as np
-
 from . import __version__
 from .field_model import FieldParams
 from .operators import hs_double_sum, hs_norm_Dg_inverse, hs_total_partial
@@ -60,6 +59,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_VALIDATION = 3
+
+# Largest window (vertices) that ``validate`` assembles.  Peak memory grows
+# with the largest window at about 270 (q_res = 2) to 770 (q_res = 7) bytes per
+# vertex: 2,097,151 vertices at 626 MB for (2,2,1), 797,161 at 343 MB for
+# (3,1,1), 960,800 at 801 MB for (7,1,1), peak RSS of the whole process.
+MAX_WINDOW_VERTICES = 2_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -312,8 +317,28 @@ def _validate_rows(args: argparse.Namespace, params: FieldParams) -> tuple[list[
     return rows, ok
 
 
+def _check_window_budget(args: argparse.Namespace, params: FieldParams) -> None:
+    """Refuse, before any assembly, a window over ``MAX_WINDOW_VERTICES``.
+
+    The size is summed in closed form over the levels ``0..depth`` (``q_res**n``
+    vertices each), so an absurd depth costs one integer power.
+    """
+    q = params.q_res
+    windows = [("spectrum", args.depth), ("seminorm", args.seminorm_depth)]
+    if not args.no_drift:
+        windows.insert(1, ("drift", args.depth + 2))
+    for name, depth in windows:
+        size = (q ** (depth + 1) - 1) // (q - 1)
+        if size > MAX_WINDOW_VERTICES:
+            raise ValueError(
+                f"{name} window of depth {depth} has {size} vertices, "
+                f"over the limit of {MAX_WINDOW_VERTICES}"
+            )
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     params = _make_params(args)
+    _check_window_budget(args, params)
     rows, ok = _validate_rows(args, params)
     _emit(
         args,
@@ -333,7 +358,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
     params = _make_params(args)
-    count = int(np.floor((args.s_max - args.s_min) / args.s_step + 1e-9)) + 1
+    count = math.floor((args.s_max - args.s_min) / args.s_step + 1e-9) + 1
     results = []
     for i in range(count):
         s = args.s_min + i * args.s_step

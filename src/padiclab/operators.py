@@ -33,15 +33,18 @@ represent.  Assembly order is deterministic (level-major, digit-lexicographic).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import mpmath as mp
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .field_model import Center, FieldParams
 from .tree import TreeWindow, WeightedVector
+
+# scipy is imported inside the functions that build or solve sparse matrices:
+# loading it takes longer than a whole root-only command (spectrum, zeta).
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "TestFunction",
@@ -169,6 +172,8 @@ def assemble_symmetrized_D(window: TreeWindow, closed: bool = True) -> sp.csr_ma
     a purely diagonal row ``p**(N/e)``, making the matrix square on the
     window; this encodes extending vectors by zero past the window.
     """
+    import scipy.sparse as sp
+
     params = window.params
     q = params.q_res
     rows: list[np.ndarray] = []
@@ -249,6 +254,8 @@ def assemble_commutator(window: TreeWindow, a: TestFunction) -> sp.csr_matrix:
     of ``x`` — the diagonal terms of ``D`` and the multiplication operator
     cancel, leaving pure parent-child differences.
     """
+    import scipy.sparse as sp
+
     params = window.params
     q = params.q_res
     diag = rho_diag(window, a)
@@ -480,6 +487,8 @@ def kernel_rho_a_DFinv(
     decay exponent ``alpha > max(1, ef/2)``.  If ``t`` is given, each input
     level ``k`` is damped by the regularizer ``b_t(k)``.
     """
+    import scipy.sparse as sp
+
     _check_decay_admissible(window.params, a)
     params = window.params
     q = params.q_res
@@ -563,6 +572,8 @@ def singular_values_window(window: TreeWindow, a: TestFunction, count: int) -> n
     ``count`` meets or exceeds the maximal possible rank, all singular values
     are returned (dense computation).
     """
+    import scipy.sparse.linalg as spla
+
     mat = kernel_rho_a_DFinv(window, a)
     m, n = mat.shape
     k_max = min(m, n)

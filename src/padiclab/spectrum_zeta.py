@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-import scipy.sparse as sp
 
 from .field_model import FieldParams, count_g
 from .operators import assemble_DstarD
@@ -202,6 +201,8 @@ def _haar_blocks(params: FieldParams, depth: int) -> _HaarBlocks:
     columns ``V_m`` once; each copy's block is read off the diagonal blocks of
     ``V_m^T A V_m`` and all copies are solved in one batched ``eigvalsh``.
     """
+    import scipy.sparse as sp
+
     window = tree_window_r(params, depth)
     mat = assemble_DstarD(window)
     spectra: list[np.ndarray] = []

@@ -22,11 +22,16 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .field_model import Center, FieldParams
+
+# scipy is imported inside the functions that build sparse matrices: loading
+# it takes longer than a whole root-only command (spectrum, zeta).
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "TreeWindow",
@@ -208,41 +213,52 @@ def haar_columns(window: TreeWindow, m: int) -> sp.csr_matrix:
       level-``min_level + m`` ancestor and ``W`` is an orthogonal matrix whose
       row 0 is the mean, so the copy sums to zero below ``r``.
 
-    Rank ``R`` at width ``m + l`` has that ancestor at ``R // q_res**l``,
-    which is all the addressing needed.  Over ``m = 0 .. max_level -
-    min_level`` the columns form an orthonormal basis of the window.
+    Rank ``R`` at width ``m + l`` has that ancestor at ``R // q_res**l``, so
+    the rows below one vertex ``r`` are ``q_res**l`` consecutive ranks per
+    digit ``d``, and every ``r`` repeats one pattern shifted by ``r``'s
+    columns.  Rows are level-major and columns ascend with ``k`` within a
+    row, so the CSR arrays are written in order, one level at a time.  Over
+    ``m = 0 .. max_level - min_level`` the columns form an orthonormal basis
+    of the window.
     """
+    import scipy.sparse as sp
+
     q = window.params.q_res
     span = window.max_level - window.min_level
     if not 0 <= m <= span:
         raise ValueError(f"tail length {m} outside 0..{span}")
     L = span + 1 - m
-    w = _helmert(q)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
+    # Row d of ``by_digit`` holds W[k, d] for k = 1 .. q-1: the entries of a
+    # row whose level-m ancestor has digit d, in column order.
+    by_digit = _helmert(q)[1:].T
+    keep_by_digit = by_digit != 0.0
+    count_by_digit = keep_by_digit.sum(axis=1)
+    indptr = np.zeros(window.total + 1, dtype=np.int64)
+    indices: list[np.ndarray] = []
     data: list[np.ndarray] = []
     for l in range(L):
         seg = window.level_slice(window.min_level + m + l)
-        ranks = np.arange(seg.stop - seg.start, dtype=np.int64)
+        size = seg.stop - seg.start
         scale = 1.0 / np.sqrt(float(q) ** l)
         if m == 0:
-            rows.append(seg.start + ranks)
-            cols.append(np.full(ranks.size, l))
-            data.append(np.full(ranks.size, scale))
+            indptr[seg.start + 1 : seg.stop + 1] = 1
+            indices.append(np.full(size, l))
+            data.append(np.full(size, scale))
             continue
-        head, digit = np.divmod(ranks // q**l, q)
-        for k in range(1, q):
-            vals = w[k, digit]
-            keep = vals != 0.0
-            rows.append(seg.start + ranks[keep])
-            cols.append((head[keep] * (q - 1) + k - 1) * L + l)
-            data.append(vals[keep] * scale)
+        reps = q**l  # rows per digit below one vertex r
+        keep = np.repeat(keep_by_digit, reps, axis=0)
+        cols = np.broadcast_to(np.arange(q - 1) * L + l, keep.shape)[keep]
+        vals = np.repeat(by_digit * scale, reps, axis=0)[keep]
+        shift = np.arange(size // (q * reps)) * ((q - 1) * L)
+        indptr[seg.start + 1 : seg.stop + 1] = np.tile(np.repeat(count_by_digit, reps), shift.size)
+        indices.append((shift[:, None] + cols).ravel())
+        data.append(np.tile(vals, shift.size))
+    np.cumsum(indptr, out=indptr)
     copies = 1 if m == 0 else q ** (m - 1) * (q - 1)
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+    return sp.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), indptr),
         shape=(window.total, copies * L),
     )
-    return mat.tocsr()
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,12 @@ class TestConfigErrors:
             (["spectrum", *P211_ARGS, "--n-max", "-1"], "argument --n-max: must be >= 0, got -1"),
             (["spectrum", *P211_ARGS, "--m-max", "-2"], "argument --m-max: must be >= 0, got -2"),
             (["validate", *P211_ARGS, "--k", "x"], "argument --k: invalid int value: 'x'"),
+            (["validate", "--p", "7", "--e", "1", "--f", "1", "--depth", "10"],
+             "spectrum window of depth 10 has 329554457 vertices, over the limit of 2000000"),
+            (["validate", *P211_ARGS, "--depth", "19"],
+             "drift window of depth 21 has 4194303 vertices, over the limit of 2000000"),
+            (["validate", *P211_ARGS, "--no-drift", "--seminorm-depth", "21"],
+             "seminorm window of depth 21 has 4194303 vertices, over the limit of 2000000"),
         ],
     )
     def test_bad_values_rejected_at_parse_time(self, argv, message, capsys):
@@ -198,6 +204,42 @@ class TestDeterminism:
         runs = [subprocess.run(argv, env=env, capture_output=True, timeout=120) for _ in range(2)]
         assert [r.returncode for r in runs] == [EXIT_OK, EXIT_OK], runs[0].stderr
         assert runs[0].stdout == runs[1].stdout
+
+
+class TestImportBoundary:
+    """scipy is loaded by window assembly only, never by the root commands."""
+
+    CODE = (
+        "import json, sys\n"
+        "from padiclab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+
+    def _scipy_modules(self, tmp_path, argv):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CODE, *argv, "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        assert code == EXIT_OK
+        return modules
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", *P211_ARGS], ["zeta", *P211_ARGS, "--s-min", "1", "--s-max", "2"]],
+    )
+    def test_root_commands_load_no_scipy(self, tmp_path, argv):
+        assert self._scipy_modules(tmp_path, argv) == []
+
+    def test_validate_loads_only_scipy_sparse(self, tmp_path):
+        argv = ["validate", *P211_ARGS, "--depth", "8", "--seminorm-depth", "3"]
+        modules = self._scipy_modules(tmp_path, argv)
+        assert "scipy.sparse" in modules
+        assert "scipy.sparse.linalg" not in modules
+        assert "scipy.linalg" not in modules
 
 
 class TestTracer:
