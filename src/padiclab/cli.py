@@ -24,8 +24,9 @@ directory named by ``PADICLAB_OUTDIR``, else stdout).  Machine output goes to
 stdout or the file only; diagnostics go to stderr.  Identical configuration
 and seed produce byte-identical output.
 
-Exit codes: 0 success; 1 configuration error; 2 numerical failure
-(uncertifiable root bracket, series tolerance not met, window cutoff too low);
+Exit codes: 0 success; 1 configuration error (including a window or an
+s-grid over its limit); 2 numerical failure (uncertifiable root bracket, root
+seeds that do not settle, series tolerance not met, window cutoff too low);
 3 validation failure.
 """
 
@@ -65,6 +66,9 @@ EXIT_VALIDATION = 3
 # vertex: 2,097,151 vertices at 626 MB for (2,2,1), 797,161 at 343 MB for
 # (3,1,1), 960,800 at 801 MB for (7,1,1), peak RSS of the whole process.
 MAX_WINDOW_VERTICES = 2_000_000
+
+# Most s-grid points that ``zeta`` evaluates.
+MAX_ZETA_POINTS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,7 +117,7 @@ def _build_parser() -> _Parser:
     add_common(sp)
     sp.add_argument("--m-max", type=_COUNT, default=3)
     sp.add_argument("--n-max", type=_COUNT, default=5)
-    sp.add_argument("--root-tol", type=float, default=1e-10)
+    sp.add_argument("--root-tol", type=_POSITIVE, default=1e-10)
 
     va = sub.add_parser("validate", help="cross-validation suite")
     add_common(va)
@@ -356,9 +360,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _zeta_points(args: argparse.Namespace) -> float:
+    """Number of s-grid points, ``inf`` when the grid's span overflows."""
+    span = (args.s_max - args.s_min) / args.s_step
+    return math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf
+
+
 def _cmd_zeta(args: argparse.Namespace) -> int:
     params = _make_params(args)
-    count = math.floor((args.s_max - args.s_min) / args.s_step + 1e-9) + 1
+    count = _zeta_points(args)
     results = []
     for i in range(count):
         s = args.s_min + i * args.s_step
@@ -401,8 +411,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "zeta" and args.s_max < args.s_min:
-            parser.error("argument --s-max: must be >= --s-min")
+        if args.command == "zeta":
+            if args.s_max < args.s_min:
+                parser.error("argument --s-max: must be >= --s-min")
+            points = _zeta_points(args)
+            if points == math.inf:
+                parser.error("argument --s-max: the span from --s-min is not finite")
+            if points > MAX_ZETA_POINTS:
+                parser.error(f"argument --s-step: the s-grid has {points} points, "
+                             f"over the limit of {MAX_ZETA_POINTS}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -350,25 +350,30 @@ def _mp_Q(params: FieldParams) -> mp.mpf:
     return mp.power(params.p, mp.mpf(2) / params.e)
 
 
-def jacobi_lowest_eigs(params: FieldParams, L: int, count: int = 1) -> list[mp.mpf]:
-    """Certified lowest eigenvalues of :func:`jacobi_D0` via Sturm bisection.
+def _sturm_counter(params: FieldParams, L: int):
+    """Exact eigenvalue counts of :func:`jacobi_D0` of order ``L``.
 
-    Counts eigenvalues below a shift through the tridiagonal ``LDL^T`` sign
-    sequence in arbitrary precision and bisects, so each eigenvalue is
-    accurate relative to itself whatever the grading.  The matrix entries
-    grow like ``p**(2L/e)``; float64 ``np.linalg.eigvalsh`` nevertheless keeps
-    the low eigenvalues of this graded matrix to a few ulps (pinned against
-    this routine by a grid test), and this routine is its oracle.
+    Returns ``(count_below, upper, dps)``: ``count_below(x)`` is the number
+    of eigenvalues below ``x``, from the signs of the tridiagonal ``LDL^T``
+    pivots of ``jacobi_D0 - x`` in ``dps``-digit arithmetic, and ``upper`` a
+    Gershgorin bound above every eigenvalue.  ``dps`` grows with the largest
+    entry, about ``p**(2L/e)``.
     """
-    if count < 1 or count > L:
-        raise ValueError("need 1 <= count <= L")
     dps = max(50, int(L * 2 * mp.log10(params.p) / params.e) + 30)
     with mp.workdps(dps):
         Q = _mp_Q(params)
         diag = [mp.mpf(1)] + [Q ** (l - 1) * (1 + Q) for l in range(1, L)]
         offsq = [Q ** (2 * l) for l in range(L - 1)]  # squared couplings
+        upper = max(
+            diag[l]
+            + (mp.sqrt(offsq[l - 1]) if l > 0 else 0)
+            + (mp.sqrt(offsq[l]) if l < L - 1 else 0)
+            for l in range(L)
+        )
 
-        def count_below(x: mp.mpf) -> int:
+    def count_below(x) -> int:
+        with mp.workdps(dps):
+            x = mp.mpf(x)
             cnt = 0
             d = diag[0] - x
             if d == 0:
@@ -383,12 +388,23 @@ def jacobi_lowest_eigs(params: FieldParams, L: int, count: int = 1) -> list[mp.m
                     cnt += 1
             return cnt
 
-        upper = max(
-            diag[l]
-            + (mp.sqrt(offsq[l - 1]) if l > 0 else 0)
-            + (mp.sqrt(offsq[l]) if l < L - 1 else 0)
-            for l in range(L)
-        )
+    return count_below, upper, dps
+
+
+def jacobi_lowest_eigs(params: FieldParams, L: int, count: int = 1) -> list[mp.mpf]:
+    """Certified lowest eigenvalues of :func:`jacobi_D0` via Sturm bisection.
+
+    Counts eigenvalues below a shift through the tridiagonal ``LDL^T`` sign
+    sequence in arbitrary precision and bisects, so each eigenvalue is
+    accurate relative to itself whatever the grading.  The matrix entries
+    grow like ``p**(2L/e)``; float64 ``np.linalg.eigvalsh`` nevertheless keeps
+    the low eigenvalues of this graded matrix to a few ulps (pinned against
+    this routine by a grid test), and this routine is its oracle.
+    """
+    if count < 1 or count > L:
+        raise ValueError("need 1 <= count <= L")
+    count_below, upper, dps = _sturm_counter(params, L)
+    with mp.workdps(dps):
         eigs: list[mp.mpf] = []
         for k in range(1, count + 1):
             lo, hi = mp.mpf(0), mp.mpf(upper)

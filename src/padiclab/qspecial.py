@@ -17,22 +17,22 @@ one base and one working precision, extended lazily, and sums ``F`` and
 ``F'`` from them; :func:`phi11` and :func:`phi11_derivative` are thin calls
 into it.
 
-Precision.  Near ``lambda_n ~ Q**n`` (``Q = 1/q``) the largest series term
-and ``|lambda_n F'(lambda_n)|`` are both about ``Q**(n(n+1)/2)``.  At
-relative distance ``eps`` from the root, ``|F|`` is therefore about ``eps``
-times the largest term, while the rounding error of a ``d``-digit sum is
-about ``10**-d`` times it: signs and Newton steps locate the root to
-relative accuracy near ``10**-d`` with ``d`` digits, whatever ``n`` is.
-Only the absolute statements need precision that grows with ``n``.  The
-gate ``|F(lambda_n)| < target_tol`` needs an absolute error below the
-target, about ``n(n+1)/2 log10 Q`` digits more than the target's own, and
-the final enclosure ``lambda_n (1 -+ 10**-(dps-15))`` is sized from the
-per-root precision of :func:`_root_dps`.  So :func:`find_roots` searches at
-low precision: bisection to 1e-15 relative at ``_SEARCH_DPS`` digits, then
-Newton lifted through the precision-doubling schedule of
-:func:`_newton_levels`.  It certifies at ``_root_dps``: the bracket endpoint
-signs, the residual gate and the enclosure signs.  Everything runs in
-mpmath.
+Root search.  :func:`find_roots` seeds every root from one float
+``eigvalsh`` of the truncated Jacobi matrix :func:`operators.jacobi_D0`,
+whose eigenvalues converge to the roots of ``F`` as the truncation grows,
+and uses the series only to certify them.  Root ``n`` gets its index from a
+float Sturm count of that truncation and its working precision from a float
+estimate of the largest series term at the seed: near ``lambda_n`` the terms
+peak at about ``Q**(n(n+1)/2)`` (``Q = 1/q``), more as ``q -> 1``, and the
+residual gate ``|F(lambda_n)| < target_tol`` is absolute, so it needs that
+many digits beyond the target's own.  The two floats next to the seed must
+give certified opposite signs of ``F`` at that precision; Newton lifts the
+seed through a precision-doubling schedule, and the root must pass the
+residual gate and a sign change across ``lambda_n (1 -+ 10**-(dps-15))``.
+Locating a root needs only relative accuracy, which ``d`` digits give
+whatever ``n`` is: at relative distance ``eps`` from the root ``|F|`` is
+about ``eps`` times the largest term, and the rounding error of a
+``d``-digit sum about ``10**-d`` times it.  The series runs in mpmath.
 
 Also provided: the forward recurrence for the tridiagonal eigenvector at a
 given eigenvalue (a shooting diagnostic: at a true eigenvalue the decaying
@@ -44,6 +44,7 @@ cross-checks.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,6 +56,7 @@ from mpmath.libmp import (
 from mpmath.libmp import round_nearest as _RND
 
 from .field_model import FieldParams
+from .operators import jacobi_D0
 
 __all__ = [
     "BracketError",
@@ -72,14 +74,29 @@ __all__ = [
     "eigvec_from_series",
 ]
 
-# Precision of the root search: bisection, and the floor of the Newton
-# precision schedule.  Certification runs at _root_dps.
-_SEARCH_DPS = 30
+# Floor of the Newton precision schedule.  Certification runs at _root_dps.
+_NEWTON_FLOOR_DPS = 30
 # Digits added at each halving of the Newton precision schedule.
 _SCHEDULE_GUARD_DPS = 10
 # Guard bits carried by the coefficient table and the powers of z, so that
 # their rounding stays far inside the error bound of _QSeries.sign.
 _GUARD_BITS = 32
+# Digits carried beyond the largest series term and the target's digits.
+_GUARD_DPS = 30
+# Term budget of a series evaluation; _root_dps looks for the largest term
+# within it.
+_MAX_TERMS = 2000
+# The float seeds have settled once doubling the Jacobi order moves none of
+# them by more than this, relative.
+_SEED_SETTLE = 1e-12
+# Largest Jacobi order the seeds are taken from.
+_SEED_MAX_ORDER = 1024
+# The seed bracket starts one ulp wide on each side and widens by this
+# factor at most this many times.
+_WIDEN_FACTOR = 16
+_WIDEN_STEPS = 8
+# Root tables kept by find_roots, least recently used evicted first.
+ROOT_CACHE_SIZE = 32
 
 
 class BracketError(RuntimeError):
@@ -159,7 +176,7 @@ class _QSeries:
             lower._q_pow = +self._q_pow
         return lower
 
-    def sums(self, z, target_tol=None, max_terms: int = 2000,
+    def sums(self, z, target_tol=None, max_terms: int = _MAX_TERMS,
              value: bool = True, derivative: bool = False):
         """``F(z)`` and ``F'(z)`` from one pass over the terms ``t_k = a_k z**k``.
 
@@ -230,7 +247,7 @@ class _QSeries:
         return None
 
 
-def phi11(q, z, target_tol=None, max_terms: int = 2000):
+def phi11(q, z, target_tol=None, max_terms: int = _MAX_TERMS):
     """Evaluate the base q-hypergeometric series at ``z``.
 
     Sums until the next term is below ``target_tol * max(1, |sum|)`` *and*
@@ -241,19 +258,15 @@ def phi11(q, z, target_tol=None, max_terms: int = 2000):
     return _QSeries(mp.mpf(q), mp.mp.dps).sums(z, target_tol, max_terms)[0]
 
 
-def phi11_derivative(q, z, target_tol=None, max_terms: int = 2000):
+def phi11_derivative(q, z, target_tol=None, max_terms: int = _MAX_TERMS):
     """Derivative in ``z`` of :func:`phi11` (termwise differentiation)."""
     series = _QSeries(mp.mpf(q), mp.mp.dps)
     return series.sums(z, target_tol, max_terms, value=False, derivative=True)[1]
 
 
-def _mp_q(params: FieldParams) -> mp.mpf:
-    return mp.power(params.p, -mp.mpf(2) / params.e)
-
-
 def _series_at(params: FieldParams, dps: int) -> _QSeries:
     with mp.workdps(dps):
-        return _QSeries(_mp_q(params), dps)
+        return _QSeries(mp.power(params.p, -mp.mpf(2) / params.e), dps)
 
 
 def lower_bracket(params: FieldParams, n: int) -> float:
@@ -282,8 +295,8 @@ class RootTable:
         params: Field parameters.
         roots: Roots as mpmath floats, ascending.
         residuals: ``|F(lambda_n)|`` as floats (evaluated at full precision).
-        brackets: The certified sign-change intervals per root, as floats
-            rounded outward so that each encloses its root.
+        brackets: The certified sign-change intervals per root: the floats
+            on either side of the root's float seed (widened if needed).
         dps_used: Working decimal precision per root.
     """
 
@@ -303,6 +316,18 @@ class RootTable:
     def values_float(self) -> np.ndarray:
         return np.array([float(r) for r in self.roots])
 
+    @property
+    def interlaced(self) -> bool:
+        """Whether every root sits on the geometric ladder,
+        ``q**-(n-1) < lambda_n <= q**-n`` (``0 < lambda_0 <= 1``).
+
+        True for small ``q``; false once ``q`` exceeds about 0.6, for example
+        ``lambda_1`` about 0.984 at (2,3,1).  The root search does not rely on it.
+        """
+        ladder = [0.0] + [upper_bracket(self.params, n) for n in range(len(self.roots))]
+        return all(lo < lam <= hi
+                   for lo, hi, lam in zip(ladder, ladder[1:], self.values_float()))
+
     def prefix(self, n_max: int) -> RootTable:
         """The table of roots ``0..n_max``."""
         k = n_max + 1
@@ -310,85 +335,109 @@ class RootTable:
                          self.brackets[:k], self.dps_used[:k])
 
 
-def _root_dps(params: FieldParams, n: int) -> int:
-    """Certification precision for root ``n``.
+def _float_seeds(params: FieldParams, n_max: int) -> tuple[np.ndarray, int]:
+    """Float eigenvalues ``0..n_max+1`` of :func:`jacobi_D0` at a settled order.
 
-    Near ``lambda_n ~ Q**n`` the series terms peak at roughly
-    ``Q**(n(n+1)/2)``, so an evaluation's absolute error is that size times
-    ``10**-dps``.  The absolute gate ``|F(lambda_n)| < target_tol`` thus
-    needs about ``n(n+1)/2 log10(Q)`` digits more than the target's own, and
-    the root to a matching relative accuracy.  This allows
-    ``n(n+1) log10(Q)`` digits plus 60 of headroom, and the final enclosure
-    ``lambda_n (1 -+ 10**-(dps-15))`` is sized from it, so the last Newton
-    level runs here too.  The search needs only relative accuracy and runs
-    at ``_SEARCH_DPS`` digits and on the levels of :func:`_newton_levels`.
+    The order ``L`` starts at ``2 (n_max + 2)`` and doubles until no returned
+    eigenvalue moves by more than ``_SEED_SETTLE`` relative; the eigenvalues
+    of the larger order are returned with it.  Truncation only lowers the
+    eigenvalues' accuracy at the deep end, so the step from ``L`` to ``2L``
+    bounds the error of the order-``L`` values, and those of order ``2L`` are
+    closer still.  ``L`` is capped by ``_SEED_MAX_ORDER`` and by the float
+    range of the matrix (``Q**L`` below ``10**300``); seeds that have not
+    settled by the cap raise :class:`BracketError`.
     """
-    log10Q = 2 * mp.log10(mp.mpf(params.p)) / params.e
-    return int(n * (n + 1) * log10Q) + 60
+    count = n_max + 2  # one eigenvalue beyond the last root, for its separator
+    cap = min(_SEED_MAX_ORDER, int(300 / math.log10(params.Q)))
+    L = 2 * count
+    if L > cap:
+        raise BracketError(
+            f"roots up to {n_max} need a Jacobi truncation of order {L}, over the "
+            f"limit of {cap} (params p={params.p}, e={params.e}, f={params.f})"
+        )
+    prev = None
+    while True:
+        eigs = np.linalg.eigvalsh(jacobi_D0(params, L))[:count]
+        if prev is not None and np.all(np.abs(eigs - prev) <= _SEED_SETTLE * eigs):
+            return eigs, L
+        if L == cap:
+            raise BracketError(
+                f"float seeds for roots 0..{n_max} did not settle by Jacobi order {L} "
+                f"(params p={params.p}, e={params.e}, f={params.f})"
+            )
+        prev, L = eigs, min(2 * L, cap)
+
+
+def _sturm_counts(params: FieldParams, L: int, x: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues of ``jacobi_D0(params, L)`` below each ``x``, in floats.
+
+    Counts the negative pivots of the ``LDL^T`` factorization of
+    ``jacobi_D0 - x``.  Pivot ``l >= 1`` is divided by its row scale
+    ``Q**(l-1)``, which keeps its sign and every value in range:
+    ``D_0 = 1 - x``, ``D_1 = 1 + Q - x - 1/D_0`` and
+    ``D_l = 1 + Q - x q**(l-1) - Q/D_(l-1)``.  A zero pivot counts as
+    positive; the next one is then ``-inf``.
+    """
+    Q, q = params.Q, params.q
+    d = 1.0 - x
+    count = (d < 0).astype(np.int64)
+    with np.errstate(divide="ignore"):
+        for l in range(1, L):
+            d = (1.0 + Q) - x * q ** (l - 1) - (1.0 if l == 1 else Q) / d
+            count += d < 0
+    return count
+
+
+def _root_dps(params: FieldParams, seeds: np.ndarray, target_tol: float) -> list[int]:
+    """Working precision for the root at each seed.
+
+    The terms ``|a_k z**k|`` of ``F`` at ``z = lambda_n`` peak at ``10**T``,
+    estimated here in floats over the first ``_MAX_TERMS`` terms (``T`` is
+    about ``n(n+1)/2 log10 Q`` for small ``q`` and larger as ``q -> 1``,
+    where ``(q;q)_k`` is small).  A ``d``-digit evaluation has absolute error
+    near ``10**(T-d)`` and the gate ``|F(lambda_n)| < target_tol`` is
+    absolute, so root ``n`` runs at ``T`` digits plus the target's plus
+    ``_GUARD_DPS``.
+    """
+    q = params.q
+    k = np.arange(_MAX_TERMS)
+    log_poch = np.concatenate(([0.0], np.cumsum(np.log10(-np.expm1(k[1:] * math.log(q))))))
+    log_coeffs = k * (k - 1) / 2 * math.log10(q) - 2 * log_poch
+    target_digits = max(0, math.ceil(-math.log10(target_tol)))
+    return [math.ceil(np.max(log_coeffs + math.log10(z) * k)) + target_digits + _GUARD_DPS
+            for z in seeds]
 
 
 def _newton_levels(dps: int) -> list[int]:
     """Backward precision-doubling schedule ``dps, dps//2 + c, ...``, lowest first.
 
-    Halving stops before the search precision; each level starts from a root
+    Halving stops before ``_NEWTON_FLOOR_DPS``; each level starts from a root
     good to about the previous level's digits, which Newton doubles.
     """
     levels = [dps]
-    while levels[-1] // 2 + _SCHEDULE_GUARD_DPS > _SEARCH_DPS:
+    while levels[-1] // 2 + _SCHEDULE_GUARD_DPS > _NEWTON_FLOOR_DPS:
         levels.append(levels[-1] // 2 + _SCHEDULE_GUARD_DPS)
     return levels[::-1]
 
 
-def _certified_bracket(full: _QSeries, params: FieldParams, n: int):
-    """Bracket of root ``n`` with endpoint signs certified at full precision.
+def _seed_bracket(full: _QSeries, params: FieldParams, n: int, seed: float) -> tuple[float, float]:
+    """Floats on either side of ``seed`` where ``F`` has certified opposite signs.
 
-    Returns ``(lo, hi, sign of F(lo))``.  The bracket is not widened: when
-    its endpoints do not differ in sign it is scanned once at 64 points, and
-    :class:`BracketError` is raised if no sign change turns up.
+    Starts at ``seed -+ ulp(seed)`` and widens the half-width
+    ``_WIDEN_FACTOR``-fold at most ``_WIDEN_STEPS`` times.  A sign counts only
+    when ``|F|`` exceeds its evaluation's error bound (:meth:`_QSeries.sign`).
     """
-    q = _mp_q(params)
-    if n == 0:
-        lo, hi = mp.mpf(10) ** (-12), mp.mpf(1)
-    else:
-        lower = q ** (-n) - 1 / (1 - q**n)
-        lo, hi = max(lower, q ** (-(n - 1))), q ** (-n)
-    f_lo, f_hi = full.value(lo), full.value(hi)
-    if f_lo != 0 and f_hi != 0 and mp.sign(f_lo) != mp.sign(f_hi):
-        return lo, hi, int(mp.sign(f_lo))
-    grid = [lo + (hi - lo) * k / 64 for k in range(65)]
-    vals = [full.value(g) for g in grid]
-    for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
-        if fa != 0 and fb != 0 and mp.sign(fa) != mp.sign(fb):
-            return a, b, int(mp.sign(fa))
+    width = math.ulp(seed)
+    for _ in range(_WIDEN_STEPS + 1):
+        lo, hi = seed - width, seed + width
+        sign_lo = full.sign(lo)
+        if sign_lo is not None and full.sign(hi) == -sign_lo:
+            return lo, hi
+        width *= _WIDEN_FACTOR
     raise BracketError(
-        f"no sign change on the bracket for root {n} "
-        f"(params p={params.p}, e={params.e}, f={params.f})"
+        f"no certified sign change within {width / _WIDEN_FACTOR:.3g} of the float seed "
+        f"{seed!r} for root {n} (params p={params.p}, e={params.e}, f={params.f})"
     )
-
-
-def _bisect(search: _QSeries, full: _QSeries, lo, hi, sign_lo):
-    """Bisect ``(lo, hi)`` at the search precision to ~1e-15 relative.
-
-    A sign taken at the search precision counts only when ``|F|`` exceeds
-    that evaluation's error bound (:meth:`_QSeries.sign`); otherwise the
-    point is evaluated again at full precision.  So the bracket returned
-    keeps a sign change that holds at full precision.
-    """
-    with mp.workdps(search.dps):
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            sign = search.sign(mid)
-            if sign is None:
-                sign = int(mp.sign(full.value(mid)))
-            if sign == 0:
-                return mid, mid
-            if sign == sign_lo:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < mp.mpf(10) ** (-15) * hi:
-                break
-    return lo, hi
 
 
 def _newton(series: _QSeries, root, lo, hi):
@@ -411,26 +460,20 @@ def _newton(series: _QSeries, root, lo, hi):
     return root
 
 
-def _outward(lo, hi) -> tuple[float, float]:
-    """``(lo, hi)`` as floats rounded outward, so they still enclose the root."""
-    a, b = float(lo), float(hi)
-    if a > lo:
-        a = math.nextafter(a, -math.inf)
-    if b < hi:
-        b = math.nextafter(b, math.inf)
-    return a, b
+def _certify_root(params: FieldParams, n: int, seed: float, dps: int, target_tol: float):
+    """Certify root ``n`` from its float seed at ``dps`` digits.
 
-
-def _find_one_root(params: FieldParams, n: int, target_tol: float, search: _QSeries):
-    """Locate lambda_n at low precision, then certify it at ``_root_dps``."""
-    dps = _root_dps(params, n)
+    Returns ``(root, residual, bracket)``: the root at ``dps`` digits,
+    ``|F(root)|`` and the certified float bracket around the seed.
+    """
     full = _series_at(params, dps)
     with mp.workdps(dps):
-        lo, hi, sign_lo = _certified_bracket(full, params, n)
-        lo, hi = _bisect(search, full, lo, hi, sign_lo)
-        root = (lo + hi) / 2
+        lo, hi = _seed_bracket(full, params, n, seed)
+        root = mp.mpf(seed)
         for level in _newton_levels(dps):
             root = _newton(full if level == dps else full.rounded(level), root, lo, hi)
+        if not lo <= root <= hi:
+            raise BracketError(f"Newton left the certified bracket of root {n}")
         residual = abs(full.value(root))
         if float(residual) >= target_tol:
             raise BracketError(
@@ -441,52 +484,98 @@ def _find_one_root(params: FieldParams, n: int, target_tol: float, search: _QSer
         f_left, f_right = full.value(root - delta), full.value(root + delta)
         if f_left != 0 and f_right != 0 and mp.sign(f_left) == mp.sign(f_right):
             raise BracketError(f"final enclosure for root {n} lost its sign change")
-        return root, float(residual), _outward(lo, hi), dps
+        return root, float(residual), (lo, hi)
 
 
-_ROOT_CACHE: dict[tuple, RootTable] = {}
+class _RootCache:
+    """Root tables keyed by ``(p, e, f, target_tol)``, at most ``maxsize`` of
+    them; the least recently used table is evicted first."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._tables: OrderedDict[tuple, RootTable] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def get(self, key: tuple) -> RootTable | None:
+        table = self._tables.get(key)
+        if table is not None:
+            self._tables.move_to_end(key)
+        return table
+
+    def put(self, key: tuple, table: RootTable) -> None:
+        self._tables[key] = table
+        self._tables.move_to_end(key)
+        while len(self._tables) > self.maxsize:
+            self._tables.popitem(last=False)
+
+
+_ROOT_CACHE = _RootCache(ROOT_CACHE_SIZE)
 
 
 def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> RootTable:
     """Compute the roots ``lambda_0 .. lambda_n_max`` with certified brackets.
 
-    Each root is isolated by endpoint sign checks on its bracket (for
-    ``n >= 1``: from ``max(lower bracket, previous upper)`` to ``q**(-n)``;
-    for ``lambda_0``: ``(1e-12, 1]``).  The search then runs at low
-    precision: bisection to 1e-15 relative at ``_SEARCH_DPS`` digits, and
-    Newton on each level of :func:`_newton_levels` until its step is below
-    ``10**-(d-10)`` relative at that level's ``d`` digits.  Locating a root
-    needs only relative accuracy, which ``d`` digits give whatever ``n`` is.
-    A bisection sign counts only when ``|F|`` exceeds its evaluation's error
-    bound; otherwise that point is evaluated again at full precision.
+    Seed.  One float ``eigvalsh`` of the truncated Jacobi matrix
+    :func:`jacobi_D0`, at an order grown until the requested eigenvalues
+    settle (:func:`_float_seeds`), seeds every root.
 
-    Certification runs at the per-root precision of :func:`_root_dps`:
-    the bracket endpoint signs (and the 64-point scan when they agree),
-    ``|F(root)| < target_tol``, and a sign change across
-    ``root (1 -+ 10**-(dps-15))``.  These are the steps that need the
-    ``n(n+1) log10 Q`` digits: the gate is absolute while the terms reach
-    ``Q**(n(n+1)/2)``, and the enclosure width is sized from ``_root_dps``.
-    Raises :class:`BracketError` on any certification failure rather than
-    widening brackets silently.
+    Index.  A float Sturm count of the same truncation (:func:`_sturm_counts`)
+    must find exactly ``n`` eigenvalues below the separator ``s_n``, the
+    geometric mean of seeds ``n - 1`` and ``n`` (``s_0 = 0``), for every
+    ``n <= n_max + 1``, and the bracket of root ``n`` must lie inside
+    ``(s_n, s_(n+1))``.  As the order grows the truncation's eigenvalues
+    decrease to those of the untruncated block, the roots of ``F``; at a
+    settled order they agree to float accuracy, so the count below ``s_n``
+    is the number of roots of ``F`` below it, and the root certified in
+    bracket ``n`` is ``lambda_n``.  This does not use the
+    geometric interlacing ``q**-(n-1) < lambda_n``, which fails once ``q``
+    exceeds about 0.6 (see :attr:`RootTable.interlaced`).
 
-    Returns exactly ``n_max + 1`` roots.  Results are cached per parameter
-    set: a request of the cached size returns the cached table, a shorter
+    Precision.  Root ``n`` works at the digits of :func:`_root_dps`: a float
+    estimate of ``log10`` of the largest series term at the seed, plus the
+    target's digits, plus ``_GUARD_DPS``.
+
+    Certify.  At that precision the two floats next to the seed must give
+    ``F`` certified opposite signs; the bracket is widened geometrically a
+    bounded number of times when they do not (:func:`_seed_bracket`).  Newton
+    then lifts the seed through the precision-doubling schedule of
+    :func:`_newton_levels`, iterating on each level until its step is below
+    ``10**-(d-10)`` relative at that level's ``d`` digits, and must stay in
+    the bracket.  The root must pass ``|F(root)| < target_tol`` and show a
+    sign change across ``root (1 -+ 10**-(dps-15))``, both at full
+    precision.  Any failure raises :class:`BracketError`.
+
+    Returns exactly ``n_max + 1`` roots.  Tables are cached per
+    ``(p, e, f, target_tol)``, the ``ROOT_CACHE_SIZE`` most recently used
+    kept: a request of the cached size returns the cached table, a shorter
     one its prefix, and a longer one extends it.
     """
+    if not target_tol > 0:
+        raise ValueError(f"target_tol must be positive, got {target_tol}")
     key = (params.p, params.e, params.f, target_tol)
     cached = _ROOT_CACHE.get(key)
     if cached is not None and cached.n_max >= n_max:
         return cached if cached.n_max == n_max else cached.prefix(n_max)
     start = cached.n_max + 1 if cached is not None else 0
+    seeds, L = _float_seeds(params, n_max)
+    separators = np.concatenate(([0.0], np.sqrt(seeds[:-1] * seeds[1:])))
+    if not np.array_equal(_sturm_counts(params, L, separators), np.arange(n_max + 2)):
+        raise BracketError(
+            f"Sturm count of the order-{L} truncation does not separate roots 0..{n_max} "
+            f"(params p={params.p}, e={params.e}, f={params.f})"
+        )
     roots = list(cached.roots) if cached is not None else []
     residuals = list(cached.residuals) if cached is not None else []
     brackets = list(cached.brackets) if cached is not None else []
     dps_used = list(cached.dps_used) if cached is not None else []
-    search = _series_at(params, _SEARCH_DPS)
-    for n in range(start, n_max + 1):
-        root, res, bracket, dps = _find_one_root(params, n, target_tol, search)
+    for n, dps in enumerate(_root_dps(params, seeds[start : n_max + 1], target_tol), start):
+        root, residual, bracket = _certify_root(params, n, float(seeds[n]), dps, target_tol)
+        if not (separators[n] < bracket[0] and bracket[1] < separators[n + 1]):
+            raise BracketError(f"bracket of root {n} crosses a Sturm separator")
         roots.append(root)
-        residuals.append(res)
+        residuals.append(residual)
         brackets.append(bracket)
         dps_used.append(dps)
     table = RootTable(
@@ -496,7 +585,7 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> Ro
         brackets=tuple(brackets),
         dps_used=tuple(dps_used),
     )
-    _ROOT_CACHE[key] = table
+    _ROOT_CACHE.put(key, table)
     return table
 
 

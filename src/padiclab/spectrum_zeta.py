@@ -473,7 +473,9 @@ def zeta_D0(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:
     Requires ``Re(s) > 0``.  The tail is bounded through the lower root
     brackets ``lambda_n >= q**(-n) (1 - q**n/(1 - q**n))`` by geometric
     domination; ``n_roots`` must be large enough for the bracket to be
-    positive (``n_roots >= 2`` suffices for all parameters).
+    positive, that is ``q**n_roots < 1/2``.  Two roots suffice while
+    ``q**2 < 1/2``; at (2,8,1), ``q`` about 0.84, it takes four, and a
+    smaller ``n_roots`` raises :class:`ValueError`.
     """
     s = complex(s)
     sigma = s.real

@@ -93,6 +93,8 @@ def test_criterion_2_certified_roots_in_brackets():
             ladder_lo = 0.0 if i == 0 else upper_bracket(params, i - 1)
             if not ladder_lo < val <= ladder_hi:
                 failures.append(f"{(params.p, params.e, params.f)} root {i}: outside ladder")
+        if not table.interlaced:
+            failures.append(f"{(params.p, params.e, params.f)}: roots not interlaced")
     ok = not failures
     _report(2, "20 certified series roots per parameter set", ok,
             f"worst residual {worst_res:.3e} vs tol {tol:.0e}")

@@ -10,6 +10,7 @@ import pytest
 
 from padiclab.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     main,
@@ -125,6 +126,31 @@ class TestZetaCommand:
         assert ",,," in lines[1] or lines[1].split(",")[2] == ""
 
 
+class TestLargeBase:
+    """Spectra with q = p**(-2/e) beyond 0.6, where geometric interlacing fails."""
+
+    @pytest.mark.parametrize("field", [["--p", "2", "--e", "3"], ["--p", "3", "--e", "6"]])
+    def test_spectrum_certified(self, tmp_path, field):
+        rc, out = _run(tmp_path, "s.json", ["spectrum", *field, "--f", "1"])
+        assert rc == EXIT_OK
+        rows = json.loads(out.read_text())["results"]
+        lams = sorted({r["n"]: r["lambda"] for r in rows}.items())
+        assert [lam for _, lam in lams] == sorted(lam for _, lam in lams)
+
+    def test_q_near_one_succeeds_or_refuses_in_one_line(self):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        env.pop("PADICLAB_OUTDIR", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "padiclab.cli", "spectrum", "--p", "2", "--e", "50", "--f", "1"],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode in (EXIT_OK, EXIT_NUMERICAL)
+        if proc.returncode == EXIT_NUMERICAL:
+            assert proc.stdout == ""
+            assert len(proc.stderr.splitlines()) == 1
+            assert proc.stderr.startswith("numerical failure: ")
+
+
 class TestConfigErrors:
     def test_composite_p(self, tmp_path):
         rc = main(["spectrum", "--p", "6", "--e", "1", "--f", "1",
@@ -154,6 +180,12 @@ class TestConfigErrors:
              "argument --s-max: must be >= --s-min"),
             (["zeta", *P211_ARGS, "--s-step", "0"],
              "argument --s-step: must be finite and positive, got 0"),
+            (["zeta", *P211_ARGS, "--s-min=-1e308", "--s-max=1e308"],
+             "argument --s-max: the span from --s-min is not finite"),
+            (["zeta", *P211_ARGS, "--s-max", "1e9", "--s-step", "1"],
+             "argument --s-step: the s-grid has 1000000000 points, over the limit of 10000"),
+            (["spectrum", *P211_ARGS, "--root-tol", "0"],
+             "argument --root-tol: must be finite and positive, got 0"),
             (["spectrum", *P211_ARGS, "--n-max", "-1"], "argument --n-max: must be >= 0, got -1"),
             (["spectrum", *P211_ARGS, "--m-max", "-2"], "argument --m-max: must be >= 0, got -2"),
             (["validate", *P211_ARGS, "--k", "x"], "argument --k: invalid int value: 'x'"),

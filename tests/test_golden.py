@@ -1,0 +1,56 @@
+"""Byte-identity of ``spectrum`` and ``zeta`` output against stored files.
+
+Each file under ``tests/data/golden`` is the CLI's output for one request,
+captured before the root search was reseeded from the Jacobi spectrum.  One
+small request per base ``q`` of the benchmark's root pool, in both formats.
+``bench/reference.json`` compares values only to 1e-12; this pins the bytes.
+
+Regenerate (only when an output change is intended and explained) with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from padiclab.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+# (p, e, f, N): roots 0..N, one entry per base q of the root pool.
+ENTRIES = [(2, 1, 1, 12), (2, 2, 1, 10), (3, 1, 1, 10), (3, 2, 1, 10),
+           (5, 1, 1, 8), (7, 1, 1, 8), (2, 1, 2, 12)]
+FORMATS = ("json", "csv")
+
+
+def _argv(command: str, p: int, e: int, f: int, n: int) -> list[str]:
+    field = ["--p", str(p), "--e", str(e), "--f", str(f)]
+    if command == "spectrum":
+        return ["spectrum", *field, "--m-max", "2", "--n-max", str(n)]
+    return ["zeta", *field, "--s-min", "1", "--s-max", "8", "--s-step", "1",
+            "--n-roots", str(n + 1)]
+
+
+CASES = [(command, entry, fmt)
+         for command in ("spectrum", "zeta") for entry in ENTRIES for fmt in FORMATS]
+
+
+def _name(command: str, entry: tuple, fmt: str) -> str:
+    return f"{command}_{'_'.join(map(str, entry))}.{fmt}"
+
+
+@pytest.mark.parametrize("command, entry, fmt", CASES,
+                         ids=[_name(*case) for case in CASES])
+def test_output_byte_identical(tmp_path, command, entry, fmt):
+    out = tmp_path / "out"
+    assert main([*_argv(command, *entry), "--format", fmt, "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / _name(command, entry, fmt)).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for case in CASES:
+        command, entry, fmt = case
+        main([*_argv(command, *entry), "--format", fmt,
+              "--out", str(GOLDEN / _name(*case))])

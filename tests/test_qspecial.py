@@ -1,8 +1,10 @@
 """Base-q hypergeometric series, certified roots, and eigenvector routes."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from padiclab import (
@@ -14,12 +16,16 @@ from padiclab import (
     eigvec_series_c,
     eigvec_tail_mass,
     find_roots,
+    jacobi_D0,
+    jacobi_lowest_eigs,
     lower_bracket,
     phi11,
     phi11_derivative,
     q_pochhammer,
     upper_bracket,
 )
+from padiclab import qspecial
+from padiclab.operators import _sturm_counter
 
 P211 = FieldParams(2, 1, 1)
 P311 = FieldParams(3, 1, 1)
@@ -211,8 +217,8 @@ class TestFindRoots:
             for root in table.roots:
                 assert abs(phi11(q, root)) < 1e-10
 
-    def test_cache_reuse_and_extension(self):
-        # A parameter set no other test touches, so the cache starts cold.
+    def test_cache_reuse_and_extension(self, monkeypatch):
+        monkeypatch.setattr(qspecial, "_ROOT_CACHE", qspecial._RootCache(qspecial.ROOT_CACHE_SIZE))
         params = FieldParams(5, 1, 1)
         t1 = find_roots(params, 1)
         t2 = find_roots(params, 1)
@@ -225,6 +231,39 @@ class TestFindRoots:
         assert t4.dps_used == t3.dps_used[:3]
         assert find_roots(params, 3) is t3
 
+    def test_cache_evicts_least_recently_used(self, monkeypatch):
+        cache = qspecial._RootCache(2)
+        monkeypatch.setattr(qspecial, "_ROOT_CACHE", cache)
+        a, b, c = FieldParams(2, 1, 1), FieldParams(3, 1, 1), FieldParams(5, 1, 1)
+        ta = find_roots(a, 2)
+        tb = find_roots(b, 2)
+        assert find_roots(a, 2) is ta  # a is now the most recently used
+        find_roots(c, 2)  # evicts b
+        assert len(cache) == 2
+        assert find_roots(a, 2) is ta
+        tb_again = find_roots(b, 2)
+        assert tb_again is not tb
+        assert tb_again.roots == tb.roots and tb_again.brackets == tb.brackets
+        assert len(cache) == 2
+
+    def test_interlaced(self):
+        for params in ALL_PARAMS:
+            assert find_roots(params, 5).interlaced
+        # At q = 2**(-2/3) ~ 0.63, lambda_1 ~ 0.984 lies below q**-0 = 1.
+        table = find_roots(FieldParams(2, 3, 1), 1)
+        assert float(table.roots[1]) < 1.0
+        assert not table.interlaced
+
+    def test_target_tol_must_be_positive(self):
+        with pytest.raises(ValueError):
+            find_roots(P211, 2, target_tol=0.0)
+
+    def test_unsettled_seed_refused(self):
+        # q = 2**(-1/25) ~ 0.973: the truncated Jacobi spectrum still moves
+        # at the largest order the seed may use.
+        with pytest.raises(BracketError, match="did not settle"):
+            find_roots(FieldParams(2, 50, 1), 5)
+
     def test_returns_exactly_the_requested_roots(self):
         long = find_roots(P211, 6)
         for n_max in range(7):
@@ -232,6 +271,63 @@ class TestFindRoots:
             assert table.n_max == n_max
             assert len(table.residuals) == len(table.brackets) == len(table.dps_used) == n_max + 1
             assert table.roots == long.roots[: n_max + 1]
+
+
+# Every p in {2, 3, 5, 7}, e in 1..8, f in 1..2: q = p**(-2/e) from 1/49 up
+# to 0.84, well past the 0.6 where geometric interlacing stops holding.
+GRID = [FieldParams(p, e, f) for p in (2, 3, 5, 7) for e in range(1, 9) for f in (1, 2)]
+
+
+def _settled_order(params: FieldParams) -> int:
+    """A Jacobi order whose roots 0..5 match the series roots to about 1e-16:
+    the truncation error of root ``n`` falls roughly like ``Q**-(L-n)``."""
+    return 10 + math.ceil(16 / math.log10(params.Q))
+
+
+class TestParameterGrid:
+    @pytest.mark.parametrize("params", GRID, ids=str)
+    def test_roots_certified_and_match_sturm_oracle(self, params):
+        table = find_roots(params, 5)
+        assert table.n_max == 5
+        for n, (root, res, (lo, hi), dps) in enumerate(
+            zip(table.roots, table.residuals, table.brackets, table.dps_used)
+        ):
+            assert res < 1e-10, n
+            assert lo <= root <= hi, n
+            with mp.workdps(dps):
+                q = _series_base(params)
+                assert mp.sign(phi11(q, lo)) * mp.sign(phi11(q, hi)) == -1, n
+        # The oracle's eigenvalue n lies within 1e-13 relative of the float
+        # root iff the Sturm count there steps from n to n + 1.
+        count_below, _, _ = _sturm_counter(params, _settled_order(params))
+        for n, value in enumerate(table.values_float()):
+            assert count_below(value * (1 - 1e-13)) == n
+            assert count_below(value * (1 + 1e-13)) == n + 1
+
+    @pytest.mark.parametrize("params", [P311, P221, FieldParams(2, 3, 1), FieldParams(2, 8, 1)],
+                             ids=str)
+    def test_float_sturm_count_matches_exact_count(self, params):
+        L = _settled_order(params)
+        count_below, _, _ = _sturm_counter(params, L)
+        eigs = np.linalg.eigvalsh(jacobi_D0(params, L))[:8]
+        points = np.concatenate(([0.0, 1e-3], np.sqrt(eigs[:-1] * eigs[1:]), eigs * 1.5))
+        got = qspecial._sturm_counts(params, L, points)
+        assert got.tolist() == [count_below(x) for x in points]
+        assert got[2:9].tolist() == list(range(1, 8))
+
+    def test_oracle_eigenvalues_beyond_interlacing(self):
+        params = FieldParams(2, 3, 1)
+        got = find_roots(params, 5).values_float()
+        L = _settled_order(params)
+        exact = np.array([float(v) for v in jacobi_lowest_eigs(params, L, count=6)])
+        assert np.max(np.abs(got - exact) / exact) <= 1e-13
+
+    @pytest.mark.parametrize("params", [FieldParams(2, 3, 1), FieldParams(3, 6, 1)], ids=str)
+    def test_float_seed_is_the_root(self, params):
+        """The settled float eigenvalues are the certified roots to a few ulps."""
+        got = find_roots(params, 5).values_float()
+        seeds = np.linalg.eigvalsh(jacobi_D0(params, _settled_order(params)))[:6]
+        assert np.max(np.abs(seeds - got) / got) <= 4e-15
 
 
 class TestEigvectors:
