@@ -1,178 +1,28 @@
 """Numerical laboratory for digit-string local-field models.
 
-Combinatorial models of the ring of integers and the field built from
-digit strings for parameters ``(p, e, f)``; finite ball-tree windows;
-forward-derivative operators, weighted adjoints, and commutators; exact
-component spectra via roots of a q-hypergeometric series; truncated-matrix
+Field parameters ``(p, e, f)`` and finite ball-tree windows; the
+forward-difference operator, its square and its commutators with
+multiplication operators, assembled as sparse matrices; exact component
+spectra via roots of a q-hypergeometric series; truncated-matrix
 cross-validation; Hilbert-Schmidt, Schatten, and zeta evaluations with
 certified tail bounds; and Lipschitz-vs-commutator seminorm comparisons.
+
+Every public name is listed once, in its module's ``__all__``; this package
+re-exports them all.
 """
 
-from .field_model import (
-    Center,
-    FieldParams,
-    LGCoords,
-    Scale,
-    count_g,
-    dist,
-    from_lg,
-    norm,
-    pi_power,
-    to_lg,
-)
-from .operators import (
-    TestFunction,
-    apply_D,
-    apply_D_adjoint,
-    assemble_commutator,
-    assemble_DstarD,
-    assemble_symmetrized_D,
-    commutator_norm,
-    commutator_row_norms,
-    hs_double_sum,
-    hs_norm_Dg_inverse,
-    hs_total_partial,
-    jacobi_D0,
-    jacobi_block,
-    jacobi_lowest_eigs,
-    kernel_frobenius_norm,
-    kernel_frobenius_norm_direct,
-    kernel_rho_a_DFinv,
-    regularizer_bt,
-    rho_diag,
-    singular_values_window,
-)
-from .qspecial import (
-    BracketError,
-    RootTable,
-    SeriesError,
-    eigvec_from_series,
-    eigvec_recurrence,
-    eigvec_series_c,
-    eigvec_tail_mass,
-    find_roots,
-    lower_bracket,
-    phi11,
-    phi11_derivative,
-    q_pochhammer,
-    upper_bracket,
-)
-from .seminorms import (
-    SeminormReport,
-    check_norm_comparison,
-    comparison_constants,
-    lipschitz_depth,
-    spectral_seminorm_formula,
-    testfn_library,
-)
-from .spectrum_zeta import (
-    CheckResult,
-    CutoffError,
-    PoleError,
-    SpectrumRow,
-    SpectrumTable,
-    ValidationReport,
-    ZetaValue,
-    factor_poles,
-    factor_zeros,
-    full_spectrum,
-    schatten_m_factor,
-    schatten_partial,
-    validate_spectrum,
-    zeta_D0,
-    zeta_DR,
-    zeta_factor,
-)
-from .tree import (
-    TreeWindow,
-    WeightedVector,
-    children,
-    haar_columns,
-    tree_window_f,
-    tree_window_r,
-    weighted_inner,
-)
+from . import field_model, operators, qspecial, seminorms, spectrum_zeta, tree
+from .field_model import *  # noqa: F403
+from .operators import *  # noqa: F403
+from .qspecial import *  # noqa: F403
+from .seminorms import *  # noqa: F403
+from .spectrum_zeta import *  # noqa: F403
+from .tree import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__",
-    # field_model
-    "FieldParams",
-    "Scale",
-    "Center",
-    "LGCoords",
-    "norm",
-    "dist",
-    "to_lg",
-    "from_lg",
-    "count_g",
-    "pi_power",
-    # tree
-    "TreeWindow",
-    "WeightedVector",
-    "tree_window_r",
-    "tree_window_f",
-    "children",
-    "haar_columns",
-    "weighted_inner",
-    # operators
-    "TestFunction",
-    "apply_D",
-    "apply_D_adjoint",
-    "assemble_symmetrized_D",
-    "assemble_DstarD",
-    "rho_diag",
-    "assemble_commutator",
-    "commutator_norm",
-    "commutator_row_norms",
-    "jacobi_D0",
-    "jacobi_block",
-    "jacobi_lowest_eigs",
-    "hs_norm_Dg_inverse",
-    "hs_double_sum",
-    "hs_total_partial",
-    "kernel_rho_a_DFinv",
-    "regularizer_bt",
-    "kernel_frobenius_norm",
-    "kernel_frobenius_norm_direct",
-    "singular_values_window",
-    # qspecial
-    "BracketError",
-    "SeriesError",
-    "RootTable",
-    "q_pochhammer",
-    "phi11",
-    "phi11_derivative",
-    "lower_bracket",
-    "upper_bracket",
-    "find_roots",
-    "eigvec_recurrence",
-    "eigvec_tail_mass",
-    "eigvec_series_c",
-    "eigvec_from_series",
-    # spectrum_zeta
-    "SpectrumRow",
-    "SpectrumTable",
-    "CheckResult",
-    "ValidationReport",
-    "ZetaValue",
-    "PoleError",
-    "CutoffError",
-    "full_spectrum",
-    "validate_spectrum",
-    "schatten_partial",
-    "schatten_m_factor",
-    "zeta_D0",
-    "zeta_DR",
-    "zeta_factor",
-    "factor_poles",
-    "factor_zeros",
-    # seminorms
-    "SeminormReport",
-    "lipschitz_depth",
-    "spectral_seminorm_formula",
-    "comparison_constants",
-    "check_norm_comparison",
-    "testfn_library",
+    name
+    for module in (field_model, tree, operators, qspecial, spectrum_zeta, seminorms)
+    for name in module.__all__
 ]

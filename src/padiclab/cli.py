@@ -25,9 +25,9 @@ stdout or the file only; diagnostics go to stderr.  Identical configuration
 and seed produce byte-identical output.
 
 Exit codes: 0 success; 1 configuration error (including a window or an
-s-grid over its limit); 2 numerical failure (uncertifiable root bracket, root
-seeds that do not settle, series tolerance not met, window cutoff too low);
-3 validation failure.
+s-grid over its limit, and a zeta value outside the float range); 2 numerical
+failure (uncertifiable root bracket, root seeds that do not settle, series
+tolerance not met, window cutoff too low); 3 validation failure.
 """
 
 from __future__ import annotations
@@ -137,10 +137,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _make_params(args: argparse.Namespace) -> FieldParams:
-    return FieldParams(p=args.p, e=args.e, f=args.f)
-
-
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
@@ -197,8 +193,7 @@ def _emit(
 # ---------------------------------------------------------------------------
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    params = _make_params(args)
+def _cmd_spectrum(args: argparse.Namespace, params: FieldParams) -> int:
     table = full_spectrum(params, m_max=args.m_max, n_max=args.n_max, target_tol=args.root_tol)
     results = [
         {
@@ -340,8 +335,7 @@ def _check_window_budget(args: argparse.Namespace, params: FieldParams) -> None:
             )
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    params = _make_params(args)
+def _cmd_validate(args: argparse.Namespace, params: FieldParams) -> int:
     _check_window_budget(args, params)
     rows, ok = _validate_rows(args, params)
     _emit(
@@ -366,8 +360,7 @@ def _zeta_points(args: argparse.Namespace) -> float:
     return math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf
 
 
-def _cmd_zeta(args: argparse.Namespace) -> int:
-    params = _make_params(args)
+def _cmd_zeta(args: argparse.Namespace, params: FieldParams) -> int:
     count = _zeta_points(args)
     results = []
     for i in range(count):
@@ -423,20 +416,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        params = _make_params(args)  # validates p prime, e/f >= 1
-        del params
+        params = FieldParams(p=args.p, e=args.e, f=args.f)  # p prime, e and f >= 1
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    commands = {"spectrum": _cmd_spectrum, "validate": _cmd_validate, "zeta": _cmd_zeta}
     try:
-        if args.command == "spectrum":
-            return _cmd_spectrum(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "zeta":
-            return _cmd_zeta(args)
-        print(f"error: unknown command {args.command}", file=sys.stderr)
-        return EXIT_CONFIG
+        return commands[args.command](args, params)
     except (BracketError, SeriesError, CutoffError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

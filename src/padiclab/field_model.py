@@ -1,33 +1,23 @@
-"""Combinatorial digit-string model of a nonarchimedean local field.
+"""Field parameters and the digit strings that name points and balls.
 
-An element truncated to finite precision is a digit string over the alphabet
-``{0, ..., q_res - 1}`` starting at some valuation index; the absolute value is
-``p**(-l/e)`` where ``l`` is the index of the first nonzero digit, and the
-metric is longest-common-prefix.  Nothing downstream needs carry arithmetic:
-every operator, seminorm, and spectrum in this package depends only on prefix
-structure and valuations, so the model is purely combinatorial.
+A local field with residue characteristic ``p``, ramification index ``e`` and
+residue degree ``f`` enters the package through :class:`FieldParams`: the
+digit alphabet size ``q_res = p**f``, the norm scales ``p**(num/e)`` and the
+spectral ratio ``q = p**(-2/e)``.  Nothing downstream needs carry arithmetic:
+every operator, seminorm and spectrum depends only on digit prefixes and
+valuations, and the tree layout of :mod:`padiclab.tree` turns those into
+arithmetic on rank numerals.
 
-Scales (norms, distances, level weights) are kept as exact exponent data and
-converted to floating point only at use sites.
+A :class:`Center` is one digit string, for one-point evaluation of a test
+function; :func:`count_g` counts the digit tails that give the spectral
+multiplicities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 
-__all__ = [
-    "FieldParams",
-    "Scale",
-    "Center",
-    "LGCoords",
-    "norm",
-    "dist",
-    "to_lg",
-    "from_lg",
-    "count_g",
-    "pi_power",
-]
+__all__ = ["FieldParams", "Center", "count_g", "pi_power"]
 
 
 def _is_prime(n: int) -> bool:
@@ -76,11 +66,6 @@ class FieldParams:
         return self.e * self.f
 
     @property
-    def beta(self) -> float:
-        """Norm base ``p**(1/e) > 1``."""
-        return float(self.p) ** (1.0 / self.e)
-
-    @property
     def q(self) -> float:
         """Spectral ratio ``p**(-2/e)``, in ``(0, 1)``."""
         return float(self.p) ** (-2.0 / self.e)
@@ -90,57 +75,9 @@ class FieldParams:
         """Inverse spectral ratio ``p**(2/e) = 1/q``."""
         return float(self.p) ** (2.0 / self.e)
 
-    def scale(self, num: int) -> "Scale":
-        """Exact scale ``p**(num/e)``."""
-        return Scale(self.p, self.e, num)
-
     def scale_float(self, num: int) -> float:
         """Float value of ``p**(num/e)``."""
         return float(self.p) ** (num / self.e)
-
-
-@total_ordering
-@dataclass(frozen=True, eq=False)
-class Scale:
-    """Exact nonnegative scale: ``p**(num/e)``, or exactly zero.
-
-    Norms and distances are integer powers of ``p**(1/e)``.  Keeping the
-    exponent exact makes comparisons free of rounding; ``to_float`` converts
-    at the point of numerical use.
-    """
-
-    p: int
-    e: int
-    num: int = 0
-    is_zero: bool = False
-
-    def to_float(self) -> float:
-        if self.is_zero:
-            return 0.0
-        return float(self.p) ** (self.num / self.e)
-
-    def _check_compatible(self, other: "Scale") -> None:
-        if (self.p, self.e) != (other.p, other.e):
-            raise ValueError("cannot compare scales with different (p, e)")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Scale):
-            return NotImplemented
-        self._check_compatible(other)
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        return self.num == other.num
-
-    def __lt__(self, other: "Scale") -> bool:
-        self._check_compatible(other)
-        if self.is_zero:
-            return not other.is_zero
-        if other.is_zero:
-            return False
-        return self.num < other.num
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.e, self.num, self.is_zero))
 
 
 @dataclass(frozen=True)
@@ -149,8 +86,9 @@ class Center:
 
     The string represents the element ``sum_i d_i * pi**i`` over its index
     range (``pi`` the uniformizer) and labels the ball of radius
-    ``p**(-depth/e)`` around that element.  Unit-ball centers have
-    ``start = 0``; enlarged windows use negative ``start``.
+    ``p**(-depth/e)`` around that element, ``depth = start + len(digits)``.
+    Unit-ball centers have ``start = 0``; enlarged windows use negative
+    ``start``.
     """
 
     params: FieldParams
@@ -162,102 +100,6 @@ class Center:
         for d in self.digits:
             if not 0 <= d < q_res:
                 raise ValueError(f"digit {d} outside alphabet 0..{q_res - 1}")
-
-    @property
-    def depth(self) -> int:
-        """The level ``n = start + len(digits)`` (ball radius ``p**(-n/e)``)."""
-        return self.start + len(self.digits)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(d == 0 for d in self.digits)
-
-    def first_nonzero_index(self) -> int | None:
-        """Valuation: absolute index of the first nonzero digit, or None."""
-        for i, d in enumerate(self.digits):
-            if d != 0:
-                return self.start + i
-        return None
-
-    def digit_at(self, index: int) -> int:
-        """Digit at absolute index; indices outside the stored range are 0."""
-        i = index - self.start
-        if 0 <= i < len(self.digits):
-            return self.digits[i]
-        return 0
-
-
-@dataclass(frozen=True)
-class LGCoords:
-    """Reparametrization of a depth-``n`` center as (valuation, tail).
-
-    Attributes:
-        l: Valuation of the center (``l = n`` for the zero center).
-        m: Tail length ``n - l`` (so the tail scale is ``p**(m/e)``);
-            ``m = 0`` exactly for the zero center.
-        g_tail: Digits from index ``l`` to ``n - 1``; leading digit nonzero
-            unless empty.
-    """
-
-    l: int
-    m: int
-    g_tail: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if (self.m == 0) != (len(self.g_tail) == 0):
-            raise ValueError("m must be 0 exactly when the tail is empty")
-        if self.g_tail and self.g_tail[0] == 0:
-            raise ValueError("tail leading digit must be nonzero")
-
-
-def norm(c: Center) -> Scale:
-    """Absolute value of a center: ``p**(-l/e)`` with ``l`` its valuation.
-
-    Returns the exact zero scale for the all-zero digit string.
-    """
-    l = c.first_nonzero_index()
-    if l is None:
-        return Scale(c.params.p, c.params.e, 0, is_zero=True)
-    return Scale(c.params.p, c.params.e, -l)
-
-
-def dist(x: Center, y: Center) -> Scale:
-    """Ultrametric distance ``p**(-l/e)``, ``l`` the first disagreement index.
-
-    Both centers must share the same start and depth; returns the exact zero
-    scale when the digit strings agree.
-    """
-    if x.params != y.params:
-        raise ValueError("centers from different fields")
-    if x.start != y.start or x.depth != y.depth:
-        raise ValueError("dist requires centers with equal start and depth")
-    for i, (a, b) in enumerate(zip(x.digits, y.digits)):
-        if a != b:
-            return Scale(x.params.p, x.params.e, -(x.start + i))
-    return Scale(x.params.p, x.params.e, 0, is_zero=True)
-
-
-def to_lg(x: Center) -> LGCoords:
-    """Split a unit-ball center into valuation and normalized tail.
-
-    For the zero center of depth ``n`` the result is ``(l=n, m=0, ())``;
-    otherwise ``l`` is the valuation, ``m = depth - l``, and the tail is the
-    digit block from ``l`` onward (leading digit nonzero).
-    """
-    if x.start != 0:
-        raise ValueError("to_lg applies to unit-ball centers (start = 0)")
-    l = x.first_nonzero_index()
-    if l is None:
-        return LGCoords(l=x.depth, m=0, g_tail=())
-    return LGCoords(l=l, m=x.depth - l, g_tail=x.digits[l:])
-
-
-def from_lg(params: FieldParams, depth: int, coords: LGCoords) -> Center:
-    """Inverse of :func:`to_lg` at the given depth."""
-    if coords.l + coords.m != depth:
-        raise ValueError("coordinates do not fit the requested depth")
-    digits = (0,) * coords.l + coords.g_tail
-    return Center(params, 0, digits)
 
 
 def count_g(params: FieldParams, m: int) -> int:
@@ -278,9 +120,9 @@ def pi_power(params: FieldParams, n: int, depth: int, start: int = 0) -> Center:
     """The point ``pi**n`` as a center of the given depth.
 
     The digit string has a single 1 at index ``n``; requires
-    ``start <= n < depth``.  These points implement the zero-ball evaluation
-    convention: the multiplication operator's diagonal value on the level-n
-    zero vertex is the test function at ``pi**n``.
+    ``start <= n < depth``.  The multiplication operator's diagonal value on
+    the level-``n`` zero vertex is the test function at this point (see
+    :func:`padiclab.operators.rho_diag`).
     """
     if not start <= n < depth:
         raise ValueError(f"pi^{n} needs start <= {n} < depth, got [{start}, {depth})")

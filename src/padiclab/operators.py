@@ -1,13 +1,11 @@
 """Forward-difference operator on tree windows and its derived operators.
 
-This module assembles and applies:
+This module assembles:
 
 * the forward-difference (martingale-difference) operator ``D``, which
   compares a vertex value with the average of its children, scaled by
-  ``p**(n/e)`` at level ``n``;
-* its adjoint with respect to the weighted inner product, and the symmetric
-  square ``D*D`` on a window with a zero (Dirichlet) boundary condition past
-  the deepest level;
+  ``p**(n/e)`` at level ``n``, and its square ``D*D`` on a window with a
+  zero (Dirichlet) boundary condition past the deepest level;
 * diagonal multiplication operators built from test functions.  A test
   function is evaluated a whole tree level at a time, from the rank numerals
   of the level-major layout in :mod:`padiclab.tree`; :func:`rho_diag` makes
@@ -25,9 +23,10 @@ This module assembles and applies:
   windows, its column regularization, and its singular values.
 
 All matrices are assembled in the plain little-l2 coordinates obtained by the
-diagonal similarity with the square roots of the level weights, so symmetric
-matrices here have the same spectra as the weighted-space operators they
-represent.  Assembly order is deterministic (level-major, digit-lexicographic).
+diagonal similarity with the square roots of the level weights ``p**(-n*f)``
+(the volume of a depth-``n`` ball), so symmetric matrices here have the same
+spectra as the weighted-space operators they represent.  Assembly order is
+deterministic (level-major, digit-lexicographic).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import mpmath as mp
 import numpy as np
 
 from .field_model import Center, FieldParams
-from .tree import TreeWindow, WeightedVector
+from .tree import TreeWindow
 
 # scipy is imported inside the functions that build or solve sparse matrices:
 # loading it takes longer than a whole root-only command (spectrum, zeta).
@@ -48,8 +47,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "TestFunction",
-    "apply_D",
-    "apply_D_adjoint",
     "assemble_symmetrized_D",
     "assemble_DstarD",
     "rho_diag",
@@ -57,7 +54,6 @@ __all__ = [
     "commutator_norm",
     "commutator_row_norms",
     "jacobi_D0",
-    "jacobi_block",
     "jacobi_lowest_eigs",
     "hs_norm_Dg_inverse",
     "hs_double_sum",
@@ -65,7 +61,6 @@ __all__ = [
     "kernel_rho_a_DFinv",
     "regularizer_bt",
     "kernel_frobenius_norm",
-    "kernel_frobenius_norm_direct",
     "singular_values_window",
 ]
 
@@ -114,63 +109,15 @@ class TestFunction:
 # ---------------------------------------------------------------------------
 
 
-def _values(phi: WeightedVector | np.ndarray) -> np.ndarray:
-    if isinstance(phi, WeightedVector):
-        return phi.values
-    return np.asarray(phi)
-
-
-def apply_D(window: TreeWindow, phi: WeightedVector | np.ndarray) -> np.ndarray:
-    """Apply the forward-difference operator.
-
-    ``(D phi)_n(x) = p**(n/e) * (phi_n(x) - q_res**(-1) * sum_children phi)``.
-    The output lives on the levels that have a next level present
-    (``min_level .. N-1``); the deepest level is omitted.  With level-major
-    indexing those rows are exactly the first ``total - level_size(N)``
-    entries of the index space.
-    """
-    vals = _values(phi)
-    params = window.params
-    q = params.q_res
-    n_rows = window.level_offsets[-2]
-    out = np.empty(n_rows, dtype=np.result_type(vals.dtype, np.float64))
-    for n in range(window.min_level, window.max_level):
-        seg = window.level_slice(n)
-        child_avg = vals[window.level_slice(n + 1)].reshape(-1, q).sum(axis=1) / q
-        out[seg] = params.scale_float(n) * (vals[seg] - child_avg)
-    return out
-
-
-def apply_D_adjoint(window: TreeWindow, psi: np.ndarray) -> np.ndarray:
-    """Apply the weighted adjoint of :func:`apply_D`.
-
-    ``psi`` lives on the row space (levels ``min_level .. N-1``); the result
-    lives on the full window and satisfies
-    ``weighted_inner(D phi, psi) = weighted_inner(phi, D* psi)`` exactly in
-    exact arithmetic:
-    ``(D* psi)_n(x) = p**(n/e) psi_n(x) [n <= N-1]
-    - p**((n-1)/e) psi_(n-1)(parent(x)) [n > min_level]``.
-    """
-    psi = np.asarray(psi)
-    params = window.params
-    q = params.q_res
-    out = np.zeros(window.total, dtype=np.result_type(psi.dtype, np.float64))
-    for n in range(window.min_level, window.max_level):
-        seg = window.level_slice(n)
-        out[seg] += params.scale_float(n) * psi[seg]
-        child_seg = window.level_slice(n + 1)
-        out[child_seg] -= params.scale_float(n) * np.repeat(psi[seg], q)
-    return out
-
-
-def assemble_symmetrized_D(window: TreeWindow, closed: bool = True) -> sp.csr_matrix:
-    """Sparse matrix of ``D`` in symmetrized (plain little-l2) coordinates.
+def assemble_symmetrized_D(window: TreeWindow) -> sp.csr_matrix:
+    """Square sparse matrix of ``D`` in symmetrized (plain little-l2) coordinates.
 
     Row ``(n, x)`` for ``n <= N-1`` has diagonal ``p**(n/e)`` and entries
-    ``-p**(n/e) * q_res**(-1/2)`` at the children of ``x``.  With
-    ``closed=True`` (the zero-boundary closure) the deepest level contributes
-    a purely diagonal row ``p**(N/e)``, making the matrix square on the
-    window; this encodes extending vectors by zero past the window.
+    ``-p**(n/e) * q_res**(-1/2)`` at the children of ``x``.  The deepest
+    level contributes a purely diagonal row ``p**(N/e)``: the zero-boundary
+    closure, which extends vectors by zero past the window.  Constants,
+    ``q_res**(-n/2)`` on level ``n`` in these coordinates, go to zero on
+    every row above the deepest level.
     """
     import scipy.sparse as sp
 
@@ -180,27 +127,22 @@ def assemble_symmetrized_D(window: TreeWindow, closed: bool = True) -> sp.csr_ma
     cols: list[np.ndarray] = []
     data: list[np.ndarray] = []
     off_child = -1.0 / np.sqrt(q)
-    for n in range(window.min_level, window.max_level + 1):
+    for n in window.levels:
         seg = window.level_slice(n)
         size = seg.stop - seg.start
         beta = params.scale_float(n)
         idx = np.arange(seg.start, seg.stop)
+        rows.append(idx)
+        cols.append(idx)
+        data.append(np.full(size, beta))
         if n < window.max_level:
-            rows.append(idx)
-            cols.append(idx)
-            data.append(np.full(size, beta))
             child_start = window.level_slice(n + 1).start
             rows.append(np.repeat(idx, q))
             cols.append(child_start + np.arange(size * q))
             data.append(np.full(size * q, beta * off_child))
-        elif closed:
-            rows.append(idx)
-            cols.append(idx)
-            data.append(np.full(size, beta))
-    n_rows = window.total if closed else window.level_offsets[-2]
     mat = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_rows, window.total),
+        shape=(window.total, window.total),
     )
     return mat.tocsr()
 
@@ -216,7 +158,7 @@ def assemble_DstarD(window: TreeWindow) -> sp.csr_matrix:
     its spectrum equals that of the weighted-space square; its fixed-tail
     blocks coincide exactly with scaled copies of :func:`jacobi_D0`.
     """
-    b = assemble_symmetrized_D(window, closed=True)
+    b = assemble_symmetrized_D(window)
     mat = (b.T @ b).tocsr()
     mat.sum_duplicates()
     return mat
@@ -254,11 +196,15 @@ def assemble_commutator(window: TreeWindow, a: TestFunction) -> sp.csr_matrix:
     of ``x`` — the diagonal terms of ``D`` and the multiplication operator
     cancel, leaving pure parent-child differences.
     """
+    return _commutator(window, rho_diag(window, a))
+
+
+def _commutator(window: TreeWindow, diag: np.ndarray) -> sp.csr_matrix:
+    """:func:`assemble_commutator` from the diagonal of :func:`rho_diag`."""
     import scipy.sparse as sp
 
     params = window.params
     q = params.q_res
-    diag = rho_diag(window, a)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     data: list[np.ndarray] = []
@@ -297,7 +243,11 @@ def commutator_row_norms(window: TreeWindow, a: TestFunction) -> np.ndarray:
     therefore have pairwise-disjoint column supports, and the operator norm
     is the maximum row norm.
     """
-    mat = assemble_commutator(window, a)
+    return _commutator_row_norms(window, rho_diag(window, a))
+
+
+def _commutator_row_norms(window: TreeWindow, diag: np.ndarray) -> np.ndarray:
+    mat = _commutator(window, diag)
     assert np.unique(mat.indices).size == mat.nnz, "commutator column with two nonzeros"
     sq = np.asarray(mat.multiply(mat).sum(axis=1)).ravel()
     return np.sqrt(sq)
@@ -309,7 +259,11 @@ def commutator_norm(window: TreeWindow, a: TestFunction) -> float:
     Exact by the disjoint row supports checked in
     :func:`commutator_row_norms`; no iterative or dense SVD is needed.
     """
-    rows = commutator_row_norms(window, a)
+    return _commutator_norm(window, rho_diag(window, a))
+
+
+def _commutator_norm(window: TreeWindow, diag: np.ndarray) -> float:
+    rows = _commutator_row_norms(window, diag)
     return float(rows.max()) if rows.size else 0.0
 
 
@@ -339,11 +293,6 @@ def jacobi_D0(params: FieldParams, L: int) -> np.ndarray:
         mat[l, l + 1] = off
         mat[l + 1, l] = off
     return mat
-
-
-def jacobi_block(params: FieldParams, m: int, L: int) -> np.ndarray:
-    """Fixed-tail depth block for tail length ``m``: ``p**(2m/e) * jacobi_D0``."""
-    return params.scale_float(2 * m) * jacobi_D0(params, L)
 
 
 def _mp_Q(params: FieldParams) -> mp.mpf:
@@ -571,14 +520,6 @@ def kernel_frobenius_norm(window: TreeWindow, a: TestFunction, t: float | None =
             s_n += term
         total += float(np.dot(diag[seg], diag[seg])) * s_n
     return float(np.sqrt(total))
-
-
-def kernel_frobenius_norm_direct(
-    window: TreeWindow, a: TestFunction, t: float | None = None
-) -> float:
-    """Frobenius norm computed from the assembled sparse kernel entries."""
-    mat = kernel_rho_a_DFinv(window, a, t=t)
-    return float(np.sqrt((mat.data**2).sum()))
 
 
 def singular_values_window(window: TreeWindow, a: TestFunction, count: int) -> np.ndarray:

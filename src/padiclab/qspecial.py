@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -62,10 +61,8 @@ __all__ = [
     "BracketError",
     "SeriesError",
     "RootTable",
-    "q_pochhammer",
     "phi11",
     "phi11_derivative",
-    "lower_bracket",
     "upper_bracket",
     "find_roots",
     "eigvec_recurrence",
@@ -105,25 +102,6 @@ class BracketError(RuntimeError):
 
 class SeriesError(RuntimeError):
     """A series evaluation failed to meet its tail criterion."""
-
-
-def q_pochhammer(q, n: int):
-    """Finite product ``(q; q)_n = prod_(k=1..n) (1 - q**k)``.
-
-    Exact for :class:`fractions.Fraction` input; mpmath floats otherwise.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if isinstance(q, Fraction):
-        out = Fraction(1)
-        for k in range(1, n + 1):
-            out *= 1 - q**k
-        return out
-    qv = mp.mpf(q)
-    out = mp.mpf(1)
-    for k in range(1, n + 1):
-        out *= 1 - qv**k
-    return out
 
 
 def _tail_ends(mag, prev, total, floor, tol, prec: int) -> bool:
@@ -268,17 +246,6 @@ def _series_at(params: FieldParams, dps: int) -> _QSeries:
     with mp.workdps(dps):
         return _QSeries(mp.power(params.p, -mp.mpf(2) / params.e), dps)
 
-
-def lower_bracket(params: FieldParams, n: int) -> float:
-    """Lower root bracket ``p**(2n/e) * (1 - p**(-2n/e) / (1 - p**(-2n/e)))``.
-
-    Equals ``q**(-n) - 1/(1 - q**n)``; positive for all ``n >= 1`` except
-    that it degenerates to 0 at ``q = 1/2, n = 1``.
-    """
-    if n < 1:
-        raise ValueError("lower bracket defined for n >= 1")
-    q = params.q
-    return params.scale_float(2 * n) * (1.0 - q**n / (1.0 - q**n))
 
 def upper_bracket(params: FieldParams, n: int) -> float:
     """Upper root bracket ``p**(2n/e) = q**(-n)`` (equals 1 at ``n = 0``)."""

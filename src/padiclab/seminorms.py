@@ -16,14 +16,15 @@ Window quantities at explicit depth ``N``:
   ``c_upper = sqrt((p**f - 1)/p**f)``, plus the formula-vs-matrix equality,
   and reports pass flags.
 
-Both sweeps read the level-major diagonal of :func:`rho_diag`, which
-evaluates a test function once per tree level and applies the zero-vertex
-convention; the zero row of the formula is then an ordinary row.  The
-library functions depend only on a digit prefix or the valuation, so they
-evaluate a level by integer arithmetic on its rank numerals and a small
-table of floats.  The formula route never touches the sparse matrix; the
-matrix route never uses the formula — their agreement is part of the
-validation surface.
+Both sweeps and the commutator read the level-major diagonal of
+:func:`rho_diag`, which evaluates a test function once per tree level and
+applies the zero-vertex convention; the zero row of the formula is then an
+ordinary row.  ``check_norm_comparison`` computes that diagonal once for all
+three.  The library functions depend only on a digit prefix or the
+valuation, so they evaluate a level by integer arithmetic on its rank
+numerals and a small table of floats.  The formula route never touches the
+sparse matrix; the matrix route never uses the formula — their agreement is
+part of the validation surface.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field_model import FieldParams
-from .operators import TestFunction, commutator_norm, rho_diag
+from .operators import TestFunction, _commutator_norm, rho_diag
 from .tree import TreeWindow
 
 __all__ = [
@@ -51,18 +52,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _deepest_values(window: TreeWindow, a: TestFunction) -> tuple[np.ndarray, np.ndarray, float]:
+def _deepest_values(
+    window: TreeWindow, a: TestFunction, diag: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Min and max function values carried by each deepest-level vertex.
 
-    Nonzero centers carry their representative-point value.  The zero vertex
-    carries two points — the true zero element and the stand-in ``pi**N``
-    that the multiplication operator uses for it — so the sup ranges over
-    every point any operator quantity evaluates.  Returns the per-vertex
-    minima, maxima, and the zero-pair ratio
-    ``|a(0) - a(pi**N)| * p**(N/e)`` (that pair meets below the window).
+    Read from ``diag``, the :func:`rho_diag` of ``a``.  Nonzero centers
+    carry their representative-point value.  The zero vertex carries two
+    points — the true zero element and the stand-in ``pi**N`` that the
+    multiplication operator uses for it — so the sup ranges over every point
+    any operator quantity evaluates.  Returns the per-vertex minima, maxima,
+    and the zero-pair ratio ``|a(0) - a(pi**N)| * p**(N/e)`` (that pair meets
+    below the window).
     """
     N = window.max_level
-    mins = rho_diag(window, a)[window.level_slice(N)]
+    mins = diag[window.level_slice(N)].copy()
     maxs = mins.copy()
     a_pin = float(mins[0])
     a_zero = float(a.evaluator(window.min_level, 0, np.zeros(1, dtype=np.int64))[0])
@@ -85,9 +89,13 @@ def lipschitz_depth(window: TreeWindow, a: TestFunction) -> float:
     Exact for functions locally constant at the window depth; in general a
     lower bound for the untruncated seminorm.
     """
+    return _lipschitz(window, a, rho_diag(window, a))
+
+
+def _lipschitz(window: TreeWindow, a: TestFunction, diag: np.ndarray) -> float:
     params = window.params
     q = params.q_res
-    cur_min, cur_max, best = _deepest_values(window, a)
+    cur_min, cur_max, best = _deepest_values(window, a, diag)
     for level in range(window.max_level - 1, window.min_level - 1, -1):
         mins = cur_min.reshape(-1, q)
         maxs = cur_max.reshape(-1, q)
@@ -130,9 +138,12 @@ def spectral_seminorm_formula(window: TreeWindow, a: TestFunction) -> float:
     the float operations of the per-vertex sums this replaces (the digit-0
     term of a nonzero row is exactly zero).
     """
+    return _formula(window, rho_diag(window, a))
+
+
+def _formula(window: TreeWindow, diag: np.ndarray) -> float:
     params = window.params
     q = params.q_res
-    diag = rho_diag(window, a)
     best_sq = 0.0
     for n in range(window.min_level, window.max_level):
         parents = diag[window.level_slice(n)]
@@ -188,11 +199,13 @@ def check_norm_comparison(
     """Evaluate the seminorm sandwich and the formula-vs-matrix equality.
 
     A failed flag is a hard failure for callers (validation suite and
-    acceptance tests assert on it), not a warning.
+    acceptance tests assert on it), not a warning.  The three quantities
+    share one :func:`rho_diag`.
     """
-    l1 = lipschitz_depth(window, a)
-    ld = spectral_seminorm_formula(window, a)
-    cn = commutator_norm(window, a)
+    diag = rho_diag(window, a)
+    l1 = _lipschitz(window, a, diag)
+    ld = _formula(window, diag)
+    cn = _commutator_norm(window, diag)
     lower, upper = comparison_constants(window.params)
     slack = 1e-12 * max(1.0, l1)
     sandwich = (lower * l1 - slack <= ld) and (ld <= upper * l1 + slack)

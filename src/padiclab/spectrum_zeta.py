@@ -32,6 +32,8 @@ symbolically.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -102,15 +104,6 @@ class SpectrumTable:
                 break
         arr = np.array(out)
         return arr if k is None else arr[:k]
-
-    def rows_expanded(self, k: int) -> list[SpectrumRow]:
-        """The rows backing the ``k`` smallest values (with repetition)."""
-        out: list[SpectrumRow] = []
-        for row in self.rows:
-            out.extend([row] * row.multiplicity)
-            if len(out) >= k:
-                break
-        return out[:k]
 
 
 def full_spectrum(
@@ -475,7 +468,9 @@ def zeta_D0(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:
     domination; ``n_roots`` must be large enough for the bracket to be
     positive, that is ``q**n_roots < 1/2``.  Two roots suffice while
     ``q**2 < 1/2``; at (2,8,1), ``q`` about 0.84, it takes four, and a
-    smaller ``n_roots`` raises :class:`ValueError`.
+    smaller ``n_roots`` raises :class:`ValueError`, and so does an ``s``
+    at which the value or the tail bound is not a finite float (for
+    example ``s = 2000`` at (2,1,1), where ``lambda_0**-s`` overflows).
     """
     s = complex(s)
     sigma = s.real
@@ -493,6 +488,10 @@ def zeta_D0(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:
     s_mp = mp.mpc(s)
     value = complex(mp.fsum(mp.power(r, -s_mp) for r in roots.roots))
     tail = kappa ** (-sigma) * q ** (n_roots * sigma) / (1.0 - q**sigma)
+    if not (cmath.isfinite(value) and math.isfinite(tail)):
+        raise ValueError(
+            f"zeta at s = {s} leaves the float range (value {value}, tail bound {tail})"
+        )
     return ZetaValue(s=s, value=value, n_roots_used=n_roots, tail_bound=float(tail))
 
 

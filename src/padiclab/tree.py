@@ -1,4 +1,4 @@
-"""Finite windows of the regular digit tree, with level weights.
+"""Finite windows of the regular digit tree and their Haar columns.
 
 Level ``n`` of the tree holds the depth-``n`` centers; edges append one digit.
 A window spans levels ``min_level..max_level`` (unit-ball windows start at 0,
@@ -9,18 +9,13 @@ digit-lexicographic within each level, child ranks contiguous
 (``children of (n, r) = (n+1, r*q_res + d)``), and every assembled matrix
 deterministic.
 
-The Hilbert space is weighted little-l2 with level weight ``p**(-n*f)`` (the
-volume of a depth-``n`` ball).
-
 The same rank arithmetic gives the orthonormal Haar (level-group) columns of
 :func:`haar_columns`, in which the window square ``D*D`` is block-diagonal.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -33,15 +28,7 @@ from .field_model import Center, FieldParams
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-__all__ = [
-    "TreeWindow",
-    "WeightedVector",
-    "tree_window_r",
-    "tree_window_f",
-    "children",
-    "haar_columns",
-    "weighted_inner",
-]
+__all__ = ["TreeWindow", "tree_window_r", "tree_window_f", "haar_columns"]
 
 
 @dataclass(frozen=True)
@@ -59,17 +46,6 @@ class TreeWindow:
     def __post_init__(self) -> None:
         if self.max_level < self.min_level:
             raise ValueError("window needs max_level >= min_level")
-
-    # -- aliases matching the two window flavors ---------------------------
-    @property
-    def N(self) -> int:
-        """Maximum depth."""
-        return self.max_level
-
-    @property
-    def M(self) -> int:
-        """Spatial cutoff exponent (0 for unit-ball windows)."""
-        return -self.min_level
 
     # -- level layout -------------------------------------------------------
     @property
@@ -103,20 +79,6 @@ class TreeWindow:
         if not self.min_level <= n <= self.max_level:
             raise ValueError(f"level {n} outside window [{self.min_level}, {self.max_level}]")
 
-    # -- vertex addressing ----------------------------------------------------
-    def index(self, n: int, rank: int) -> int:
-        """Global index of vertex ``(level, rank)``."""
-        if not 0 <= rank < self.level_size(n):
-            raise ValueError(f"rank {rank} outside level {n}")
-        return self.level_offsets[n - self.min_level] + rank
-
-    def level_rank(self, idx: int) -> tuple[int, int]:
-        """Inverse of :meth:`index`."""
-        if not 0 <= idx < self.total:
-            raise ValueError(f"index {idx} outside window")
-        i = bisect.bisect_right(self.level_offsets, idx) - 1
-        return self.min_level + i, idx - self.level_offsets[i]
-
     def center(self, n: int, rank: int) -> Center:
         """The digit-string center addressed by ``(level, rank)``."""
         width = n - self.min_level
@@ -129,37 +91,6 @@ class TreeWindow:
             r, digits[i] = divmod(r, q)
         return Center(self.params, self.min_level, tuple(digits))
 
-    def rank_of_center(self, c: Center) -> tuple[int, int]:
-        """Address ``(level, rank)`` of a center belonging to this window."""
-        if c.params != self.params or c.start != self.min_level:
-            raise ValueError("center does not belong to this window")
-        self._check_level(c.depth)
-        rank = 0
-        for d in c.digits:
-            rank = rank * self.params.q_res + d
-        return c.depth, rank
-
-    def children_ranks(self, n: int, rank: int) -> range:
-        """Ranks of the ``q_res`` children at level ``n + 1``, digit-ascending."""
-        q = self.params.q_res
-        return range(rank * q, rank * q + q)
-
-    def parent_rank(self, n: int, rank: int) -> int:
-        """Rank of the parent at level ``n - 1``."""
-        return rank // self.params.q_res
-
-    # -- weights -----------------------------------------------------------
-    def weight(self, n: int) -> Fraction:
-        """Exact level weight ``p**(-n*f)`` (ball volume)."""
-        self._check_level(n)
-        pf = self.params.p**self.params.f
-        if n >= 0:
-            return Fraction(1, pf**n)
-        return Fraction(pf ** (-n))
-
-    def weight_float(self, n: int) -> float:
-        return float(self.weight(n))
-
 
 def tree_window_r(params: FieldParams, N: int) -> TreeWindow:
     """Unit-ball window: levels ``0..N``, ``p**(n*f)`` vertices at level n."""
@@ -171,14 +102,6 @@ def tree_window_f(params: FieldParams, M: int, N: int) -> TreeWindow:
     if M < 0:
         raise ValueError("M must be nonnegative")
     return TreeWindow(params, -M, N)
-
-
-def children(window: TreeWindow, idx: int) -> list[int]:
-    """Global indices of a vertex's children; empty at the deepest level."""
-    n, rank = window.level_rank(idx)
-    if n == window.max_level:
-        return []
-    return [window.index(n + 1, r) for r in window.children_ranks(n, rank)]
 
 
 def _helmert(q: int) -> np.ndarray:
@@ -260,28 +183,3 @@ def haar_columns(window: TreeWindow, m: int) -> sp.csr_matrix:
         shape=(window.total, copies * L),
     )
 
-
-@dataclass(frozen=True)
-class WeightedVector:
-    """A vector over a window's vertices, carrying its window reference."""
-
-    window: TreeWindow
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (self.window.total,):
-            raise ValueError(
-                f"values must have shape ({self.window.total},), got {self.values.shape}"
-            )
-
-
-def weighted_inner(phi: WeightedVector, psi: WeightedVector) -> complex:
-    """Weighted inner product ``sum_v phi(v) * conj(psi(v)) * w(level(v))``."""
-    if phi.window != psi.window:
-        raise ValueError("weighted_inner requires vectors on the same window")
-    window = phi.window
-    acc = 0.0 + 0.0j if np.iscomplexobj(phi.values) or np.iscomplexobj(psi.values) else 0.0
-    for n in window.levels:
-        seg = window.level_slice(n)
-        acc = acc + window.weight_float(n) * np.vdot(psi.values[seg], phi.values[seg])
-    return acc

@@ -203,6 +203,18 @@ class TestConfigErrors:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_zeta_beyond_float_range_refused(self, fmt, capsys):
+        """``lambda_0**-s`` overflows at s = 2000 on (2,1,1): one line, exit 1,
+        and no output in either format."""
+        argv = ["zeta", *P211_ARGS, "--s-min", "1", "--s-max", "2000", "--s-step", "1999",
+                "--n-roots", "3", "--format", fmt]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: zeta at s = (2000+0j) leaves the float range")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestOutputRouting:
     def test_outdir_env(self, tmp_path, monkeypatch):

@@ -1,19 +1,8 @@
-"""Digit-string field model: parameters, scales, norms, distances, coordinates."""
+"""Field parameters, digit-string centers, tail counts and the points pi**n."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from padiclab import (
-    Center,
-    FieldParams,
-    count_g,
-    dist,
-    from_lg,
-    norm,
-    pi_power,
-    to_lg,
-)
+from padiclab import Center, FieldParams, count_g, pi_power
 
 P211 = FieldParams(2, 1, 1)
 P311 = FieldParams(3, 1, 1)
@@ -44,104 +33,16 @@ class TestFieldParams:
         assert P311.Q == 9.0
 
     def test_scale_exactness(self):
-        s = P221.scale(1)
-        assert s.to_float() == pytest.approx(2**0.5, rel=1e-15)
         assert P211.scale_float(-3) == 0.125
 
 
-class TestScaleOrdering:
-    def test_ordering(self):
-        assert P211.scale(-2) < P211.scale(-1) < P211.scale(0)
-        assert P211.scale(0).to_float() == 1.0
-
-    def test_zero_scale_from_norm(self):
-        z = norm(Center(P211, 0, (0, 0)))
-        assert z.is_zero
-        assert z.to_float() == 0.0
-        assert z < P211.scale(-100)
-
-    def test_incompatible_comparison_rejected(self):
+class TestCenter:
+    def test_digit_validation(self):
+        assert Center(P212, -1, (0, 3)).digits == (0, 3)
         with pytest.raises(ValueError):
-            _ = P211.scale(0) < P311.scale(0)
-
-
-class TestNorm:
-    def test_frozen_values(self):
-        # |pi| = p**(-1/e)
-        assert norm(Center(P211, 0, (0, 1))).to_float() == 0.5
-        assert norm(Center(P221, 0, (0, 1))).to_float() == pytest.approx(
-            2**-0.5, rel=1e-15
-        )
-        # A leading nonzero digit is a unit: norm 1, whatever p, e, f.
-        assert norm(Center(P221, 0, (1,))).to_float() == 1.0
-        assert norm(Center(P211, 0, (1, 0, 1))).to_float() == 1.0
-        assert norm(Center(P311, 0, (0, 0, 2))).to_float() == pytest.approx(1 / 9)
-
-    def test_negative_start(self):
-        # Element pi**(-1) * unit has norm p**(1/e).
-        c = Center(P211, -1, (1, 0))
-        assert norm(c).to_float() == 2.0
-
-    def test_trailing_zeros_do_not_matter(self):
-        assert norm(Center(P211, 0, (0, 1))) == norm(Center(P211, 0, (0, 1, 0, 0)))
-
-
-class TestDist:
-    def test_frozen_values(self):
-        assert dist(Center(P211, 0, (1, 0)), Center(P211, 0, (1, 1))).to_float() == 0.5
-        assert dist(Center(P311, 0, (1, 0)), Center(P311, 0, (1, 2))).to_float() == (
-            pytest.approx(1 / 3)
-        )
-
-    def test_same_center_distance_zero(self):
-        c = Center(P211, 0, (1, 0))
-        assert dist(c, c).is_zero
-
-    def test_mismatched_windows_rejected(self):
+            Center(P211, 0, (0, 2))
         with pytest.raises(ValueError):
-            dist(Center(P211, 0, (1,)), Center(P211, 0, (1, 0)))
-        with pytest.raises(ValueError):
-            dist(Center(P211, 0, (1, 0)), Center(P211, 1, (1, 0)))
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        data=st.data(),
-        depth=st.integers(min_value=1, max_value=6),
-    )
-    def test_ultrametric_inequality(self, data, depth):
-        params = data.draw(st.sampled_from(ALL_PARAMS))
-        digit = st.integers(min_value=0, max_value=params.q_res - 1)
-        xs = data.draw(st.tuples(*[digit] * depth))
-        ys = data.draw(st.tuples(*[digit] * depth))
-        zs = data.draw(st.tuples(*[digit] * depth))
-        x, y, z = (Center(params, 0, d) for d in (xs, ys, zs))
-        dxz = dist(x, z)
-        bound = max(dist(x, y), dist(y, z))
-        assert dxz <= bound or dxz == bound
-
-
-class TestLGCoordinates:
-    def test_frozen_example(self):
-        lg = to_lg(Center(P211, 0, (0, 1, 0)))
-        assert (lg.l, lg.m, lg.g_tail) == (1, 2, (1, 0))
-
-    def test_zero_ball(self):
-        lg = to_lg(Center(P211, 0, (0, 0, 0)))
-        assert (lg.l, lg.m, lg.g_tail) == (3, 0, ())
-
-    def test_nonzero_start_rejected(self):
-        with pytest.raises(ValueError):
-            to_lg(Center(P211, -1, (1, 0)))
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), depth=st.integers(min_value=1, max_value=6))
-    def test_round_trip(self, data, depth):
-        params = data.draw(st.sampled_from(ALL_PARAMS))
-        digit = st.integers(min_value=0, max_value=params.q_res - 1)
-        digits = data.draw(st.tuples(*[digit] * depth))
-        x = Center(params, 0, digits)
-        back = from_lg(params, depth, to_lg(x))
-        assert back == x
+            Center(P311, 0, (-1,))
 
 
 class TestCountG:
@@ -165,7 +66,8 @@ class TestPiPower:
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_norm_of_pi_power(self, params, n):
         c = pi_power(params, n, n + 1)
-        assert norm(c) == params.scale(-n)
+        # |pi**n| = p**(-n/e): the first nonzero digit sits at index n.
+        assert next(c.start + i for i, d in enumerate(c.digits) if d != 0) == n
 
     def test_digit_layout(self):
         c = pi_power(P211, 2, 4)

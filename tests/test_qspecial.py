@@ -1,7 +1,6 @@
 """Base-q hypergeometric series, certified roots, and eigenvector routes."""
 
 import math
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -18,10 +17,8 @@ from padiclab import (
     find_roots,
     jacobi_D0,
     jacobi_lowest_eigs,
-    lower_bracket,
     phi11,
     phi11_derivative,
-    q_pochhammer,
     upper_bracket,
 )
 from padiclab import qspecial
@@ -93,21 +90,6 @@ def _series_base(params: FieldParams) -> mp.mpf:
     return mp.power(params.p, -mp.mpf(2) / params.e)
 
 
-class TestQPochhammer:
-    def test_exact_fraction(self):
-        assert q_pochhammer(Fraction(1, 4), 2) == Fraction(45, 64)
-        assert q_pochhammer(Fraction(1, 3), 0) == Fraction(1)
-
-    def test_float_matches_fraction(self):
-        got = q_pochhammer(0.25, 5)
-        want = q_pochhammer(Fraction(1, 4), 5)
-        assert float(got) == pytest.approx(float(want), rel=1e-14)
-
-    def test_negative_n(self):
-        with pytest.raises(ValueError):
-            q_pochhammer(Fraction(1, 2), -1)
-
-
 class TestPhi11:
     def test_value_at_zero(self):
         assert phi11(0.25, 0.0) == 1
@@ -157,18 +139,10 @@ class TestKernelMatchesReference:
 
 class TestBrackets:
     def test_frozen_bracket(self):
-        assert lower_bracket(P211, 1) == pytest.approx(8.0 / 3.0, rel=1e-15)
         assert upper_bracket(P211, 1) == 4.0
         assert upper_bracket(P211, 0) == 1.0
 
-    def test_degenerate_lower_bracket(self):
-        # At base 1/2 the n=1 lower bound collapses to 0 (the previous upper
-        # bracket takes over inside the root finder).
-        assert lower_bracket(P221, 1) == pytest.approx(0.0, abs=1e-15)
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            lower_bracket(P211, 0)
         with pytest.raises(ValueError):
             upper_bracket(P211, -1)
 

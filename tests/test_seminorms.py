@@ -12,7 +12,6 @@ from padiclab import (
     commutator_norm,
     comparison_constants,
     lipschitz_depth,
-    norm,
     pi_power,
     rho_diag,
     spectral_seminorm_formula,
@@ -34,10 +33,6 @@ GRID = ALL_PARAMS + [FieldParams(3, 2, 1), FieldParams(5, 1, 1)]
 # Per-point reference: the library as closures on one Center at a time, and
 # the per-vertex diagonal and row formula built on it.
 # ---------------------------------------------------------------------------
-
-
-def _norm_float(x):
-    return norm(x).to_float()
 
 
 def _dist_to_point(x, c_digits, params):
@@ -72,6 +67,11 @@ def _random_locally_constant(params, depth, seed):
         return float(table[rank])
 
     return ev
+
+
+def _norm_float(x):
+    """``|x| = p**(-l/e)``, ``l`` the index of the first nonzero digit; 0 for zero."""
+    return _dist_to_point(x, (), x.params)
 
 
 def _decay(alpha):
@@ -299,7 +299,7 @@ class TestLibrary:
         a = _lib(P211)["rand-depth3-seed7"]
         b = _lib(P211)["rand-depth3-seed7"]
         w = tree_window_r(P211, 5)
-        for idx in range(w.total):
-            n, rank = w.level_rank(idx)
-            c = w.center(n, rank)
-            assert a(c) == b(c)
+        for n in w.levels:
+            for rank in range(w.level_size(n)):
+                c = w.center(n, rank)
+                assert a(c) == b(c)

@@ -112,7 +112,7 @@ class TestValidateSpectrum:
         def coupled(window):
             mat = assemble_DstarD(window)
             cols = haar_columns(window, 2)  # two copies of L = N - 1 columns
-            L = window.N - 1
+            L = window.max_level - 1
             x, y = cols[:, L - 1], cols[:, 2 * L - 1]  # both copies at level N
             strength = 1e-6 * (x.T @ mat @ x).toarray().item()
             return (mat + strength * (x @ y.T + y @ x.T)).tocsr()

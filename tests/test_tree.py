@@ -1,24 +1,17 @@
-"""Ball-tree windows: addressing, weights, and the weighted inner product."""
-
-from fractions import Fraction
+"""Ball-tree windows: level layout, vertex centers and Haar columns."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from padiclab import (
     FieldParams,
-    WeightedVector,
     assemble_DstarD,
-    children,
     count_g,
     haar_columns,
     jacobi_D0,
     tree_window_f,
     tree_window_r,
-    weighted_inner,
 )
 
 P211 = FieldParams(2, 1, 1)
@@ -85,48 +78,27 @@ class TestWindowShape:
             covered.extend(range(seg.start, seg.stop))
         assert covered == list(range(w.total))
 
-    @pytest.mark.parametrize("params", ALL_PARAMS)
-    def test_index_round_trip(self, params):
-        w = tree_window_r(params, 3)
-        for idx in range(w.total):
-            n, rank = w.level_rank(idx)
-            assert w.index(n, rank) == idx
-
     def test_center_round_trip(self):
         w = tree_window_f(P311, 1, 3)
         for n in w.levels:
             for rank in range(w.level_size(n)):
                 c = w.center(n, rank)
                 assert c.start == w.min_level
-                assert c.depth == n
-                assert w.rank_of_center(c) == (n, rank)
+                assert c.start + len(c.digits) == n
+                numeral = 0
+                for d in c.digits:
+                    numeral = numeral * P311.q_res + d
+                assert numeral == rank
 
 
 class TestFamilyStructure:
-    @pytest.mark.parametrize("params", ALL_PARAMS)
-    def test_children_contiguous_and_parent_inverse(self, params):
-        w = tree_window_r(params, 3)
-        q = params.q_res
-        for n in range(3):
-            for rank in range(w.level_size(n)):
-                kids = w.children_ranks(n, rank)
-                assert list(kids) == list(range(rank * q, (rank + 1) * q))
-                for kid in kids:
-                    assert w.parent_rank(n + 1, kid) == rank
-
-    def test_children_global_indices(self):
-        w = tree_window_r(P211, 2)
-        assert children(w, 0) == [1, 2]
-        assert children(w, 1) == [3, 4]
-        # Deepest level has no children inside the window.
-        assert children(w, w.index(2, 3)) == []
-
     def test_child_centers_extend_parent(self):
         w = tree_window_r(P212, 3)
+        q = P212.q_res
         for n in range(3):
             for rank in range(w.level_size(n)):
                 c = w.center(n, rank)
-                for kid in w.children_ranks(n, rank):
+                for kid in range(rank * q, rank * q + q):
                     kc = w.center(n + 1, kid)
                     assert kc.digits[: len(c.digits)] == c.digits
 
@@ -181,60 +153,3 @@ class TestHaarColumns:
                 for name in ("indptr", "indices", "data"):
                     a, b = getattr(got, name), getattr(ref, name)
                     assert a.dtype == b.dtype and np.array_equal(a, b), (w, m, name)
-
-
-class TestWeights:
-    def test_frozen_values(self):
-        w = tree_window_r(P211, 3)
-        assert w.weight(0) == Fraction(1)
-        assert w.weight(3) == Fraction(1, 8)
-        assert tree_window_r(P311, 2).weight(2) == Fraction(1, 9)
-        assert tree_window_f(P211, 2, 3).weight(-2) == Fraction(4)
-        assert tree_window_r(P212, 2).weight(2) == Fraction(1, 16)
-
-    def test_weight_float_matches_fraction(self):
-        w = tree_window_f(P212, 2, 4)
-        for n in w.levels:
-            assert w.weight_float(n) == pytest.approx(float(w.weight(n)), rel=1e-15)
-
-
-class TestWeightedInner:
-    def test_frozen_value(self):
-        w = tree_window_r(P211, 3)
-        phi = np.zeros(w.total)
-        phi[w.index(2, 1)] = 1.0
-        v = WeightedVector(w, phi)
-        assert weighted_inner(v, v) == 0.25
-
-    def test_shape_validation(self):
-        w = tree_window_r(P211, 2)
-        with pytest.raises(ValueError):
-            WeightedVector(w, np.zeros(w.total + 1))
-
-    def test_window_mismatch(self):
-        w1 = tree_window_r(P211, 2)
-        w2 = tree_window_r(P211, 3)
-        with pytest.raises(ValueError):
-            weighted_inner(
-                WeightedVector(w1, np.zeros(w1.total)),
-                WeightedVector(w2, np.zeros(w2.total)),
-            )
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_sesquilinearity_and_positivity(self, seed):
-        rng = np.random.default_rng(seed)
-        w = tree_window_r(P211, 3)
-        a = rng.normal(size=w.total)
-        b = rng.normal(size=w.total)
-        va, vb = WeightedVector(w, a), WeightedVector(w, b)
-        vab = WeightedVector(w, a + b)
-        lhs = weighted_inner(vab, vab)
-        rhs = (
-            weighted_inner(va, va)
-            + weighted_inner(vb, vb)
-            + weighted_inner(va, vb)
-            + weighted_inner(vb, va)
-        )
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-        assert weighted_inner(va, va) >= 0
