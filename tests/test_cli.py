@@ -96,6 +96,21 @@ class TestValidateCommand:
         assert "hs:total-converges" not in names
 
 
+    def test_drift_rows_are_informational(self, tmp_path):
+        rc, out = _run(
+            tmp_path, "drift.json", ["validate", *P211_ARGS, "--depth", "8", "--k", "4",
+                                     "--seminorm-depth", "3"]
+        )
+        assert rc == EXIT_OK
+        rows = {r["name"]: r for r in json.loads(out.read_text())["results"]}
+        for name in ("spectrum:drift-refined", "spectrum:drift-raw"):
+            assert rows[name]["passed"] is True
+            assert rows[name]["tolerance"] is None
+            assert rows[name]["measured"] > 0
+            assert rows[name]["detail"].startswith("informational:")
+        assert rows["spectrum:drift-refined"]["detail"].endswith("depth 8 vs 10")
+
+
 class TestZetaCommand:
     def test_grid_with_pole_row(self, tmp_path):
         rc, out = _run(
@@ -214,6 +229,24 @@ class TestConfigErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: zeta at s = (2000+0j) leaves the float range")
         assert len(captured.err.splitlines()) == 1
+
+
+    @pytest.mark.parametrize("n_roots", ["0", "-2"])
+    def test_zeta_without_roots_refused(self, n_roots, capsys):
+        assert main(["zeta", *P211_ARGS, "--n-roots", n_roots]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need at least one root\n"
+
+    def test_numerical_failure_exits_2(self, capsys):
+        """Roots past the Jacobi truncation cap are refused in one line, with no output."""
+        assert main(["spectrum", *P211_ARGS, "--n-max", "300"]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: roots up to 300 need a Jacobi truncation of order 604, "
+            "over the limit of 498 (params p=2, e=1, f=1)\n"
+        )
 
 
 class TestOutputRouting:

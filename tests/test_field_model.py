@@ -60,6 +60,10 @@ class TestCountG:
         # Tail classes of length <= M partition the depth-M balls.
         assert sum(count_g(params, m) for m in range(M + 1)) == params.q_res**M
 
+    def test_negative_tail_rejected(self):
+        with pytest.raises(ValueError):
+            count_g(P211, -1)
+
 
 class TestPiPower:
     @pytest.mark.parametrize("params", ALL_PARAMS)
@@ -68,6 +72,13 @@ class TestPiPower:
         c = pi_power(params, n, n + 1)
         # |pi**n| = p**(-n/e): the first nonzero digit sits at index n.
         assert next(c.start + i for i, d in enumerate(c.digits) if d != 0) == n
+
+    @pytest.mark.parametrize(
+        "n, depth, start", [(2, 2, 0), (-1, 3, 0), (0, 3, 1)], ids=["at-depth", "negative", "before-start"]
+    )
+    def test_index_outside_digits_rejected(self, n, depth, start):
+        with pytest.raises(ValueError):
+            pi_power(P211, n, depth, start)
 
     def test_digit_layout(self):
         c = pi_power(P211, 2, 4)

@@ -43,6 +43,30 @@ def _lib(params):
     return {t.name: t for t in function_library(params)}
 
 
+def _level_weights(window) -> np.ndarray:
+    """The ball volume ``q_res**(-n)`` of each vertex: the inner-product weights."""
+    q = float(window.params.q_res)
+    return np.concatenate([np.full(window.level_size(n), q ** (-n)) for n in window.levels])
+
+
+def _forward_difference(window) -> np.ndarray:
+    """Reference ``D`` in the weighted (unsymmetrized) coordinates, vertex by
+    vertex from its definition: ``p**(n/e)`` times the value minus the mean
+    over the children, the deepest level extended by zero."""
+    params = window.params
+    q = params.q_res
+    mat = np.zeros((window.total, window.total))
+    for n in window.levels:
+        start = window.level_slice(n).start
+        for rank in range(window.level_size(n)):
+            row = start + rank
+            mat[row, row] = params.scale_float(n)
+            if n < window.max_level:
+                kids = window.level_slice(n + 1).start + rank * q
+                mat[row, kids : kids + q] = -params.scale_float(n) / q
+    return mat
+
+
 class TestSymmetrizedD:
     def test_frozen_values(self):
         w = tree_window_r(P211, 1)
@@ -66,6 +90,35 @@ class TestSymmetrizedD:
             out = (b @ const)[:rows]
             scale = (abs(b) @ const)[:rows]
             assert np.all(np.abs(out) <= 4 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("params", ALL_PARAMS)
+    def test_matches_forward_difference(self, params):
+        """The assembled matrix is the defined ``D`` under the similarity with
+        the square roots of the ball volumes."""
+        for w in [tree_window_r(params, 3), tree_window_f(params, 1, 2)]:
+            root = np.sqrt(_level_weights(w))
+            expected = root[:, None] * _forward_difference(w) / root[None, :]
+            got = assemble_symmetrized_D(w).toarray()
+            assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+class TestAdjoint:
+    @pytest.mark.parametrize("params", ALL_PARAMS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_weighted_adjointness(self, params, seed):
+        """The transpose that :func:`assemble_DstarD` squares with, carried back
+        through the weight similarity, is the adjoint of the defined ``D`` in
+        the ball-volume inner product."""
+        rng = np.random.default_rng(seed)
+        for w in [tree_window_r(params, 3), tree_window_f(params, 1, 3)]:
+            wts = _level_weights(w)
+            root = np.sqrt(wts)
+            phi = rng.normal(size=w.total)
+            psi = rng.normal(size=w.total)
+            adjoint_psi = (assemble_symmetrized_D(w).T @ (root * psi)) / root
+            lhs = float(np.dot(wts * (_forward_difference(w) @ phi), psi))
+            rhs = float(np.dot(wts * phi, adjoint_psi))
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
 
 class TestDstarD:
@@ -204,6 +257,10 @@ class TestHilbertSchmidt:
             double = hs_double_sum(params, m)
             assert double == pytest.approx(closed, rel=1e-13)
 
+    def test_negative_tail_rejected(self):
+        with pytest.raises(ValueError):
+            hs_norm_Dg_inverse(P211, -1)
+
     def test_total_converges_for_small_ef(self):
         assert hs_total_partial(P211, 60) == pytest.approx(8.0 / 3.0, rel=1e-12)
 
@@ -221,6 +278,15 @@ class TestInverseKernel:
             a = _lib(params)["decay-quadratic"]
             closed = kernel_frobenius_norm(w, a)
             direct = np.sqrt((kernel_rho_a_DFinv(w, a).data ** 2).sum())
+            assert direct == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 10.0])
+    def test_regularized_closed_matches_assembled(self, t):
+        for params in (P211, P212):
+            w = tree_window_f(params, 2, 4)
+            a = _lib(params)["decay-quadratic"]
+            closed = kernel_frobenius_norm(w, a, t=t)
+            direct = np.sqrt((kernel_rho_a_DFinv(w, a, t=t).data ** 2).sum())
             assert direct == pytest.approx(closed, rel=1e-12)
 
     def test_decay_certificate_required(self):

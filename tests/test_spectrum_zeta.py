@@ -178,6 +178,11 @@ class TestSchatten:
         assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0])
         assert abs(vals[2] - vals[1]) < 1e-10
 
+    @pytest.mark.parametrize("s", [0.0, -1.0])
+    def test_nonpositive_s_rejected(self, s):
+        with pytest.raises(ValueError):
+            schatten_partial(P211, s, 4, 4)
+
 
 class TestZetaD0:
     def test_domain_guards(self):
@@ -185,6 +190,10 @@ class TestZetaD0:
             zeta_D0(P211, -1.0)
         with pytest.raises(ValueError):
             zeta_D0(P221, 2.0, n_roots=1)  # degenerate tail bound
+
+    def test_root_count_guard(self):
+        with pytest.raises(ValueError, match="at least one root"):
+            zeta_D0(P211, 2.0, n_roots=0)
 
     def test_tail_bound_honored(self):
         few = zeta_D0(P211, 1.5, n_roots=8)

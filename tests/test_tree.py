@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from padiclab import (
     FieldParams,
+    TreeWindow,
     assemble_DstarD,
     count_g,
     haar_columns,
@@ -90,8 +91,57 @@ class TestWindowShape:
                     numeral = numeral * P311.q_res + d
                 assert numeral == rank
 
+    @pytest.mark.parametrize("params", ALL_PARAMS)
+    def test_index_round_trip(self, params):
+        """Global index = level offset + the base-``q_res`` numeral of the center."""
+        q = params.q_res
+        for w in [tree_window_r(params, 3), tree_window_f(params, 1, 2)]:
+            span = w.max_level - w.min_level
+            assert w.level_offsets == tuple(sum(q**k for k in range(j)) for j in range(span + 2))
+            seen = []
+            for n in w.levels:
+                seg = w.level_slice(n)
+                for rank in range(w.level_size(n)):
+                    numeral = 0
+                    for d in w.center(n, rank).digits:
+                        numeral = numeral * q + d
+                    seen.append(seg.start + numeral)
+            assert seen == list(range(w.total))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TreeWindow(P211, 2, 1),
+            lambda: tree_window_f(P211, -1, 2),
+            lambda: tree_window_r(P211, 2).level_size(3),
+            lambda: tree_window_f(P211, 1, 2).level_size(-2),
+            lambda: tree_window_r(P311, 2).center(2, 9),
+            lambda: tree_window_r(P311, 2).center(1, -1),
+        ],
+        ids=["max-below-min", "negative-M", "level-past-window", "level-before-window",
+             "rank-past-level", "negative-rank"],
+    )
+    def test_bad_windows_and_addresses_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
 
 class TestFamilyStructure:
+    @pytest.mark.parametrize("params", ALL_PARAMS)
+    def test_children_contiguous_and_parent_inverse(self, params):
+        """The children of ``(n, r)`` are the ranks ``r*q_res + d`` at level
+        ``n + 1``, each appending digit ``d``; every rank there has exactly one parent."""
+        q = params.q_res
+        for w in [tree_window_r(params, 3), tree_window_f(params, 1, 2)]:
+            for n in range(w.min_level, w.max_level):
+                kids = []
+                for rank in range(w.level_size(n)):
+                    digits = w.center(n, rank).digits
+                    for d in range(q):
+                        kids.append(rank * q + d)
+                        assert w.center(n + 1, kids[-1]).digits == (*digits, d)
+                assert kids == list(range(w.level_size(n + 1)))
+
     def test_child_centers_extend_parent(self):
         w = tree_window_r(P212, 3)
         q = P212.q_res
