@@ -123,7 +123,7 @@ def _build_parser() -> _Parser:
     add_common(va)
     va.add_argument("--depth", type=_POSITIVE_INT, default=10, help="window depth N")
     va.add_argument("--k", type=_POSITIVE_INT, default=8, help="eigenvalues compared")
-    va.add_argument("--tol", type=float, default=1e-6)
+    va.add_argument("--tol", type=_POSITIVE, default=1e-6)
     va.add_argument("--seminorm-depth", type=_POSITIVE_INT, default=8)
     va.add_argument("--no-drift", action="store_true", help="skip N+2 drift figures")
     va.add_argument("--inject-error", type=float, default=None, help=argparse.SUPPRESS)

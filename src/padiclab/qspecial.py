@@ -25,14 +25,18 @@ float Sturm count of that truncation and its working precision from a float
 estimate of the largest series term at the seed: near ``lambda_n`` the terms
 peak at about ``Q**(n(n+1)/2)`` (``Q = 1/q``), more as ``q -> 1``, and the
 residual gate ``|F(lambda_n)| < target_tol`` is absolute, so it needs that
-many digits beyond the target's own.  The two floats next to the seed must
-give certified opposite signs of ``F`` at that precision; Newton lifts the
-seed through a precision-doubling schedule, and the root must pass the
-residual gate and a sign change across ``lambda_n (1 -+ 10**-(dps-15))``.
-Locating a root needs only relative accuracy, which ``d`` digits give
-whatever ``n`` is: at relative distance ``eps`` from the root ``|F|`` is
-about ``eps`` times the largest term, and the rounding error of a
-``d``-digit sum about ``10**-d`` times it.  The series runs in mpmath.
+many digits beyond the target's own.  One coefficient table per call, at the
+largest precision needed, serves every root and every level of a
+precision-doubling Newton lift, each through a rounded, truncated copy.
+Newton converges at the lowest level from the float seed, takes one step on
+each doubled level, and converges again at full precision, where the point
+it evaluated last is the root and its ``|F|`` the residual.  The root must
+pass the residual gate and show certified opposite signs of ``F`` across
+``lambda_n (1 -+ 10**-(dps-15))``.  Locating a root needs only relative
+accuracy, which ``d`` digits give whatever ``n`` is: at relative distance
+``eps`` from the root ``|F|`` is about ``eps`` times the largest term, and
+the rounding error of a ``d``-digit sum about ``10**-d`` times it.  The
+series runs in mpmath.
 
 Also provided: the forward recurrence for the tridiagonal eigenvector at a
 given eigenvalue (a shooting diagnostic: at a true eigenvalue the decaying
@@ -71,7 +75,7 @@ __all__ = [
     "eigvec_from_series",
 ]
 
-# Floor of the Newton precision schedule.  Certification runs at _root_dps.
+# Floor of the Newton precision schedule.  Certification runs at _root_work's dps.
 _NEWTON_FLOOR_DPS = 30
 # Digits added at each halving of the Newton precision schedule.
 _SCHEDULE_GUARD_DPS = 10
@@ -80,18 +84,17 @@ _SCHEDULE_GUARD_DPS = 10
 _GUARD_BITS = 32
 # Digits carried beyond the largest series term and the target's digits.
 _GUARD_DPS = 30
-# Term budget of a series evaluation; _root_dps looks for the largest term
+# Term budget of a series evaluation; _root_work looks for the largest term
 # within it.
 _MAX_TERMS = 2000
+# Coefficients a root's table holds beyond the float estimate of the last
+# term its full-precision evaluations reach.
+_TERM_MARGIN = 3
 # The float seeds have settled once doubling the Jacobi order moves none of
 # them by more than this, relative.
 _SEED_SETTLE = 1e-12
 # Largest Jacobi order the seeds are taken from.
 _SEED_MAX_ORDER = 1024
-# The seed bracket starts one ulp wide on each side and widens by this
-# factor at most this many times.
-_WIDEN_FACTOR = 16
-_WIDEN_STEPS = 8
 # Root tables kept by find_roots, least recently used evicted first.
 ROOT_CACHE_SIZE = 32
 
@@ -145,13 +148,17 @@ class _QSeries:
         self._q_pow = q_k
         self._coeffs.append(a_k._mpf_)
 
-    def rounded(self, dps: int) -> _QSeries:
-        """This series at a lower precision ``dps``, its table rounded from this one."""
+    def rounded(self, dps: int, terms: int) -> _QSeries:
+        """This series at precision ``dps`` (at most this one's), its table
+        the first ``terms`` coefficients of this one, rounded; this table is
+        extended to ``terms`` first."""
+        while len(self._coeffs) < terms:
+            self._extend()
         lower = _QSeries(self._q, dps)
         wide = lower._prec + _GUARD_BITS
-        lower._coeffs = [mpf_pos(a, wide, _RND) for a in self._coeffs]
+        lower._coeffs = [mpf_pos(a, wide, _RND) for a in self._coeffs[:terms]]
         with mp.workprec(wide):
-            lower._q_pow = +self._q_pow
+            lower._q_pow = self._q ** (len(lower._coeffs) - 1)
         return lower
 
     def sums(self, z, target_tol=None, max_terms: int = _MAX_TERMS,
@@ -211,10 +218,6 @@ class _QSeries:
             d_value = mp.make_mpf(mpf_div(d_sum, z, prec, _RND))
         return f_value, d_value, terms, mp.make_mpf(largest)
 
-    def value(self, z):
-        """``F(z)`` with the default tail tolerance."""
-        return self.sums(z)[0]
-
     def sign(self, z):
         """Sign of ``F(z)``, or ``None`` when ``|F(z)|`` does not exceed the
         evaluation's error bound: terms summed times the largest term times
@@ -262,8 +265,9 @@ class RootTable:
         params: Field parameters.
         roots: Roots as mpmath floats, ascending.
         residuals: ``|F(lambda_n)|`` as floats (evaluated at full precision).
-        brackets: The certified sign-change intervals per root: the floats
-            on either side of the root's float seed (widened if needed).
+        brackets: The certified sign-change interval per root: the final
+            enclosure ``root (1 -+ 10**-(dps-15))`` widened outward to the
+            next floats, so both ends are floats a few ulps apart.
         dps_used: Working decimal precision per root.
     """
 
@@ -355,8 +359,9 @@ def _sturm_counts(params: FieldParams, L: int, x: np.ndarray) -> np.ndarray:
     return count
 
 
-def _root_dps(params: FieldParams, seeds: np.ndarray, target_tol: float) -> list[int]:
-    """Working precision for the root at each seed.
+def _root_work(params: FieldParams, seeds: np.ndarray,
+               target_tol: float) -> list[tuple[int, int]]:
+    """Working precision and series length ``(dps, terms)`` for the root at each seed.
 
     The terms ``|a_k z**k|`` of ``F`` at ``z = lambda_n`` peak at ``10**T``,
     estimated here in floats over the first ``_MAX_TERMS`` terms (``T`` is
@@ -364,15 +369,24 @@ def _root_dps(params: FieldParams, seeds: np.ndarray, target_tol: float) -> list
     where ``(q;q)_k`` is small).  A ``d``-digit evaluation has absolute error
     near ``10**(T-d)`` and the gate ``|F(lambda_n)| < target_tol`` is
     absolute, so root ``n`` runs at ``T`` digits plus the target's plus
-    ``_GUARD_DPS``.
+    ``_GUARD_DPS``.  Its evaluations end past the peak at the first term
+    below ``10**-(dps-5)`` (the tail rule of :func:`phi11` where ``|F| < 1``),
+    and ``terms`` adds ``_TERM_MARGIN`` coefficients to that.
     """
     q = params.q
     k = np.arange(_MAX_TERMS)
     log_poch = np.concatenate(([0.0], np.cumsum(np.log10(-np.expm1(k[1:] * math.log(q))))))
     log_coeffs = k * (k - 1) / 2 * math.log10(q) - 2 * log_poch
     target_digits = max(0, math.ceil(-math.log10(target_tol)))
-    return [math.ceil(np.max(log_coeffs + math.log10(z) * k)) + target_digits + _GUARD_DPS
-            for z in seeds]
+    work = []
+    for z in seeds:
+        log_terms = log_coeffs + math.log10(z) * k
+        peak = int(np.argmax(log_terms))
+        dps = math.ceil(log_terms[peak]) + target_digits + _GUARD_DPS
+        below = np.flatnonzero(log_terms[peak:] < 5 - dps)
+        last = peak + int(below[0]) if below.size else _MAX_TERMS
+        work.append((dps, last + 1 + _TERM_MARGIN))
+    return work
 
 
 def _newton_levels(dps: int) -> list[int]:
@@ -387,71 +401,52 @@ def _newton_levels(dps: int) -> list[int]:
     return levels[::-1]
 
 
-def _seed_bracket(full: _QSeries, params: FieldParams, n: int, seed: float) -> tuple[float, float]:
-    """Floats on either side of ``seed`` where ``F`` has certified opposite signs.
+def _newton(series: _QSeries, root, guard: tuple[float, float], steps: int = 40):
+    """Newton for ``F`` from ``root`` at the series' precision ``d``.
 
-    Starts at ``seed -+ ulp(seed)`` and widens the half-width
-    ``_WIDEN_FACTOR``-fold at most ``_WIDEN_STEPS`` times.  A sign counts only
-    when ``|F|`` exceeds its evaluation's error bound (:meth:`_QSeries.sign`).
+    Evaluates ``F`` and ``F'`` at most ``steps`` times, stopping at the first
+    step below ``10**-(d-10)`` relative; a step leaving the open interval
+    ``guard`` is not taken.  Returns ``(x, F(x), y)``: the last point ``x``
+    evaluated, ``F`` there and the Newton point ``y`` that follows ``x``
+    (``x`` itself when the step is not taken).
     """
-    width = math.ulp(seed)
-    for _ in range(_WIDEN_STEPS + 1):
-        lo, hi = seed - width, seed + width
-        sign_lo = full.sign(lo)
-        if sign_lo is not None and full.sign(hi) == -sign_lo:
-            return lo, hi
-        width *= _WIDEN_FACTOR
-    raise BracketError(
-        f"no certified sign change within {width / _WIDEN_FACTOR:.3g} of the float seed "
-        f"{seed!r} for root {n} (params p={params.p}, e={params.e}, f={params.f})"
-    )
-
-
-def _newton(series: _QSeries, root, lo, hi):
-    """Newton iteration at the series' precision ``d`` until a step is below
-    ``10**-(d-10)`` relative; a step leaving ``(lo/2, 2 hi)`` is not taken."""
+    lo, hi = guard
     with mp.workdps(series.dps):
-        root = mp.mpf(root)
+        x = mp.mpf(root)
         tol = mp.mpf(10) ** (-(series.dps - 10))
-        for _ in range(40):
-            fval, dval, _, _ = series.sums(root, derivative=True)
-            if fval == 0:
-                break
-            step = fval / dval
-            new_root = root - step
-            if not lo / 2 < new_root < hi * 2:
-                break
-            root = new_root
-            if abs(step) < tol * abs(root):
-                break
-    return root
+        for i in range(steps):
+            fval, dval, _, _ = series.sums(x, derivative=True)
+            step = fval / dval if fval else fval
+            y = x - step
+            if not lo < y < hi:
+                return x, fval, x
+            if i + 1 == steps or abs(step) < tol * abs(x):
+                return x, fval, y
+            x = y
 
 
-def _certify_root(params: FieldParams, n: int, seed: float, dps: int, target_tol: float):
-    """Certify root ``n`` from its float seed at ``dps`` digits.
-
-    Returns ``(root, residual, bracket)``: the root at ``dps`` digits,
-    ``|F(root)|`` and the certified float bracket around the seed.
-    """
-    full = _series_at(params, dps)
+def _certify_root(table: _QSeries, n: int, seed: float, dps: int, terms: int,
+                  guard: tuple[float, float], target_tol: float):
+    """Certify root ``n`` from its float seed at ``dps`` digits, as described
+    under "Certify" in :func:`find_roots`, on copies of ``table`` truncated
+    to ``terms`` coefficients.  Returns ``(root, residual, bracket)``."""
+    *lower, _ = _newton_levels(dps)
+    root = seed
+    for i, level in enumerate(lower):
+        root = _newton(table.rounded(level, terms), root, guard, 40 if i == 0 else 1)[2]
+    full = table.rounded(dps, terms)
+    root, value, _ = _newton(full, root, guard)
+    residual = float(abs(value))
+    if residual >= target_tol:
+        raise BracketError(f"root {n} residual {residual:.3e} above target {target_tol}")
     with mp.workdps(dps):
-        lo, hi = _seed_bracket(full, params, n, seed)
-        root = mp.mpf(seed)
-        for level in _newton_levels(dps):
-            root = _newton(full if level == dps else full.rounded(level), root, lo, hi)
-        if not lo <= root <= hi:
-            raise BracketError(f"Newton left the certified bracket of root {n}")
-        residual = abs(full.value(root))
-        if float(residual) >= target_tol:
-            raise BracketError(
-                f"root {n} residual {float(residual):.3e} above target {target_tol}"
-            )
-        # Certify the final enclosure by endpoint signs.
         delta = mp.mpf(10) ** (-(dps - 15)) * root
-        f_left, f_right = full.value(root - delta), full.value(root + delta)
-        if f_left != 0 and f_right != 0 and mp.sign(f_left) == mp.sign(f_right):
-            raise BracketError(f"final enclosure for root {n} lost its sign change")
-        return root, float(residual), (lo, hi)
+        left, right = root - delta, root + delta
+    sign_left = full.sign(left)
+    if sign_left is None or full.sign(right) != -sign_left:
+        raise BracketError(f"final enclosure of root {n} shows no certified sign change")
+    bracket = (math.nextafter(float(left), -math.inf), math.nextafter(float(right), math.inf))
+    return root, residual, bracket
 
 
 class _RootCache:
@@ -500,19 +495,22 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> Ro
     geometric interlacing ``q**-(n-1) < lambda_n``, which fails once ``q``
     exceeds about 0.6 (see :attr:`RootTable.interlaced`).
 
-    Precision.  Root ``n`` works at the digits of :func:`_root_dps`: a float
-    estimate of ``log10`` of the largest series term at the seed, plus the
-    target's digits, plus ``_GUARD_DPS``.
+    Precision.  Root ``n`` works at the digits of :func:`_root_work`: a
+    float estimate of ``log10`` of the largest series term at the seed, plus
+    the target's digits, plus ``_GUARD_DPS``.  One coefficient table, at the
+    largest of these precisions and as long as the deepest root's series,
+    serves every root through rounded, truncated copies.
 
-    Certify.  At that precision the two floats next to the seed must give
-    ``F`` certified opposite signs; the bracket is widened geometrically a
-    bounded number of times when they do not (:func:`_seed_bracket`).  Newton
-    then lifts the seed through the precision-doubling schedule of
-    :func:`_newton_levels`, iterating on each level until its step is below
-    ``10**-(d-10)`` relative at that level's ``d`` digits, and must stay in
-    the bracket.  The root must pass ``|F(root)| < target_tol`` and show a
-    sign change across ``root (1 -+ 10**-(dps-15))``, both at full
-    precision.  Any failure raises :class:`BracketError`.
+    Certify.  Newton lifts the seed through the precision-doubling schedule
+    of :func:`_newton_levels`: the lowest level iterates until its step is
+    below ``10**-(d-10)`` relative at its ``d`` digits, each level above
+    takes one step, and the full-precision level iterates again.  No step
+    may leave ``(s_n, s_(n+1))``.  At full precision the point Newton
+    evaluated last is the root, and ``|F|`` there must be below
+    ``target_tol``.  ``F`` must then have error-bounded opposite signs
+    (:meth:`_QSeries.sign`) across ``root (1 -+ 10**-(dps-15))``; that
+    enclosure, widened outward to floats, is the root's bracket.  Any
+    failure raises :class:`BracketError`.
 
     Returns exactly ``n_max + 1`` roots.  Tables are cached per
     ``(p, e, f, target_tol)``, the ``ROOT_CACHE_SIZE`` most recently used
@@ -533,25 +531,18 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> Ro
             f"Sturm count of the order-{L} truncation does not separate roots 0..{n_max} "
             f"(params p={params.p}, e={params.e}, f={params.f})"
         )
-    roots = list(cached.roots) if cached is not None else []
-    residuals = list(cached.residuals) if cached is not None else []
-    brackets = list(cached.brackets) if cached is not None else []
-    dps_used = list(cached.dps_used) if cached is not None else []
-    for n, dps in enumerate(_root_dps(params, seeds[start : n_max + 1], target_tol), start):
-        root, residual, bracket = _certify_root(params, n, float(seeds[n]), dps, target_tol)
-        if not (separators[n] < bracket[0] and bracket[1] < separators[n + 1]):
+    rows = list(zip(cached.roots, cached.residuals, cached.brackets, cached.dps_used)
+                if cached is not None else ())
+    work = _root_work(params, seeds[start : n_max + 1], target_tol)
+    series = _series_at(params, max(dps for dps, _ in work))
+    for n, (dps, terms) in enumerate(work, start):
+        guard = (float(separators[n]), float(separators[n + 1]))
+        root, residual, bracket = _certify_root(series, n, float(seeds[n]), dps, terms,
+                                                guard, target_tol)
+        if not (guard[0] < bracket[0] and bracket[1] < guard[1]):
             raise BracketError(f"bracket of root {n} crosses a Sturm separator")
-        roots.append(root)
-        residuals.append(residual)
-        brackets.append(bracket)
-        dps_used.append(dps)
-    table = RootTable(
-        params=params,
-        roots=tuple(roots),
-        residuals=tuple(residuals),
-        brackets=tuple(brackets),
-        dps_used=tuple(dps_used),
-    )
+        rows.append((root, residual, bracket, dps))
+    table = RootTable(params, *map(tuple, zip(*rows)))
     _ROOT_CACHE.put(key, table)
     return table
 

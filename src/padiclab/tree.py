@@ -72,6 +72,7 @@ class TreeWindow:
 
     def level_slice(self, n: int) -> slice:
         """Index-space slice of level ``n``."""
+        self._check_level(n)
         i = n - self.min_level
         return slice(self.level_offsets[i], self.level_offsets[i + 1])
 

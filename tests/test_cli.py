@@ -199,6 +199,12 @@ class TestConfigErrors:
              "argument --s-max: the span from --s-min is not finite"),
             (["zeta", *P211_ARGS, "--s-max", "1e9", "--s-step", "1"],
              "argument --s-step: the s-grid has 1000000000 points, over the limit of 10000"),
+            (["validate", *P211_ARGS, "--tol", "nan"],
+             "argument --tol: must be finite and positive, got nan"),
+            (["validate", *P211_ARGS, "--tol", "inf"],
+             "argument --tol: must be finite and positive, got inf"),
+            (["validate", *P211_ARGS, "--tol", "-1"],
+             "argument --tol: must be finite and positive, got -1"),
             (["spectrum", *P211_ARGS, "--root-tol", "0"],
              "argument --root-tol: must be finite and positive, got 0"),
             (["spectrum", *P211_ARGS, "--n-max", "-1"], "argument --n-max: must be >= 0, got -1"),

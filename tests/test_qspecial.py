@@ -58,8 +58,8 @@ EXACT_ROOTS = {
 }
 
 # One parameter set for each base q = p**(-2/e) of the benchmark's root pool:
-# 1/4, 1/2, 1/9, 1/3, 1/25 and 1/49.  (5, 1, 2) stands for (5, 1, 1), whose
-# cache another test needs cold; f does not enter q.
+# 1/4, 1/2, 1/9, 1/3, 1/25 and 1/49.  (5, 1, 2) stands for (5, 1, 1): f does
+# not enter q.
 KERNEL_PARAMS = [FieldParams(2, 1, 1), P221, P311, FieldParams(3, 2, 1),
                  FieldParams(5, 1, 2), FieldParams(7, 1, 1)]
 
@@ -191,8 +191,7 @@ class TestFindRoots:
             for root in table.roots:
                 assert abs(phi11(q, root)) < 1e-10
 
-    def test_cache_reuse_and_extension(self, monkeypatch):
-        monkeypatch.setattr(qspecial, "_ROOT_CACHE", qspecial._RootCache(qspecial.ROOT_CACHE_SIZE))
+    def test_cache_reuse_and_extension(self):
         params = FieldParams(5, 1, 1)
         t1 = find_roots(params, 1)
         t2 = find_roots(params, 1)
@@ -245,6 +244,84 @@ class TestFindRoots:
             assert table.n_max == n_max
             assert len(table.residuals) == len(table.brackets) == len(table.dps_used) == n_max + 1
             assert table.roots == long.roots[: n_max + 1]
+
+
+class TestCertificationWork:
+    def test_full_precision_passes_and_one_table(self, monkeypatch):
+        """Roots 0..20 of (3,1,1) from a cold cache: at most 4 series passes
+        per root at the root's own precision, on average, and one coefficient
+        table extended once, to about the deepest root's series length."""
+        sums, extend, certify = (qspecial._QSeries.sums, qspecial._QSeries._extend,
+                                 qspecial._certify_root)
+        root_dps = [None]
+        counts = {"full": 0, "extend": 0, "terms": 0}
+
+        def counting_certify(table, n, seed, dps, *rest):
+            root_dps[0] = dps
+            return certify(table, n, seed, dps, *rest)
+
+        def counting_sums(self, *args, **kwargs):
+            result = sums(self, *args, **kwargs)
+            if self.dps == root_dps[0]:
+                counts["full"] += 1
+                counts["terms"] = max(counts["terms"], result[2])
+            return result
+
+        def counting_extend(self):
+            counts["extend"] += 1
+            return extend(self)
+
+        monkeypatch.setattr(qspecial, "_certify_root", counting_certify)
+        monkeypatch.setattr(qspecial._QSeries, "sums", counting_sums)
+        monkeypatch.setattr(qspecial._QSeries, "_extend", counting_extend)
+        table = find_roots(P311, 20)
+        assert counts["full"] / len(table.roots) <= 4.0
+        assert counts["extend"] <= counts["terms"] + 5
+
+
+class TestEnclosureCertificate:
+    def test_moved_root_refused(self, monkeypatch):
+        newton = qspecial._newton
+
+        def moved(series, root, guard, steps=40):
+            x, value, y = newton(series, root, guard, steps)
+            with mp.workdps(series.dps):
+                return x * (1 + mp.mpf(10) ** -6), value, y
+
+        monkeypatch.setattr(qspecial, "_newton", moved)
+        with pytest.raises(BracketError, match="final enclosure of root 0"):
+            find_roots(P211, 2)
+
+    def test_uncertified_sign_refused(self, monkeypatch):
+        monkeypatch.setattr(qspecial._QSeries, "sign", lambda self, z: None)
+        with pytest.raises(BracketError, match="final enclosure of root 0"):
+            find_roots(P211, 2)
+
+    def test_enclosure_across_separator_refused(self, monkeypatch):
+        certify = qspecial._certify_root
+
+        def straddling(table, n, seed, dps, terms, guard, target_tol):
+            root, residual, (lo, hi) = certify(table, n, seed, dps, terms, guard, target_tol)
+            if n == 1:  # stretch the enclosure down over the separator s_1
+                lo = math.nextafter(guard[0], 0.0)
+            return root, residual, (lo, hi)
+
+        monkeypatch.setattr(qspecial, "_certify_root", straddling)
+        with pytest.raises(BracketError, match="bracket of root 1 crosses a Sturm separator"):
+            find_roots(P211, 2)
+
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=str)
+    def test_brackets_are_the_float_enclosure(self, params):
+        """Each bracket is the enclosure ``root (1 -+ 10**-(dps-15))`` widened
+        to the next floats outward: a few ulps around the float root."""
+        table = find_roots(params, 10)
+        for root, (lo, hi), dps in zip(table.roots, table.brackets, table.dps_used):
+            with mp.workdps(dps):
+                delta = mp.mpf(10) ** (-(dps - 15)) * root
+                assert lo < root - delta and root + delta < hi
+            value = float(root)
+            assert lo < value < hi
+            assert hi - lo <= 4 * math.ulp(value)
 
 
 # Every p in {2, 3, 5, 7}, e in 1..8, f in 1..2: q = p**(-2/e) from 1/49 up

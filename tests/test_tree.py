@@ -125,6 +125,11 @@ class TestWindowShape:
         with pytest.raises(ValueError):
             build()
 
+    @pytest.mark.parametrize("n", [-2, -1, 3])
+    def test_level_slice_outside_window_rejected(self, n):
+        with pytest.raises(ValueError, match=f"level {n} outside window"):
+            tree_window_r(P211, 2).level_slice(n)
+
 
 class TestFamilyStructure:
     @pytest.mark.parametrize("params", ALL_PARAMS)
