@@ -62,9 +62,9 @@ EXIT_NUMERICAL = 2
 EXIT_VALIDATION = 3
 
 # Largest window (vertices) that ``validate`` assembles.  Peak memory grows
-# with the largest window at about 270 (q_res = 2) to 770 (q_res = 7) bytes per
-# vertex: 2,097,151 vertices at 626 MB for (2,2,1), 797,161 at 343 MB for
-# (3,1,1), 960,800 at 801 MB for (7,1,1), peak RSS of the whole process.
+# with the largest window at about 130 (q_res = 2) to 260 (q_res = 7) bytes per
+# vertex: 1,048,575 vertices at 142 MB for (2,2,1), 797,161 at 132 MB for
+# (3,1,1), 960,800 at 246 MB for (7,1,1), peak RSS of the whole process.
 MAX_WINDOW_VERTICES = 2_000_000
 
 # Most s-grid points that ``zeta`` evaluates.

@@ -109,6 +109,36 @@ class TestFunction:
 # ---------------------------------------------------------------------------
 
 
+def _symmetrized_D_csr(window: TreeWindow) -> tuple[np.ndarray, ...]:
+    """CSR arrays ``(data, indices, indptr)`` of :func:`assemble_symmetrized_D`.
+
+    Each row holds its diagonal, then its ``q_res`` children in digit order;
+    rows of the deepest level hold the diagonal only.  The arrays are written
+    level by level, with no scipy call, in the index dtype scipy would pick.
+    """
+    params = window.params
+    q = params.q_res
+    itype = np.int32 if window.total + q * window.level_offsets[-2] < 2**31 else np.int64
+    indptr = np.zeros(window.total + 1, dtype=itype)
+    indices, data = [], []
+    off_child = -1.0 / np.sqrt(q)
+    for n in window.levels:
+        seg = window.level_slice(n)
+        size = seg.stop - seg.start
+        beta = params.scale_float(n)
+        cols = np.arange(seg.start, seg.stop, dtype=itype)[:, None]
+        vals = np.full((size, 1), beta)
+        if n < window.max_level:
+            kids = window.level_slice(n + 1).start + np.arange(size * q, dtype=itype)
+            cols = np.hstack([cols, kids.reshape(size, q)])
+            vals = np.hstack([vals, np.full((size, q), beta * off_child)])
+        indptr[seg.start + 1 : seg.stop + 1] = cols.shape[1]
+        indices.append(cols.ravel())
+        data.append(vals.ravel())
+    np.cumsum(indptr, out=indptr)
+    return np.concatenate(data), np.concatenate(indices), indptr
+
+
 def assemble_symmetrized_D(window: TreeWindow) -> sp.csr_matrix:
     """Square sparse matrix of ``D`` in symmetrized (plain little-l2) coordinates.
 
@@ -121,30 +151,7 @@ def assemble_symmetrized_D(window: TreeWindow) -> sp.csr_matrix:
     """
     import scipy.sparse as sp
 
-    params = window.params
-    q = params.q_res
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    off_child = -1.0 / np.sqrt(q)
-    for n in window.levels:
-        seg = window.level_slice(n)
-        size = seg.stop - seg.start
-        beta = params.scale_float(n)
-        idx = np.arange(seg.start, seg.stop)
-        rows.append(idx)
-        cols.append(idx)
-        data.append(np.full(size, beta))
-        if n < window.max_level:
-            child_start = window.level_slice(n + 1).start
-            rows.append(np.repeat(idx, q))
-            cols.append(child_start + np.arange(size * q))
-            data.append(np.full(size * q, beta * off_child))
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(window.total, window.total),
-    )
-    return mat.tocsr()
+    return sp.csr_matrix(_symmetrized_D_csr(window), shape=(window.total, window.total))
 
 
 def assemble_DstarD(window: TreeWindow) -> sp.csr_matrix:
@@ -196,60 +203,56 @@ def assemble_commutator(window: TreeWindow, a: TestFunction) -> sp.csr_matrix:
     of ``x`` — the diagonal terms of ``D`` and the multiplication operator
     cancel, leaving pure parent-child differences.
     """
-    return _commutator(window, rho_diag(window, a))
-
-
-def _commutator(window: TreeWindow, diag: np.ndarray) -> sp.csr_matrix:
-    """:func:`assemble_commutator` from the diagonal of :func:`rho_diag`."""
     import scipy.sparse as sp
 
+    shape = (window.level_offsets[-2], window.total)
+    return sp.csr_matrix(_commutator_csr(window, rho_diag(window, a)), shape=shape)
+
+
+def _commutator_csr(window: TreeWindow, diag: np.ndarray) -> tuple[np.ndarray, ...]:
+    """CSR arrays of :func:`assemble_commutator` from the diagonal of :func:`rho_diag`.
+
+    Rows are the levels ``min_level .. N-1``, each holding its children in digit
+    order; vanishing differences are not stored (a commuting function has none).
+    """
     params = window.params
     q = params.q_res
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
+    n_rows = window.level_offsets[-2]
+    itype = np.int32 if max(q * n_rows, window.total) < 2**31 else np.int64
+    indptr = np.zeros(n_rows + 1, dtype=itype)
+    indices, data = [], []
     inv_sqrt_q = 1.0 / np.sqrt(q)
     for n in range(window.min_level, window.max_level):
         seg = window.level_slice(n)
-        size = seg.stop - seg.start
         child_seg = window.level_slice(n + 1)
         beta = params.scale_float(n)
-        idx = np.arange(seg.start, seg.stop)
-        child_idx = child_seg.start + np.arange(size * q)
-        diffs = np.repeat(diag[seg], q) - diag[child_seg]
-        rows.append(np.repeat(idx, q))
-        cols.append(child_idx)
-        data.append(beta * inv_sqrt_q * diffs)
-    n_rows = window.level_offsets[-2]
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_rows, window.total),
-    )
-    out = mat.tocsr()
-    out.eliminate_zeros()  # vanishing differences would defeat the nnz==0 guard
-    return out
-
-
-def _deterministic_start(size: int) -> np.ndarray:
-    v = 1.0 / (1.0 + np.arange(size))
-    return v / np.linalg.norm(v)
+        vals = beta * inv_sqrt_q * (np.repeat(diag[seg], q) - diag[child_seg])
+        keep = vals != 0.0
+        indptr[seg.start + 1 : seg.stop + 1] = keep.reshape(-1, q).sum(axis=1)
+        indices.append(np.arange(child_seg.start, child_seg.stop, dtype=itype)[keep])
+        data.append(vals[keep])
+    np.cumsum(indptr, out=indptr)
+    return np.concatenate(data), np.concatenate(indices), indptr
 
 
 def commutator_row_norms(window: TreeWindow, a: TestFunction) -> np.ndarray:
     """Euclidean norms of the commutator rows.
 
     Every child has one parent, so each column of the commutator holds at
-    most one nonzero; this is asserted on the assembled matrix.  The rows
-    therefore have pairwise-disjoint column supports, and the operator norm
-    is the maximum row norm.
+    most one nonzero; this is checked on the assembled index array.  The
+    rows therefore have pairwise-disjoint column supports, and the operator
+    norm is the maximum row norm.
     """
     return _commutator_row_norms(window, rho_diag(window, a))
 
 
 def _commutator_row_norms(window: TreeWindow, diag: np.ndarray) -> np.ndarray:
-    mat = _commutator(window, diag)
-    assert np.unique(mat.indices).size == mat.nnz, "commutator column with two nonzeros"
-    sq = np.asarray(mat.multiply(mat).sum(axis=1)).ravel()
+    data, indices, indptr = _commutator_csr(window, diag)
+    if indices.size and np.bincount(indices).max() > 1:
+        raise ValueError("commutator column with two nonzeros")
+    sq = np.zeros(indptr.size - 1)  # stored rows summed as scipy sums CSR rows
+    stored = np.flatnonzero(np.diff(indptr))
+    sq[stored] = np.add.reduceat(data * data, indptr[stored])
     return np.sqrt(sq)
 
 
@@ -295,10 +298,6 @@ def jacobi_D0(params: FieldParams, L: int) -> np.ndarray:
     return mat
 
 
-def _mp_Q(params: FieldParams) -> mp.mpf:
-    return mp.power(params.p, mp.mpf(2) / params.e)
-
-
 def _sturm_counter(params: FieldParams, L: int):
     """Exact eigenvalue counts of :func:`jacobi_D0` of order ``L``.
 
@@ -310,7 +309,7 @@ def _sturm_counter(params: FieldParams, L: int):
     """
     dps = max(50, int(L * 2 * mp.log10(params.p) / params.e) + 30)
     with mp.workdps(dps):
-        Q = _mp_Q(params)
+        Q = mp.power(params.p, mp.mpf(2) / params.e)
         diag = [mp.mpf(1)] + [Q ** (l - 1) * (1 + Q) for l in range(1, L)]
         offsq = [Q ** (2 * l) for l in range(L - 1)]  # squared couplings
         upper = max(
@@ -538,11 +537,12 @@ def singular_values_window(window: TreeWindow, a: TestFunction, count: int) -> n
         svals = np.linalg.svd(mat.toarray(), compute_uv=False)
         svals = np.sort(svals)[::-1]
         return svals[: min(count, svals.size)]
+    v0 = 1.0 / (1.0 + np.arange(k_max))  # a fixed start vector
     s = spla.svds(
         mat,
         k=count,
         which="LM",
-        v0=_deterministic_start(min(m, n)),
+        v0=v0 / np.linalg.norm(v0),
         maxiter=10000,
         tol=0,
         return_singular_vectors=False,

@@ -23,8 +23,8 @@ ordinary row.  ``check_norm_comparison`` computes that diagonal once for all
 three.  The library functions depend only on a digit prefix or the
 valuation, so they evaluate a level by integer arithmetic on its rank
 numerals and a small table of floats.  The formula route never touches the
-sparse matrix; the matrix route never uses the formula — their agreement is
-part of the validation surface.
+assembled commutator; the matrix route never uses the formula — their
+agreement is part of the validation surface.
 """
 
 from __future__ import annotations

@@ -5,11 +5,12 @@ The analytic spectrum of the window square consists of the scaled families
 ranges over tail lengths with multiplicity ``count_g(m)``.  The validator
 cross-checks that spectrum against the honestly assembled window matrix:
 
-* the window square is assembled once and multiplied by the Haar columns of
-  each tail length ``m`` (:func:`padiclab.tree.haar_columns`); each copy's
-  block is read off the diagonal blocks of ``V_m^T A V_m``, the
-  invariant-subspace residual measures everything the blocks leave out, and
-  all copies of one ``m`` are solved in one batched ``eigvalsh``;
+* ``D`` is assembled once, as CSR arrays whose row pattern is checked; in
+  the Haar basis of each tail length ``m`` a copy's columns live on
+  consecutive ranks of each level, so every copy's block of ``V_m^T D^*D V_m``
+  and the invariant-subspace residual (everything the blocks leave out) are
+  read off level reshapes of those arrays, with no sparse product and no
+  scipy, and all copies of one ``m`` are solved in one batched ``eigvalsh``;
 * family labels ``(m, n)`` come from the transform, and the multiplicity of
   each ``m`` is the number of copies whose eigenvalues agree with copy 0;
 * block ``m`` of the depth-``N`` window is ``p**(2m/e)`` times the radial
@@ -40,9 +41,9 @@ import mpmath as mp
 import numpy as np
 
 from .field_model import FieldParams, count_g
-from .operators import assemble_DstarD
+from .operators import _symmetrized_D_csr
 from .qspecial import RootTable, find_roots
-from .tree import haar_columns, tree_window_r
+from .tree import TreeWindow, tree_window_r
 
 __all__ = [
     "PoleError",
@@ -113,15 +114,26 @@ def full_spectrum(
     target_tol: float = 1e-10,
     roots: RootTable | None = None,
 ) -> SpectrumTable:
-    """Analytic spectrum with multiplicities ``count_g(m)``."""
+    """Analytic spectrum with multiplicities ``count_g(m)``.
+
+    Raises :class:`ValueError` naming the first ``(m, n)`` whose value is not a
+    finite float, or, before any root is computed, an ``m`` past the float range.
+    """
+    scales = []
+    for m in range(m_max + 1):
+        try:
+            scales.append(params.scale_float(2 * m))
+        except OverflowError:
+            raise ValueError(f"scale p**(2m/e) at m = {m} is not a finite float") from None
     if roots is None or roots.n_max < n_max:
         roots = find_roots(params, n_max, target_tol=target_tol)
     rows = []
-    for m in range(m_max + 1):
-        scale = params.scale_float(2 * m)
+    for m, scale in enumerate(scales):
         mult = count_g(params, m)
         for n in range(n_max + 1):
             lam = float(roots.root(n))
+            if not math.isfinite(scale * lam):
+                raise ValueError(f"spectrum value at (m, n) = ({m}, {n}) is not a finite float")
             rows.append(SpectrumRow(m=m, n=n, lam=lam, value=scale * lam, multiplicity=mult))
     rows.sort(key=lambda r: (r.value, r.m, r.n))
     return SpectrumTable(params=params, rows=tuple(rows))
@@ -187,35 +199,111 @@ class _HaarBlocks:
         return _richardson_confluent(chain, self.params.q)
 
 
-def _haar_blocks(params: FieldParams, depth: int) -> _HaarBlocks:
-    """Assemble the depth-``depth`` window square once and solve its Haar blocks.
+def _tree_levels(window: TreeWindow) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-level diagonals and ``(size, q_res)`` child coefficients of the assembled ``B``.
 
-    For each tail length ``m`` the assembled matrix multiplies the Haar
-    columns ``V_m`` once; each copy's block is read off the diagonal blocks of
-    ``V_m^T A V_m`` and all copies are solved in one batched ``eigvalsh``.
+    Each row's columns must be its own index, then (above the deepest level) its
+    children ``child_start + q_res*r + d``, or :class:`ValueError` names the level.
     """
-    import scipy.sparse as sp
+    q = window.params.q_res
+    data, indices, indptr = _symmetrized_D_csr(window)
+    spans, lo = [], 0
+    for n in window.levels:
+        seg = window.level_slice(n)
+        cols = np.arange(seg.start, seg.stop)[:, None]
+        if n < window.max_level:
+            kids = window.level_slice(n + 1).start + np.arange(cols.size * q)
+            cols = np.hstack([cols, kids.reshape(-1, q)])
+        size, width = cols.shape
+        ptr = lo + width * np.arange(size + 1)
+        if not (np.array_equal(indptr[seg.start : seg.stop + 1], ptr)
+                and np.array_equal(indices[lo : lo + cols.size], cols.ravel())):
+            raise ValueError(f"assembled D breaks the tree's row pattern at level {n}")
+        spans.append(data[lo : lo + cols.size].reshape(size, width))
+        lo += cols.size
+    return [r[:, 0].copy() for r in spans], [r[:, 1:] for r in spans[:-1]]
 
-    window = tree_window_r(params, depth)
-    mat = assemble_DstarD(window)
+
+def _copy_blocks(window: TreeWindow):
+    """Yield ``(blocks, residual)`` of ``A = B^T B`` for ``m = 0, 1, ...``.
+
+    Column ``l`` of copy ``(r, k)`` is ``W[k, d] q_res**(-l/2)`` on the level
+    ``j = m + l`` descendants of child ``d`` of the level-``m-1`` vertex ``r``
+    (``W`` the Helmert rows; ``m = 0``: the constant of each level), so level
+    ``j`` reshapes to ``(r, d, s)``.  For ``l >= 1``, ``Y = B v`` and
+    ``A v = B^T Y`` are ``W[k, d]`` times per-vertex arrays of ``B`` on levels
+    ``j - 1 .. j + 1``; at ``l = 0`` the parent row ``sum_d child[r, d] W[k, d]``
+    enters per copy.  Blocks are sums over ``(d, s)``; ``residual`` is
+    ``||A V - V blockdiag||_F / ||A V||_F``, every entry formed explicitly.
+    """
+    q = window.params.q_res
+    diag, child = _tree_levels(window)
+    span = len(diag) - 1
+    sums = [c.sum(axis=1) for c in child]
+    own = [d * d for d in diag]  # Y.Y, and A v on level j without the parent term
+    image = own[:1] + [own[j] + child[j - 1].ravel() * np.repeat(sums[j - 1], q)
+                       for j in range(1, span + 1)]
+    upper = [diag[j] * sums[j] for j in range(span)]  # Y_l.Y_(l+1), and A v one level up
+    lower = [(child[j] * diag[j][:, None]).ravel() for j in range(span)]  # A v one level down
+    helmert = np.array([[1.0 / np.sqrt(k * (k + 1))] * k + [-k / np.sqrt(k * (k + 1))]
+                        + [0.0] * (q - 1 - k) for k in range(1, q)]).reshape(q - 1, q)
+    root_q = np.sqrt(q)
+    buf = np.empty(diag[-1].size)  # the largest level: scratch for the residual entries
+
+    for m in range(span + 1):
+        R, D, w = (1, 1, np.ones((1, 1))) if m == 0 else (q ** (m - 1), q, helmert)
+        w2 = w * w
+        L = span + 1 - m
+
+        def pair(x: np.ndarray) -> np.ndarray:  # sum_d W[k, d]**2 sum_s x[r, d, s], per copy
+            return (x.reshape(R, 1, D, -1).sum(axis=-1) * w2).sum(axis=-1)
+
+        def entries(x: np.ndarray, b: np.ndarray) -> np.ndarray:  # |A v|^2, |A v - V b|^2
+            x = x.reshape(R, D, -1)
+            out = buf[: x.size].reshape(x.shape)
+            total = np.zeros(2)
+            total[0] = np.multiply(np.square(x, out=out), w2.sum(0)[:, None], out=out).sum()
+            for k in range(len(w)):
+                np.square(np.subtract(x, b[:, k, None, None], out=out), out=out)
+                total[1] += np.multiply(out, w2[k, :, None], out=out).sum()
+            return total
+
+        blocks = np.zeros((R, len(w), L, L))
+        sq = np.zeros(2)  # squared Frobenius norms of A V and of A V - V blockdiag
+        for l in range(L):
+            j, h2 = m + l, 1.0 / q**l
+            if l or not m:
+                blocks[:, :, l, l] = h2 * (pair(own[j]) + (pair(sums[j - 1] ** 2) if l else 0.0))
+                sq += h2 * entries(image[j], blocks[:, :, l, l])
+            else:  # the parent row r of level m - 1 couples the digits d
+                top = (child[m - 1].reshape(R, 1, D) * w).sum(axis=-1)
+                blocks[:, :, 0, 0] = pair(own[m]) + top**2
+                img = own[m].reshape(R, 1, D) * w + child[m - 1].reshape(R, 1, D) * top[..., None]
+                res = img - w * blocks[:, :, :1, 0]
+                parent = float(np.sum((diag[m - 1][:, None] * top) ** 2))  # outside the span
+                sq += [float(np.sum(img * img)) + parent, float(np.sum(res * res)) + parent]
+            if l:
+                sq += h2 * entries(upper[j - 1], root_q * blocks[:, :, l - 1, l])
+            if l + 1 < L:
+                off = h2 / root_q * pair(upper[j])
+                blocks[:, :, l, l + 1] = blocks[:, :, l + 1, l] = off
+                sq += h2 * entries(lower[j], off / root_q)
+        yield blocks.reshape(-1, L, L), float(np.sqrt(sq[1] / sq[0]))
+
+
+def _haar_blocks(params: FieldParams, depth: int) -> _HaarBlocks:
+    """Solve the depth-``depth`` window square block by block in its Haar basis.
+
+    Blocks and residuals come from :func:`_copy_blocks` (no sparse product, no
+    scipy); all copies of one ``m`` are solved in one batched ``eigvalsh``.
+    """
     spectra: list[np.ndarray] = []
     residual = scaling_dev = 0.0
-    for m in range(depth + 1):
-        cols = haar_columns(window, m)
-        L = depth + 1 - m
-        copies = cols.shape[1] // L
-        image = mat @ cols
-        prod = (cols.T @ image).tocoo()
-        own = prod.row // L == prod.col // L
-        blocks = np.zeros((copies, L, L))
-        blocks[prod.row[own] // L, prod.row[own] % L, prod.col[own] % L] = prod.data[own]
-        blockdiag = sp.bsr_matrix(
-            (blocks, np.arange(copies), np.arange(copies + 1)), shape=(copies * L, copies * L)
-        )
-        off = image - cols @ blockdiag
-        residual = max(residual, float(np.linalg.norm(off.data) / np.linalg.norm(image.data)))
+    for m, (blocks, res) in enumerate(_copy_blocks(tree_window_r(params, depth))):
+        residual = max(residual, res)
         if m == 0:
             radial = blocks[0]
+        L = blocks.shape[1]
         base = radial[:L, :L]
         grade = np.sqrt(np.outer(np.diag(base), np.diag(base)))
         dev = np.abs(blocks / params.scale_float(2 * m) - base) / grade
@@ -271,8 +359,8 @@ def validate_spectrum(
 ) -> ValidationReport:
     """Cross-validate window eigenvalues against the analytic spectrum.
 
-    Assembles the depth-``N`` window square once and solves it block by
-    block in the tree's Haar basis (see :func:`padiclab.tree.haar_columns`).
+    Assembles ``D`` on the depth-``N`` window once and solves its square block
+    by block in the tree's Haar basis (see :func:`_copy_blocks`).
     Each low family ``(m, n)`` is labelled by its block; the window boundary
     error is removed by ratio-``q`` extrapolation of root ``n`` over the
     depths ``N - m`` that the blocks ``m`` stand for; the ``k`` smallest

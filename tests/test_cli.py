@@ -225,6 +225,23 @@ class TestConfigErrors:
         assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "m_max,message",
+        [
+            ("510", "spectrum value at (m, n) = (507, 5) is not a finite float"),
+            ("512", "scale p**(2m/e) at m = 512 is not a finite float"),
+            ("100000", "scale p**(2m/e) at m = 512 is not a finite float"),
+        ],
+    )
+    def test_spectrum_beyond_float_range_refused(self, m_max, message, fmt, capsys):
+        """``p**(2m/e) * lambda_n`` overflows on (2,1,1) from m = 507 at n = 5, and
+        the scale itself from m = 512: one line, exit 1, no output in either format."""
+        assert main(["spectrum", *P211_ARGS, "--m-max", m_max, "--format", fmt]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_zeta_beyond_float_range_refused(self, fmt, capsys):
         """``lambda_0**-s`` overflows at s = 2000 on (2,1,1): one line, exit 1,
         and no output in either format."""
@@ -290,7 +307,7 @@ class TestDeterminism:
 
 
 class TestImportBoundary:
-    """scipy is loaded by window assembly only, never by the root commands."""
+    """No CLI command loads scipy: it is left to the sparse-matrix API functions."""
 
     CODE = (
         "import json, sys\n"
@@ -317,12 +334,10 @@ class TestImportBoundary:
     def test_root_commands_load_no_scipy(self, tmp_path, argv):
         assert self._scipy_modules(tmp_path, argv) == []
 
-    def test_validate_loads_only_scipy_sparse(self, tmp_path):
+    def test_validate_loads_no_scipy(self, tmp_path):
+        """The Haar blocks and commutator norms are read off numpy arrays."""
         argv = ["validate", *P211_ARGS, "--depth", "8", "--seminorm-depth", "3"]
-        modules = self._scipy_modules(tmp_path, argv)
-        assert "scipy.sparse" in modules
-        assert "scipy.sparse.linalg" not in modules
-        assert "scipy.linalg" not in modules
+        assert self._scipy_modules(tmp_path, argv) == []
 
 
 class TestTracer:

@@ -28,7 +28,10 @@ from padiclab import (
     tree_window_r,
 )
 from padiclab import TestFunction as PointFunction  # aliased so pytest does not collect it
+from padiclab import operators
 from padiclab import testfn_library as function_library
+from padiclab.operators import _commutator_csr, _symmetrized_D_csr
+from sparse_oracles import commutator_coo, sparse_row_norms, symmetrized_D_coo
 
 P211 = FieldParams(2, 1, 1)
 P311 = FieldParams(3, 1, 1)
@@ -100,6 +103,19 @@ class TestSymmetrizedD:
             expected = root[:, None] * _forward_difference(w) / root[None, :]
             got = assemble_symmetrized_D(w).toarray()
             assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+    @pytest.mark.parametrize("params", [*ALL_PARAMS, P511, P321])
+    def test_csr_arrays_match_coo_reference(self, params):
+        """The level-by-level CSR arrays, and the matrix wrapping them, equal
+        the COO construction array for array, dtypes included."""
+        for w in [tree_window_r(params, 2), tree_window_r(params, 4), tree_window_f(params, 1, 2)]:
+            ref = symmetrized_D_coo(w)
+            ref_arrays = (ref.data, ref.indices, ref.indptr)
+            wrapped = assemble_symmetrized_D(w)
+            for got in (_symmetrized_D_csr(w), (wrapped.data, wrapped.indices, wrapped.indptr)):
+                for a, b in zip(got, ref_arrays):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), w
 
 
 class TestAdjoint:
@@ -230,6 +246,48 @@ class TestCommutator:
         np.testing.assert_allclose(
             commutator_row_norms(w, a), np.linalg.norm(mat, axis=1), rtol=1e-15
         )
+
+    @pytest.mark.parametrize("params", [*ALL_PARAMS, P511, P321])
+    def test_csr_arrays_match_coo_reference(self, params):
+        """Every library function, unit-ball and ``M = 1`` windows: the CSR
+        arrays and the wrapped matrix equal the COO construction after
+        ``eliminate_zeros``, array for array, dtypes included."""
+        for w in [tree_window_r(params, 4), tree_window_f(params, 1, 3)]:
+            for fn in function_library(params):
+                ref = commutator_coo(w, fn)
+                ref_arrays = (ref.data, ref.indices, ref.indptr)
+                wrapped = assemble_commutator(w, fn)
+                assert wrapped.shape == ref.shape
+                for got in (_commutator_csr(w, rho_diag(w, fn)),
+                            (wrapped.data, wrapped.indices, wrapped.indptr)):
+                    for a, b in zip(got, ref_arrays):
+                        assert a.dtype == b.dtype and np.array_equal(a, b), (w, fn.name)
+
+    @pytest.mark.parametrize("params", [P211, P212, FieldParams(7, 1, 1), FieldParams(2, 1, 3),
+                                        FieldParams(3, 1, 2)])
+    def test_row_norms_match_sparse_route(self, params):
+        """``q_res`` 2, 4, 7, 8 and 9: the row norms read off the arrays against
+        scipy's row sums of the squared matrix, on every library function."""
+        for w in [tree_window_r(params, 3), tree_window_f(params, 1, 3)]:
+            for fn in function_library(params):
+                np.testing.assert_allclose(
+                    commutator_row_norms(w, fn), sparse_row_norms(w, fn), rtol=1e-15, atol=0.0,
+                    err_msg=fn.name,
+                )
+
+    def test_duplicated_column_refused(self, monkeypatch):
+        """The disjoint-support certificate is checked on the index array."""
+
+        def duplicated(window, diag):
+            data, indices, indptr = _commutator_csr(window, diag)
+            indices = indices.copy()
+            indices[1] = indices[0]
+            return data, indices, indptr
+
+        monkeypatch.setattr(operators, "_commutator_csr", duplicated)
+        w = tree_window_r(P311, 4)
+        with pytest.raises(ValueError, match="^commutator column with two nonzeros$"):
+            commutator_norm(w, _lib(P311)["abs"])
 
     def test_frozen_abs_norm(self):
         w = tree_window_r(P211, 8)

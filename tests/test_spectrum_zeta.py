@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from padiclab import (
     CutoffError,
     assemble_DstarD,
     count_g,
     FieldParams,
-    haar_columns,
+    jacobi_D0,
     PoleError,
     factor_poles,
     factor_zeros,
@@ -22,11 +23,15 @@ from padiclab import (
     zeta_factor,
 )
 from padiclab import spectrum_zeta, tree_window_r
+from padiclab.operators import _symmetrized_D_csr
+from sparse_oracles import sparse_haar_blocks
 
 P211 = FieldParams(2, 1, 1)
 P311 = FieldParams(3, 1, 1)
 P221 = FieldParams(2, 2, 1)
 P212 = FieldParams(2, 1, 2)
+P511 = FieldParams(5, 1, 1)
+P321 = FieldParams(3, 2, 1)
 
 
 class TestFullSpectrum:
@@ -57,6 +62,14 @@ class TestFullSpectrum:
         assert np.all(np.diff(vals) >= 0)
         # The m=2 value appears twice in a row.
         assert vals[3] == vals[4]
+
+    def test_scale_overflow_refused_before_roots(self, monkeypatch):
+        def no_roots(*args, **kwargs):
+            raise AssertionError("roots computed")
+
+        monkeypatch.setattr(spectrum_zeta, "find_roots", no_roots)
+        with pytest.raises(ValueError, match=r"^scale p\*\*\(2m/e\) at m = 512 is not"):
+            full_spectrum(P211, 100000, 5)
 
     def test_frozen_lowest_eight(self):
         lam1, lam2, lam3 = 0.6931022916506043, 3.97368639844734, 15.999878007590887
@@ -105,22 +118,38 @@ class TestValidateSpectrum:
         assert rep.max_rel_error > 1e-6
 
     def test_injected_coupling_breaks_block_identity(self, monkeypatch):
-        """Negative control: a symmetric coupling of 1e-6 (relative to the
-        diagonal it meets) between two Haar copies, added to the assembled
-        matrix, must fail the block-structure gate."""
+        """Negative control: one level-``N-1`` child coefficient of the assembled
+        ``D``, perturbed by 1e-5 relative, must fail the block-structure gates
+        (the copies below it no longer share their block) but not the
+        eigenvalue match."""
 
-        def coupled(window):
-            mat = assemble_DstarD(window)
-            cols = haar_columns(window, 2)  # two copies of L = N - 1 columns
-            L = window.max_level - 1
-            x, y = cols[:, L - 1], cols[:, 2 * L - 1]  # both copies at level N
-            strength = 1e-6 * (x.T @ mat @ x).toarray().item()
-            return (mat + strength * (x @ y.T + y @ x.T)).tocsr()
+        def perturbed(window):
+            data, indices, indptr = _symmetrized_D_csr(window)
+            row = window.level_slice(window.max_level - 1).start
+            data = data.copy()
+            data[indptr[row] + 2] *= 1.0 + 1e-5  # the digit-1 child of that row
+            return data, indices, indptr
 
-        monkeypatch.setattr(spectrum_zeta, "assemble_DstarD", coupled)
+        monkeypatch.setattr(spectrum_zeta, "_symmetrized_D_csr", perturbed)
         rep = validate_spectrum(P211, 8, with_drift=False)
-        assert rep.failures() == ["block-scaling-identity"]
-        assert rep.scaling_max_dev > 1e-7
+        assert rep.failures() == ["multiplicity-pattern", "block-scaling-identity"]
+        assert rep.scaling_max_dev > 1e-6
+
+    @pytest.mark.parametrize("level", [0, 3, 8])
+    def test_moved_column_refused(self, monkeypatch, level):
+        """A child (or, on the deepest level, the diagonal) stored one column
+        off is refused before any block is read, naming its level."""
+
+        def moved(window):
+            data, indices, indptr = _symmetrized_D_csr(window)
+            indices = indices.copy()
+            indices[indptr[window.level_slice(level).start + 1] - 1] += 1
+            return data, indices, indptr
+
+        monkeypatch.setattr(spectrum_zeta, "_symmetrized_D_csr", moved)
+        message = f"assembled D breaks the tree's row pattern at level {level}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            validate_spectrum(P211, 8, with_drift=False)
 
 
 # Every window the suite assembles through ``validate_spectrum``.
@@ -153,6 +182,52 @@ class TestHaarBlocks:
         blocks = spectrum_zeta._haar_blocks(params, N)
         assert blocks.residual <= 1e-13
         assert blocks.scaling_dev <= 1e-13
+
+    @pytest.mark.parametrize("params,N", [*SUITE_WINDOWS, (P212, 9)])
+    def test_structure_figure_at_rounding_level(self, params, N):
+        """The figure the block-scaling gate reads stays at rounding level as
+        windows grow: sums over contiguous subtree axes, not long sparse products."""
+        blocks = spectrum_zeta._haar_blocks(params, N)
+        assert max(blocks.residual, blocks.scaling_dev) <= 1e-14
+
+    @pytest.mark.parametrize("params", [P211, P311, P221, P212, P511, P321])
+    @pytest.mark.parametrize("N", range(4, 9))
+    def test_blocks_match_sparse_reader(self, params, N):
+        """Level blocks and their spectra against ``V^T (B^T B) V`` from scipy
+        products, 1e-13 relative, or the sparse reader's own deviation from the
+        closed-form Jacobi blocks where that is larger (it sums the
+        ``q_res**(l+1)`` terms of an entry in sequence)."""
+        window = tree_window_r(params, N)
+        reference, _, _ = sparse_haar_blocks(params, N)
+        for m, (blocks, _) in enumerate(spectrum_zeta._copy_blocks(window)):
+            ref = reference[m]
+            exact = params.scale_float(2 * m) * jacobi_D0(params, N + 1 - m)
+            tol = max(1e-13, 2 * np.abs(ref - exact).max() / np.abs(exact).max())
+            assert blocks.shape == ref.shape
+            assert np.abs(blocks - ref).max() <= tol * np.abs(ref).max(), m
+            got, want = np.linalg.eigvalsh(blocks), np.linalg.eigvalsh(ref)
+            assert np.max(np.abs(got - want) / want) <= tol, m
+            assert np.abs(blocks - exact).max() <= 1e-15 * np.abs(exact).max() * (N + 1)
+
+    @pytest.mark.parametrize("params", [P211, P311, P212, P321])
+    def test_perturbed_operator_matches_sparse_reader(self, params, monkeypatch):
+        """Every stored coefficient of ``B`` perturbed by about 1e-3: blocks and
+        per-``m`` residuals of the level reads against the sparse products of
+        the same ``B``.  No term of the residual vanishes here, so each one the
+        level reads form (the parent row, the levels above and below) counts."""
+        N = 5
+        window = tree_window_r(params, N)
+        data, indices, indptr = _symmetrized_D_csr(window)
+        rng = np.random.default_rng(N)
+        arrays = (data * (1.0 + 1e-3 * rng.standard_normal(data.size)), indices, indptr)
+        monkeypatch.setattr(spectrum_zeta, "_symmetrized_D_csr", lambda w: arrays)
+        ref_blocks, ref_residuals, _ = sparse_haar_blocks(
+            params, N, sp.csr_matrix(arrays, shape=(window.total, window.total))
+        )
+        for m, (blocks, residual) in enumerate(spectrum_zeta._copy_blocks(window)):
+            ref = ref_blocks[m]
+            assert np.abs(blocks - ref).max() <= 1e-13 * np.abs(ref).max(), m
+            assert 1e-5 < residual == pytest.approx(ref_residuals[m], rel=1e-9), m
 
 
 class TestSchatten:

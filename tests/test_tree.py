@@ -1,60 +1,24 @@
-"""Ball-tree windows: level layout, vertex centers and Haar columns."""
+"""Ball-tree windows: level layout, vertex centers, and the Haar-column oracle."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from padiclab import (
     FieldParams,
     TreeWindow,
     assemble_DstarD,
     count_g,
-    haar_columns,
     jacobi_D0,
     tree_window_f,
     tree_window_r,
 )
+from sparse_oracles import haar_columns, haar_columns_coo
 
 P211 = FieldParams(2, 1, 1)
 P311 = FieldParams(3, 1, 1)
 P221 = FieldParams(2, 2, 1)
 P212 = FieldParams(2, 1, 2)
 ALL_PARAMS = [P211, P311, P221, P212]
-
-
-def _haar_columns_coo(window, m):
-    """Reference: the Haar columns assembled as COO triplets, then converted."""
-    q = window.params.q_res
-    L = window.max_level - window.min_level + 1 - m
-    w = np.zeros((q, q))
-    w[0] = 1.0 / np.sqrt(q)
-    for k in range(1, q):
-        norm = np.sqrt(k * (k + 1))
-        w[k, :k] = 1.0 / norm
-        w[k, k] = -k / norm
-    rows, cols, data = [], [], []
-    for l in range(L):
-        seg = window.level_slice(window.min_level + m + l)
-        ranks = np.arange(seg.stop - seg.start, dtype=np.int64)
-        scale = 1.0 / np.sqrt(float(q) ** l)
-        if m == 0:
-            rows.append(seg.start + ranks)
-            cols.append(np.full(ranks.size, l))
-            data.append(np.full(ranks.size, scale))
-            continue
-        head, digit = np.divmod(ranks // q**l, q)
-        for k in range(1, q):
-            vals = w[k, digit]
-            keep = vals != 0.0
-            rows.append(seg.start + ranks[keep])
-            cols.append((head[keep] * (q - 1) + k - 1) * L + l)
-            data.append(vals[keep] * scale)
-    copies = 1 if m == 0 else q ** (m - 1) * (q - 1)
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(window.total, copies * L),
-    )
-    return mat.tocsr()
 
 
 class TestWindowShape:
@@ -203,7 +167,7 @@ class TestHaarColumns:
         windows = [tree_window_r(params, 2), tree_window_r(params, 3), tree_window_f(params, 1, 2)]
         for w in windows:
             for m in range(w.max_level - w.min_level + 1):
-                got, ref = haar_columns(w, m), _haar_columns_coo(w, m)
+                got, ref = haar_columns(w, m), haar_columns_coo(w, m)
                 assert got.shape == ref.shape
                 for name in ("indptr", "indices", "data"):
                     a, b = getattr(got, name), getattr(ref, name)
