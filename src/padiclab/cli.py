@@ -45,7 +45,7 @@ from . import __version__
 from .field_model import FieldParams
 from .operators import hs_double_sum, hs_norm_Dg_inverse, hs_total_partial
 from .qspecial import BracketError, SeriesError
-from .seminorms import check_norm_comparison, testfn_library
+from .seminorms import MATCH_TOL, check_norm_comparison, testfn_library
 from .spectrum_zeta import (
     CutoffError,
     PoleError,
@@ -126,7 +126,6 @@ def _build_parser() -> _Parser:
     va.add_argument("--tol", type=_POSITIVE, default=1e-6)
     va.add_argument("--seminorm-depth", type=_POSITIVE_INT, default=8)
     va.add_argument("--no-drift", action="store_true", help="skip N+2 drift figures")
-    va.add_argument("--inject-error", type=float, default=None, help=argparse.SUPPRESS)
 
     ze = sub.add_parser("zeta", help="zeta values on a real s-grid")
     add_common(ze)
@@ -232,12 +231,7 @@ def _validate_rows(args: argparse.Namespace, params: FieldParams) -> tuple[list[
     ok = True
 
     report = validate_spectrum(
-        params,
-        N=args.depth,
-        k=args.k,
-        tol=args.tol,
-        with_drift=not args.no_drift,
-        inject_rel_error=args.inject_error,
+        params, N=args.depth, k=args.k, tol=args.tol, with_drift=not args.no_drift
     )
     for check in report.checks:
         rows.append(
@@ -343,7 +337,7 @@ def _cmd_validate(args: argparse.Namespace, params: FieldParams) -> int:
         "validate",
         rows,
         ["name", "passed", "measured", "tolerance", "detail"],
-        {"eigenvalue_rel": args.tol, "hs_closed": 1e-12, "seminorm_match": 1e-8},
+        {"eigenvalue_rel": args.tol, "hs_closed": 1e-12, "seminorm_match": MATCH_TOL},
     )
     if not ok:
         print("validation failed:", file=sys.stderr)
@@ -366,7 +360,7 @@ def _cmd_zeta(args: argparse.Namespace, params: FieldParams) -> int:
     for i in range(count):
         s = args.s_min + i * args.s_step
         try:
-            z = zeta_DR(params, s, n_roots=args.n_roots, method="factor")
+            z = zeta_DR(params, s, n_roots=args.n_roots)
             results.append(
                 {
                     "re_s": float(s),

@@ -85,15 +85,13 @@ class TestFunction:
             ``width + 1``) leaves every value unchanged.
         known_lipschitz: Exact Lipschitz seminorm when known analytically.
         decay_alpha: Decay exponent ``alpha`` for functions intended on
-            enlarged windows, certifying ``|a(x)| <= C/(1 + |x|**alpha)``.
-        decay_constant: The constant ``C`` in that certificate.
+            enlarged windows, certifying ``|a(x)| <= C/(1 + |x|**alpha)`` for some ``C``.
     """
 
     name: str
     evaluator: Callable[[int, int, np.ndarray], np.ndarray]
     known_lipschitz: float | None = None
     decay_alpha: float | None = None
-    decay_constant: float = 1.0
 
     def __call__(self, point: Center) -> float:
         """Value at one :class:`Center`."""
@@ -385,16 +383,16 @@ def hs_norm_Dg_inverse(params: FieldParams, m: int) -> float:
     return params.scale_float(-2 * m) / (1.0 - x) ** 2
 
 
-def hs_double_sum(params: FieldParams, m: int, tol: float = 1e-16) -> float:
+def hs_double_sum(params: FieldParams, m: int) -> float:
     """Direct double-sum oracle for :func:`hs_norm_Dg_inverse`.
 
     Sums ``(1/|g|**2) * sum_(l>=0) sum_(j>=l) p**(-2j/e)`` with an explicit
-    truncation chosen so the geometric tail is below ``tol`` relatively.
+    truncation chosen so the geometric tail is below 1e-16 relatively.
     """
     x = params.scale_float(-2)
     # Tail after J terms is bounded by x**J * (J+1)/(1-x)**2; pick J generously.
     J = 8
-    while x**J * (J + 1) > tol * (1.0 - x) ** 2:
+    while x**J * (J + 1) > 1e-16 * (1.0 - x) ** 2:
         J += 4
     total = 0.0
     for l in range(J + 1):

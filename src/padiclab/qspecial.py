@@ -610,8 +610,8 @@ def eigvec_series_c(params: FieldParams, lam, k_max: int) -> list:
     return coeffs
 
 
-def eigvec_from_series(params: FieldParams, lam, l: int, k_max: int = 60):
-    """Eigenvector value at depth ``l >= 1`` from the ``c(2k)`` series.
+def eigvec_from_series(params: FieldParams, lam, l: int):
+    """Eigenvector value at depth ``l >= 1`` from the first 60 ``c(2k)`` terms.
 
     Evaluated at elevated working precision so comparisons at relative
     1e-8 against the recurrence route are not limited by this evaluation.
@@ -621,5 +621,5 @@ def eigvec_from_series(params: FieldParams, lam, l: int, k_max: int = 60):
     with mp.workdps(max(mp.mp.dps, 120)):
         Q = mp.power(params.p, mp.mpf(2) / params.e)
         qv = 1 / Q
-        coeffs = eigvec_series_c(params, lam, k_max)
-        return mp.fsum(c * qv ** (l * k) for k, c in zip(range(1, k_max + 1), coeffs))
+        coeffs = eigvec_series_c(params, lam, 60)
+        return mp.fsum(c * qv ** (l * k) for k, c in enumerate(coeffs, start=1))

@@ -193,10 +193,12 @@ class SeminormReport:
         return self.sandwich_passed and self.formula_matches_matrix
 
 
-def check_norm_comparison(
-    window: TreeWindow, a: TestFunction, match_tol: float = 1e-8
-) -> SeminormReport:
-    """Evaluate the seminorm sandwich and the formula-vs-matrix equality.
+# Relative tolerance of the formula-vs-matrix equality (``max(1, cn)`` scale).
+MATCH_TOL = 1e-8
+
+
+def check_norm_comparison(window: TreeWindow, a: TestFunction) -> SeminormReport:
+    """Evaluate the seminorm sandwich and the formula-vs-matrix equality (``MATCH_TOL``).
 
     A failed flag is a hard failure for callers (validation suite and
     acceptance tests assert on it), not a warning.  The three quantities
@@ -209,7 +211,7 @@ def check_norm_comparison(
     lower, upper = comparison_constants(window.params)
     slack = 1e-12 * max(1.0, l1)
     sandwich = (lower * l1 - slack <= ld) and (ld <= upper * l1 + slack)
-    matches = abs(ld - cn) <= match_tol * max(1.0, cn)
+    matches = abs(ld - cn) <= MATCH_TOL * max(1.0, cn)
     return SeminormReport(
         function_id=a.name,
         depth=window.max_level,
@@ -301,7 +303,7 @@ def _make_decay(params: FieldParams, alpha: float, name: str) -> TestFunction:
         norms = _distance_table(params, start, length)
         return np.array([1.0 / (1.0 + r**alpha) for r in norms])[agree]
 
-    return TestFunction(name=name, evaluator=ev, decay_alpha=alpha, decay_constant=1.0)
+    return TestFunction(name=name, evaluator=ev, decay_alpha=alpha)
 
 
 def testfn_library(params: FieldParams) -> list[TestFunction]:

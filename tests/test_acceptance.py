@@ -153,7 +153,7 @@ def test_criterion_4_seminorm_sandwich():
         assert upper == pytest.approx(math.sqrt((pf - 1.0) / pf), rel=1e-14)
         window = tree_window_r(params, 8)
         for fn in function_library(params):
-            rep = check_norm_comparison(window, fn, match_tol=1e-8)
+            rep = check_norm_comparison(window, fn)
             checked += 1
             if not rep.passed:
                 failures.append(
@@ -208,8 +208,9 @@ def test_criterion_6_zeta_consistency():
         half_ef = params.e * params.f / 2.0
         for ds in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0):
             s = half_ef + ds
-            direct = zeta_DR(params, s, method="direct").value
-            factored = zeta_factor(params, s) * zeta_D0(params, s).value
+            base = zeta_D0(params, s).value
+            direct = schatten_m_factor(params, s, m_max=200) * base
+            factored = zeta_DR(params, s).value
             rel = abs(direct - factored) / abs(factored)
             worst_route = max(worst_route, rel)
             if rel > 1e-12:
@@ -218,7 +219,7 @@ def test_criterion_6_zeta_consistency():
         with pytest.raises(PoleError):
             zeta_factor(params, half_ef)
         with pytest.raises(PoleError):
-            zeta_DR(params, half_ef, method="direct")
+            zeta_DR(params, half_ef)
         # Multiplicity factor: finite just above ef/2, divergent at and below.
         assert schatten_m_factor(params, half_ef + 0.25) > 0
         for s in (half_ef, half_ef - 0.25):

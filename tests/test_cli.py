@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padiclab.cli import (
     EXIT_CONFIG,
@@ -71,12 +75,11 @@ class TestValidateCommand:
         assert any(n.startswith("seminorm:") for n in names)
         assert all(r["passed"] for r in doc["results"] if r["passed"] is not None)
 
-    def test_injected_error_exits_3(self, tmp_path):
+    def test_injected_error_exits_3(self, tmp_path, analytic_error):
         rc, out = _run(
             tmp_path,
             "bad.json",
-            ["validate", *P211_ARGS, "--depth", "8", "--no-drift",
-             "--inject-error", "1e-4"],
+            ["validate", *P211_ARGS, "--depth", "8", "--no-drift"],
         )
         assert rc == EXIT_VALIDATION
         doc = json.loads(out.read_text())
@@ -216,6 +219,8 @@ class TestConfigErrors:
              "drift window of depth 21 has 4194303 vertices, over the limit of 2000000"),
             (["validate", *P211_ARGS, "--no-drift", "--seminorm-depth", "21"],
              "seminorm window of depth 21 has 4194303 vertices, over the limit of 2000000"),
+            (["validate", *P211_ARGS, "--inject-error", "1e-4"],
+             "unrecognized arguments: --inject-error 1e-4"),
         ],
     )
     def test_bad_values_rejected_at_parse_time(self, argv, message, capsys):
@@ -253,6 +258,20 @@ class TestConfigErrors:
         assert captured.err.startswith("error: zeta at s = (2000+0j) leaves the float range")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("s", ["1e-17", "1e-300", "5e-324", "1e10"])
+    def test_zeta_tail_bound_beyond_float_range_refused(self, s, fmt, capsys):
+        """At a tiny ``s``, ``q**s`` rounds to 1 and the tail bound divides by
+        zero; at a huge one, ``kappa**-s`` overflows: one line, exit 1, no output."""
+        argv = ["zeta", *P211_ARGS, "--s-min", s, "--s-max", s, "--n-roots", "3",
+                "--format", fmt]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"error: zeta at s = {complex(float(s))} leaves the float range"
+        assert captured.err.startswith(message)
+        assert len(captured.err.splitlines()) == 1
+
 
     @pytest.mark.parametrize("n_roots", ["0", "-2"])
     def test_zeta_without_roots_refused(self, n_roots, capsys):
@@ -270,6 +289,37 @@ class TestConfigErrors:
             "numerical failure: roots up to 300 need a Jacobi truncation of order 604, "
             "over the limit of 498 (params p=2, e=1, f=1)\n"
         )
+
+
+def _exit_and_stderr(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+class TestExitContract:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 5, 7]),
+        e=st.integers(1, 8),
+        f=st.integers(1, 2),
+        n=st.integers(0, 3),
+        s=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    @example(p=2, e=1, f=1, n=3, s=1e-300)
+    def test_every_run_exits_with_a_documented_code(self, p, e, f, n, s):
+        """``spectrum`` and a one-point ``zeta`` over the CLI's parameter grid
+        exit 0, 1 or 2, and a nonzero exit writes exactly one stderr line."""
+        field = ["--p", str(p), "--e", str(e), "--f", str(f)]
+        for argv in (
+            ["spectrum", *field, "--m-max", "2", "--n-max", str(n)],
+            ["zeta", *field, "--n-roots", str(n + 1), "--s-min", repr(s), "--s-max", repr(s)],
+        ):
+            rc, err = _exit_and_stderr(argv)
+            assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), (argv, rc, err)
+            if rc != EXIT_OK:
+                assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
 
 
 class TestOutputRouting:
