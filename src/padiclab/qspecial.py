@@ -12,10 +12,10 @@ grow like ``q**(-n)`` and satisfy the two-sided bracket
 
 with ``lambda_0`` in ``(0, 1)``.
 
-Series evaluation.  A :class:`_QSeries` holds the coefficients of ``F`` at
-one base and one working precision, extended lazily, and sums ``F`` and
-``F'`` from them; :func:`phi11` and :func:`phi11_derivative` are thin calls
-into it.
+Series evaluation.  A :class:`_QSeries` holds the ratios
+``r_k = a_k / a_(k-1)`` of consecutive coefficients of ``F`` at one base and
+one working precision, extended lazily, and sums ``F`` and ``F'`` from them;
+:func:`phi11` and :func:`phi11_derivative` are thin calls into it.
 
 Root search.  :func:`find_roots` seeds every root from one float
 ``eigvalsh`` of the truncated Jacobi matrix :func:`operators.jacobi_D0`,
@@ -25,9 +25,10 @@ float Sturm count of that truncation and its working precision from a float
 estimate of the largest series term at the seed: near ``lambda_n`` the terms
 peak at about ``Q**(n(n+1)/2)`` (``Q = 1/q``), more as ``q -> 1``, and the
 residual gate ``|F(lambda_n)| < target_tol`` is absolute, so it needs that
-many digits beyond the target's own.  One coefficient table per call, at the
+many digits beyond the target's own.  One ratio table per call, at the
 largest precision needed, serves every root and every level of a
-precision-doubling Newton lift, each through a rounded, truncated copy.
+precision-doubling Newton lift, each through a truncated copy whose ratio
+mantissas are shifted down to its width.
 Newton converges at the lowest level from the float seed, takes one step on
 each doubled level, and converges again at full precision, where the point
 it evaluated last is the root and its ``|F|`` the residual.  The root must
@@ -35,8 +36,11 @@ pass the residual gate and show certified opposite signs of ``F`` across
 ``lambda_n (1 -+ 10**-(dps-15))``.  Locating a root needs only relative
 accuracy, which ``d`` digits give whatever ``n`` is: at relative distance
 ``eps`` from the root ``|F|`` is about ``eps`` times the largest term, and
-the rounding error of a ``d``-digit sum about ``10**-d`` times it.  The
-series runs in mpmath.
+the rounding error of a ``d``-digit sum about ``10**-d`` times it.  A pass
+runs in Python integers: each term is the last times ``r_k z``, held in
+absolute fixed point with 32 guard bits below the working precision, and
+the sums and the tail rule are integer additions and comparisons; only the
+returned values are mpmath numbers.
 
 Also provided: the forward recurrence for the tridiagonal eigenvector at a
 given eigenvalue (a shooting diagnostic: at a true eigenvalue the decaying
@@ -53,9 +57,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (
-    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_pos,
-)
+from mpmath.libmp import from_man_exp, fzero, mpf_div, mpf_pos, to_fixed
 from mpmath.libmp import round_nearest as _RND
 
 from .field_model import FieldParams
@@ -79,7 +81,7 @@ __all__ = [
 _NEWTON_FLOOR_DPS = 30
 # Digits added at each halving of the Newton precision schedule.
 _SCHEDULE_GUARD_DPS = 10
-# Guard bits carried by the coefficient table and the powers of z, so that
+# Guard bits carried by the ratio table and the fixed-point terms, so that
 # their rounding stays far inside the error bound of _QSeries.sign.
 _GUARD_BITS = 32
 # Digits carried beyond the largest series term and the target's digits.
@@ -107,24 +109,45 @@ class SeriesError(RuntimeError):
     """A series evaluation failed to meet its tail criterion."""
 
 
-def _tail_ends(mag, prev, total, floor, tol, prec: int) -> bool:
-    """The tail rule of :func:`phi11` on raw mpf values: a term magnitude
-    ``mag`` no larger than the one before and below ``tol * max(floor, |total|)``."""
-    if not mpf_le(mag, prev):
-        return False
-    size = mpf_abs(total)
-    return mpf_lt(mag, mpf_mul(tol, size if mpf_gt(size, floor) else floor, prec, _RND))
+def _ratio_table(q, width: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """Ratios ``r_k = a_k / a_(k-1) = -q**(k-1) / (1 - q**k)**2`` for
+    ``start <= k < stop``, each rounded to nearest at ``width`` bits, as raw
+    ``(mantissa, exponent)`` pairs: ``r_k = mantissa * 2**exponent``, the
+    mantissa signed."""
+    ratios = []
+    with mp.workprec(width + _GUARD_BITS):
+        q_pow = q ** (start - 1)
+        for _ in range(start, stop):
+            q_k = q_pow * q
+            sign, man, exp, _ = mpf_pos((-q_pow / (1 - q_k) ** 2)._mpf_, width, _RND)
+            ratios.append((-man if sign else man, exp))
+            q_pow = q_k
+    return ratios
+
+
+def _narrowed(ratio: tuple[int, int], width: int) -> tuple[int, int]:
+    """A raw ratio rounded to nearest at ``width`` bits by a right shift."""
+    man, exp = ratio
+    shift = abs(man).bit_length() - width
+    if shift <= 0:
+        return ratio
+    size = (abs(man) + (1 << (shift - 1))) >> shift
+    return (-size if man < 0 else size), exp + shift
 
 
 class _QSeries:
     """``F`` and ``F'`` at one base ``q`` and one working precision ``dps``.
 
-    Holds the coefficients ``a_k = (-1)**k q**(k(k-1)/2) / ((q;q)_k)**2`` of
-    ``F(z) = sum a_k z**k``, extended lazily as evaluations reach further, and
-    sums both series from them, so no evaluation recomputes a power of ``q``.
-    The table and the powers of ``z`` carry guard bits; terms and partial
-    sums are rounded to ``dps`` digits.  The hot loop works on mpmath's raw
-    ``libmp`` values.
+    Holds the ratios ``r_k = a_k / a_(k-1) = -q**(k-1) / (1 - q**k)**2`` of
+    the coefficients ``a_k = (-1)**k q**(k(k-1)/2) / ((q;q)_k)**2`` of
+    ``F(z) = sum a_k z**k``, rounded at ``w = prec + _GUARD_BITS`` bits
+    (``prec`` the binary precision of ``dps`` digits) and extended lazily as
+    evaluations reach further.  A pass sums in Python integers: the terms
+    ``t_k = t_(k-1) * (r_k * z)`` are held in absolute fixed point with
+    ``S = prec + _GUARD_BITS`` fractional bits, each by an exact product
+    with the ratio's mantissa and ``z``'s and one floor shift, so no
+    evaluation recomputes a power of ``q`` or rounds a partial sum.  Only
+    the returned values become mpmath numbers.
     """
 
     def __init__(self, q, dps: int):
@@ -137,28 +160,23 @@ class _QSeries:
             self._default_tol = mp.mpf(10) ** (-(dps - 5))
             self._rel_error = mp.mpf(10) ** (-(dps - 1))
         self._q = q
-        self._q_pow = mp.mpf(1)  # q**(k-1) for the next coefficient a_k
-        self._coeffs = [fone]
+        self._width = self._prec + _GUARD_BITS
+        self._ratios: list[tuple[int, int]] = []  # r_k at index k - 1
 
-    def _extend(self) -> None:
-        """Append ``a_k = -a_(k-1) q**(k-1) / (1 - q**k)**2``."""
-        with mp.workprec(self._prec + _GUARD_BITS):
-            q_k = self._q_pow * self._q
-            a_k = -mp.make_mpf(self._coeffs[-1]) * self._q_pow / (1 - q_k) ** 2
-        self._q_pow = q_k
-        self._coeffs.append(a_k._mpf_)
+    def _grow(self, terms: int) -> None:
+        """Extend the ratio table to cover the first ``terms`` coefficients."""
+        have = len(self._ratios)
+        if have + 1 < terms:
+            self._ratios += _ratio_table(self._q, self._width, have + 1, terms)
 
     def rounded(self, dps: int, terms: int) -> _QSeries:
         """This series at precision ``dps`` (at most this one's), its table
-        the first ``terms`` coefficients of this one, rounded; this table is
-        extended to ``terms`` first."""
-        while len(self._coeffs) < terms:
-            self._extend()
+        the first ``terms - 1`` ratios of this one shifted to the lower
+        width; this table is extended to ``terms`` coefficients first."""
+        self._grow(terms)
         lower = _QSeries(self._q, dps)
-        wide = lower._prec + _GUARD_BITS
-        lower._coeffs = [mpf_pos(a, wide, _RND) for a in self._coeffs[:terms]]
-        with mp.workprec(wide):
-            lower._q_pow = self._q ** (len(lower._coeffs) - 1)
+        width = lower._width
+        lower._ratios = [_narrowed(r, width) for r in self._ratios[: terms - 1]]
         return lower
 
     def sums(self, z, target_tol=None, max_terms: int = _MAX_TERMS,
@@ -174,54 +192,87 @@ class _QSeries:
         out first.
         """
         prec = self._prec
-        wide = prec + _GUARD_BITS
+        scale = prec + _GUARD_BITS
         with mp.workprec(prec):
             z = mp.mpf(z)._mpf_
-            tol = (self._default_tol if target_tol is None else mp.mpf(target_tol))._mpf_
-        size_z = mpf_abs(z)
-        coeffs = self._coeffs
+            tol = self._default_tol if target_tol is None else mp.mpf(target_tol)
+        z_sign, z_man, z_exp, _ = z
+        z_man = -z_man if z_sign else z_man
+        # The rule "magnitude < tol * size" as (magnitude << tol_shift) < tol_man * size.
+        _, tol_man, tol_exp, _ = tol._mpf_
+        tol_man <<= max(tol_exp, 0)
+        tol_shift = max(-tol_exp, 0)
+        one = 1 << scale
+        size_z = abs(to_fixed(z, scale))
+        ratios = self._ratios
         f_open, d_open = value, derivative and z != fzero
-        f_sum = largest = f_prev = fone  # F, starting from t_0 = 1
-        d_sum, d_prev = fzero, size_z  # z F', its rule scaled by |z|
-        terms, power, k = 1, fone, 0
+        term = f_sum = largest = f_prev = one  # F, starting from t_0 = 1
+        d_sum, d_prev = 0, size_z  # z F', its rule scaled by |z|
+        terms, k = 1, 0
         while f_open or d_open:
             k += 1
             if k > max_terms:
                 raise SeriesError(
-                    f"series did not meet tail tolerance {mp.make_mpf(tol)} "
+                    f"series did not meet tail tolerance {tol} "
                     f"within {max_terms} terms"
                 )
-            if k == len(coeffs):
-                self._extend()
-            power = mpf_mul(power, z, wide, _RND)
-            term = mpf_mul(coeffs[k], power, prec, _RND)
+            if k > len(ratios):
+                self._grow(min(2 * k, max_terms) + 1)
+            man, exp = ratios[k - 1]
+            shift = -(exp + z_exp)
+            term *= man * z_man
+            term = term >> shift if shift >= 0 else term << -shift
             if f_open:
-                f_sum = mpf_add(f_sum, term, prec, _RND)
-                mag = mpf_abs(term)
-                if mpf_gt(mag, largest):
+                f_sum += term
+                mag = abs(term)
+                if mag > largest:
                     largest = mag
-                f_open = not _tail_ends(mag, f_prev, f_sum, fone, tol, prec)
+                if mag <= f_prev:
+                    size = abs(f_sum)
+                    f_open = (mag << tol_shift) >= tol_man * (size if size > one else one)
                 f_prev, terms = mag, k + 1
             if d_open:
-                d_term = mpf_mul_int(term, k, prec, _RND)
-                d_sum = mpf_add(d_sum, d_term, prec, _RND)
-                mag = mpf_abs(d_term)
-                d_open = not _tail_ends(mag, d_prev, d_sum, size_z, tol, prec)
+                d_term = k * term
+                d_sum += d_term
+                mag = abs(d_term)
+                if mag <= d_prev:
+                    size = abs(d_sum)
+                    d_open = (mag << tol_shift) >= tol_man * (size if size > size_z else size_z)
                 d_prev = mag
-        f_value = mp.make_mpf(f_sum) if value else None
+        f_value = mp.make_mpf(from_man_exp(f_sum, -scale, prec, _RND)) if value else None
         d_value = None
         if derivative:
-            if z == fzero:  # F'(0) = a_1
-                if len(coeffs) < 2:
-                    self._extend()
-                d_sum, z = mpf_pos(coeffs[1], prec, _RND), fone
-            d_value = mp.make_mpf(mpf_div(d_sum, z, prec, _RND))
-        return f_value, d_value, terms, mp.make_mpf(largest)
+            if z == fzero:  # F'(0) = a_1 = r_1
+                self._grow(2)
+                d_value = mp.make_mpf(from_man_exp(*ratios[0], prec, _RND))
+            else:
+                d_value = mp.make_mpf(mpf_div(from_man_exp(d_sum, -scale), z, prec, _RND))
+        return f_value, d_value, terms, mp.make_mpf(from_man_exp(largest, -scale, prec, _RND))
 
     def sign(self, z):
         """Sign of ``F(z)``, or ``None`` when ``|F(z)|`` does not exceed the
         evaluation's error bound: terms summed times the largest term times
-        ``10**-(dps-1)``."""
+        ``10**-(dps-1)``.
+
+        The pass's own error sits far inside that bound.  Write ``w`` for
+        the ratio width and ``S`` for the fractional bits, both
+        ``prec + _GUARD_BITS``.  Each ratio is within ``2 * 2**-w`` of its
+        exact value relative (rounded at the widest table's width, then
+        shifted to ``w``), and its product with ``z`` is exact, so after
+        ``k <= _MAX_TERMS`` steps ``t_k`` has drifted by at most about
+        ``2k 2**-w |t_k|``.  Each shift floors, losing less than ``2**-S`` in
+        absolute value; a loss at step ``j`` reaches ``t_k`` scaled by
+        ``|t_k / t_j|``, which is at most ``largest``: ``|r_k z|`` falls with
+        ``k``, so the term magnitudes rise from ``|t_0| = 1`` to their peak
+        and then fall, and ``largest >= 1``.  Hence each term is off by at
+        most about ``3k 2**-S largest``, the ``terms``-term sum by
+        ``terms * largest * 3 _MAX_TERMS 2**-(prec+32) < terms * largest *
+        2**-(prec+19)``, and rounding it to ``prec`` bits adds at most
+        ``|F| 2**-prec <= terms * largest * 2**-prec``.  Since
+        ``2**-prec < 0.15 * 10**-dps``, the total stays below a fiftieth of
+        the bound.  As before, the bound covers the pass's arithmetic, not
+        the terms past the tail rule.
+        """
         value, _, terms, largest = self.sums(z)
         if abs(value) > terms * largest * self._rel_error:
             return int(mp.sign(value))
@@ -497,9 +548,9 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> Ro
 
     Precision.  Root ``n`` works at the digits of :func:`_root_work`: a
     float estimate of ``log10`` of the largest series term at the seed, plus
-    the target's digits, plus ``_GUARD_DPS``.  One coefficient table, at the
+    the target's digits, plus ``_GUARD_DPS``.  One ratio table, at the
     largest of these precisions and as long as the deepest root's series,
-    serves every root through rounded, truncated copies.
+    serves every root through narrowed, truncated copies.
 
     Certify.  Newton lifts the seed through the precision-doubling schedule
     of :func:`_newton_levels`: the lowest level iterates until its step is

@@ -482,7 +482,8 @@ def schatten_m_factor(params: FieldParams, s: float, m_max: int | None = None) -
     which underflows where ``count_g(m)`` would not convert to a float.
     Closed form ``1 + (1 - p**-f) r / (1 - r)`` when ``s > ef/2`` and
     ``m_max`` is None; a truncated sum otherwise.  Raises :class:`PoleError`
-    labeled divergent for ``s <= ef/2`` when the closed form is requested.
+    labeled divergent for ``s <= ef/2`` when the closed form is requested,
+    and when a truncated sum there leaves the float range.
     """
     r = float(params.p) ** (params.f - 2.0 * s / params.e)
     weight = 1.0 - float(params.p) ** (-params.f)
@@ -492,7 +493,16 @@ def schatten_m_factor(params: FieldParams, s: float, m_max: int | None = None) -
                 f"m-factor diverges for s <= ef/2 = {params.ef / 2} (got s={s})"
             )
         return 1.0 + weight * r / (1.0 - r)
-    return 1.0 + sum(weight * r**m for m in range(1, m_max + 1))
+    try:
+        total = 1.0 + sum(weight * r**m for m in range(1, m_max + 1))
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise PoleError(
+            f"m-factor truncated at m_max = {m_max} leaves the float range for "
+            f"s <= ef/2 = {params.ef / 2} (got s={s})"
+        )
+    return total
 
 
 def schatten_partial(params: FieldParams, s: float, m_max: int, n_max: int) -> float:

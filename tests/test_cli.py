@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from padiclab import cli
 from padiclab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -322,6 +324,33 @@ class TestExitContract:
                 assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 5, 7]),
+        e=st.integers(1, 8),
+        f=st.integers(1, 2),
+        depth=st.integers(1, 5),
+        k=st.integers(1, 6),
+        seminorm_depth=st.integers(1, 3),
+        drift=st.booleans(),
+    )
+    def test_every_validate_exits_with_a_documented_code(self, p, e, f, depth, k,
+                                                         seminorm_depth, drift):
+        """``validate`` over the same grid exits 0, 1, 2 or 3, and exits 1
+        and 2 write exactly one stderr line.  The window budget is lowered
+        to 5,000 vertices, so a larger window takes the budget's refusal and
+        every example stays small."""
+        argv = ["validate", "--p", str(p), "--e", str(e), "--f", str(f),
+                "--depth", str(depth), "--k", str(k), "--seminorm-depth", str(seminorm_depth)]
+        if not drift:
+            argv.append("--no-drift")
+        with mock.patch.object(cli, "MAX_WINDOW_VERTICES", 5_000):
+            rc, err = _exit_and_stderr(argv)
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_VALIDATION), (argv, rc, err)
+        if rc in (EXIT_CONFIG, EXIT_NUMERICAL):
+            assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+
+
 class TestOutputRouting:
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PADICLAB_OUTDIR", str(tmp_path))
@@ -357,7 +386,8 @@ class TestDeterminism:
 
 
 class TestImportBoundary:
-    """No CLI command loads scipy: it is left to the sparse-matrix API functions."""
+    """No CLI command loads scipy: it is left to the sparse-matrix API
+    functions.  The root layer loads nothing beyond numpy and mpmath."""
 
     CODE = (
         "import json, sys\n"
@@ -388,6 +418,22 @@ class TestImportBoundary:
         """The Haar blocks and commutator norms are read off numpy arrays."""
         argv = ["validate", *P211_ARGS, "--depth", "8", "--seminorm-depth", "3"]
         assert self._scipy_modules(tmp_path, argv) == []
+
+    def test_qspecial_adds_only_numpy_and_mpmath(self, tmp_path):
+        """The series layer sums in Python integers: importing it loads no
+        package beyond numpy and mpmath, the standard library aside."""
+        code = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import padiclab.qspecial\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(json.dumps(sorted(new - set(sys.stdlib_module_names))))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["mpmath", "numpy", "padiclab"]
 
 
 class TestTracer:

@@ -5,6 +5,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import (
+    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
+)
+from mpmath.libmp import round_nearest as _RND
 
 from padiclab import (
     BracketError,
@@ -16,13 +20,12 @@ from padiclab import (
     eigvec_tail_mass,
     find_roots,
     jacobi_D0,
-    jacobi_lowest_eigs,
     phi11,
     phi11_derivative,
     upper_bracket,
 )
 from padiclab import qspecial
-from padiclab.operators import _sturm_counter
+from sturm_oracle import jacobi_lowest_eigs, sturm_counter
 
 P211 = FieldParams(2, 1, 1)
 P311 = FieldParams(3, 1, 1)
@@ -40,7 +43,7 @@ FROZEN_ROOTS = {
 
 
 # Float roots (``repr``) from the per-term recurrence evaluator below, with
-# the search run at full precision.  The coefficient-table kernel and the
+# the search run at full precision.  The fixed-point ratio-table kernel and the
 # low-precision search must reproduce them bit for bit.
 EXACT_ROOTS = {
     (3, 1, 1): (
@@ -90,6 +93,76 @@ def _series_base(params: FieldParams) -> mp.mpf:
     return mp.power(params.p, -mp.mpf(2) / params.e)
 
 
+class _LibmpSeries:
+    """The ``libmp`` coefficient-table pass that the fixed-point pass of
+    ``qspecial._QSeries`` replaced, kept as its reference.
+
+    Holds ``a_k`` at ``dps`` digits plus guard bits and sums ``F`` and
+    ``z F'`` term by term in rounded mpf arithmetic, ending each sum by the
+    tail rule of :func:`phi11`.  ``sums(z)`` returns ``(F, F', terms,
+    largest, d_terms, d_largest)``: the ``d_`` entries count and bound the
+    terms ``k t_k`` of ``z F'``.
+    """
+
+    def __init__(self, q, dps: int):
+        with mp.workdps(dps):
+            self._q = mp.mpf(q)
+            self._prec = mp.mp.prec
+            self._tol = (mp.mpf(10) ** (-(dps - 5)))._mpf_
+        self._q_pow = mp.mpf(1)  # q**(k-1) for the next coefficient a_k
+        self._coeffs = [fone]
+
+    def _extend(self) -> None:
+        """Append ``a_k = -a_(k-1) q**(k-1) / (1 - q**k)**2``."""
+        with mp.workprec(self._prec + qspecial._GUARD_BITS):
+            q_k = self._q_pow * self._q
+            a_k = -mp.make_mpf(self._coeffs[-1]) * self._q_pow / (1 - q_k) ** 2
+        self._q_pow = q_k
+        self._coeffs.append(a_k._mpf_)
+
+    def _tail_ends(self, mag, prev, total, floor) -> bool:
+        if not mpf_le(mag, prev):
+            return False
+        size = mpf_abs(total)
+        return mpf_lt(mag, mpf_mul(self._tol, size if mpf_gt(size, floor) else floor,
+                                   self._prec, _RND))
+
+    def sums(self, z):
+        prec = self._prec
+        wide = prec + qspecial._GUARD_BITS
+        with mp.workprec(prec):
+            z = mp.mpf(z)._mpf_
+        size_z = mpf_abs(z)
+        f_sum = largest = f_prev = fone
+        d_sum, d_prev, d_largest = fzero, size_z, fzero
+        f_open = d_open = True
+        terms = d_terms = 1
+        power, k = fone, 0
+        while f_open or d_open:
+            k += 1
+            if k == len(self._coeffs):
+                self._extend()
+            power = mpf_mul(power, z, wide, _RND)
+            term = mpf_mul(self._coeffs[k], power, prec, _RND)
+            if f_open:
+                f_sum = mpf_add(f_sum, term, prec, _RND)
+                mag = mpf_abs(term)
+                if mpf_gt(mag, largest):
+                    largest = mag
+                f_open = not self._tail_ends(mag, f_prev, f_sum, fone)
+                f_prev, terms = mag, k + 1
+            if d_open:
+                d_term = mpf_mul_int(term, k, prec, _RND)
+                d_sum = mpf_add(d_sum, d_term, prec, _RND)
+                mag = mpf_abs(d_term)
+                if mpf_gt(mag, d_largest):
+                    d_largest = mag
+                d_open = not self._tail_ends(mag, d_prev, d_sum, size_z)
+                d_prev, d_terms = mag, k
+        return (mp.make_mpf(f_sum), mp.make_mpf(mpf_div(d_sum, z, prec, _RND)), terms,
+                mp.make_mpf(largest), d_terms, mp.make_mpf(d_largest))
+
+
 class TestPhi11:
     def test_value_at_zero(self):
         assert phi11(0.25, 0.0) == 1
@@ -135,6 +208,62 @@ class TestKernelMatchesReference:
                         want, largest = _reference_sum(q, z, derivative)
                         got = fn(q, z)
                         assert abs(got - want) <= mp.mpf(10) ** (-(dps - 10)) * largest
+
+
+# One parameter set per base q of the reference-agreement test: 1/4, 1/9,
+# 1/4 again at f = 2, 2**(-2/3) ~ 0.63 past geometric interlacing, and 1/25.
+AGREEMENT_PARAMS = [P211, P311, P212, FieldParams(2, 3, 1), FieldParams(5, 1, 1)]
+
+
+class TestFixedPointMatchesReference:
+    """The fixed-point pass against the libmp reference, at every level of
+    the Newton schedule of each root and at full precision, within the
+    error bound of ``_QSeries.sign``: ``terms * largest * 10**-(dps-1)``."""
+
+    @pytest.mark.parametrize("params", AGREEMENT_PARAMS, ids=str)
+    def test_sums_within_certificate_bound(self, params):
+        n_max = 12
+        roots = find_roots(params, n_max).roots
+        seeds, _ = qspecial._float_seeds(params, n_max)
+        work = qspecial._root_work(params, seeds[: n_max + 1], 1e-10)
+        table = qspecial._series_at(params, max(dps for dps, _ in work))
+        for n, (dps, terms) in enumerate(work):
+            for level in qspecial._newton_levels(dps):
+                series = table.rounded(level, terms)
+                reference = _LibmpSeries(table._q, level)
+                bound = mp.mpf(10) ** (-(level - 1))
+                with mp.workdps(level):
+                    points = (mp.mpf(float(seeds[n])), +roots[n])
+                for z in points:
+                    value, deriv, f_terms, largest = series.sums(z, derivative=True)
+                    want, want_deriv, _, _, d_terms, d_largest = reference.sums(z)
+                    assert abs(value - want) <= f_terms * largest * bound, (n, level)
+                    d_bound = d_terms * d_largest * bound / abs(z)
+                    assert abs(deriv - want_deriv) <= d_bound, (n, level)
+
+    @pytest.mark.parametrize("params", AGREEMENT_PARAMS, ids=str)
+    def test_sign_never_opposite(self, params):
+        """Around each root, from the certified enclosure in to points where
+        ``|F|`` is below the bound: ``sign`` is the sign of ``F`` summed by
+        the reference 40 digits wider, or ``None``."""
+        n_max = 4
+        table = find_roots(params, n_max)
+        seeds, _ = qspecial._float_seeds(params, n_max)
+        work = qspecial._root_work(params, seeds[: n_max + 1], 1e-10)
+        wide = qspecial._series_at(params, max(dps for dps, _ in work))
+        for root, (dps, terms) in zip(table.roots, work):
+            series = wide.rounded(dps, terms)
+            reference = _LibmpSeries(wide._q, dps + 40)
+            signs = []
+            for j in range(dps - 15, dps + 3, 2):
+                for side in (-1, 1):
+                    with mp.workdps(dps):
+                        z = root * (1 + side * mp.mpf(10) ** -j)
+                    got = series.sign(z)
+                    if got is not None:
+                        assert got == mp.sign(reference.sums(z)[0]), (j, side)
+                    signs.append(got)
+            assert signs[0] is not None and signs[1] == -signs[0]
 
 
 class TestBrackets:
@@ -249,10 +378,10 @@ class TestFindRoots:
 class TestCertificationWork:
     def test_full_precision_passes_and_one_table(self, monkeypatch):
         """Roots 0..20 of (3,1,1) from a cold cache: at most 4 series passes
-        per root at the root's own precision, on average, and one coefficient
+        per root at the root's own precision, on average, and one ratio
         table extended once, to about the deepest root's series length."""
-        sums, extend, certify = (qspecial._QSeries.sums, qspecial._QSeries._extend,
-                                 qspecial._certify_root)
+        sums, ratio_table, certify = (qspecial._QSeries.sums, qspecial._ratio_table,
+                                      qspecial._certify_root)
         root_dps = [None]
         counts = {"full": 0, "extend": 0, "terms": 0}
 
@@ -267,13 +396,13 @@ class TestCertificationWork:
                 counts["terms"] = max(counts["terms"], result[2])
             return result
 
-        def counting_extend(self):
-            counts["extend"] += 1
-            return extend(self)
+        def counting_ratio_table(q, width, start, stop):
+            counts["extend"] += stop - start
+            return ratio_table(q, width, start, stop)
 
         monkeypatch.setattr(qspecial, "_certify_root", counting_certify)
         monkeypatch.setattr(qspecial._QSeries, "sums", counting_sums)
-        monkeypatch.setattr(qspecial._QSeries, "_extend", counting_extend)
+        monkeypatch.setattr(qspecial, "_ratio_table", counting_ratio_table)
         table = find_roots(P311, 20)
         assert counts["full"] / len(table.roots) <= 4.0
         assert counts["extend"] <= counts["terms"] + 5
@@ -350,7 +479,7 @@ class TestParameterGrid:
                 assert mp.sign(phi11(q, lo)) * mp.sign(phi11(q, hi)) == -1, n
         # The oracle's eigenvalue n lies within 1e-13 relative of the float
         # root iff the Sturm count there steps from n to n + 1.
-        count_below, _, _ = _sturm_counter(params, _settled_order(params))
+        count_below, _, _ = sturm_counter(params, _settled_order(params))
         for n, value in enumerate(table.values_float()):
             assert count_below(value * (1 - 1e-13)) == n
             assert count_below(value * (1 + 1e-13)) == n + 1
@@ -359,7 +488,7 @@ class TestParameterGrid:
                              ids=str)
     def test_float_sturm_count_matches_exact_count(self, params):
         L = _settled_order(params)
-        count_below, _, _ = _sturm_counter(params, L)
+        count_below, _, _ = sturm_counter(params, L)
         eigs = np.linalg.eigvalsh(jacobi_D0(params, L))[:8]
         points = np.concatenate(([0.0, 1e-3], np.sqrt(eigs[:-1] * eigs[1:]), eigs * 1.5))
         got = qspecial._sturm_counts(params, L, points)

@@ -1,5 +1,7 @@
 """Analytic spectrum tables, matrix validation, Schatten sums, and zeta values."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -252,6 +254,15 @@ class TestSchatten:
         truncated sum must still reach the closed form."""
         closed = schatten_m_factor(P211, 0.75)
         assert schatten_m_factor(P211, 0.75, m_max=1100) == pytest.approx(closed, rel=1e-13)
+
+    def test_truncated_sum_past_float_range_is_a_pole_error(self):
+        """Below the pole ``r**m`` overflows; the truncated sum and the
+        partial trace refuse with the closed form's ``PoleError``."""
+        with pytest.raises(PoleError, match=r"ef/2 = 0\.5 \(got s=0\.1\)"):
+            schatten_m_factor(P211, 0.1, m_max=2000)
+        with pytest.raises(PoleError, match=r"ef/2 = 0\.5 \(got s=0\.1\)"):
+            schatten_partial(P211, 0.1, 2000, 3)
+        assert math.isfinite(schatten_m_factor(P211, 0.1, m_max=1000))
 
     def test_partial_sums_converge_above_exponent(self):
         s = 2.0
