@@ -15,8 +15,6 @@ This module assembles:
   commutator column holds at most one nonzero (every child has one parent),
   so the rows have disjoint supports and the operator norm is the largest
   row norm, a certificate checked on the assembled matrix;
-* the depth-direction tridiagonal (Jacobi) form of each fixed-tail block of
-  ``D*D``;
 * Hilbert-Schmidt sums for inverse blocks, in closed form and by direct
   double summation;
 * the windowed integral kernel of ``multiplication * D**(-1)`` on enlarged
@@ -34,14 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from .field_model import Center, FieldParams
 from .tree import TreeWindow
 
-# scipy is imported inside the functions that build or solve sparse matrices:
-# loading it takes longer than a whole root-only command (spectrum, zeta).
+# numpy and scipy are imported inside the functions that use them: loading
+# them takes longer than a whole root-only command (spectrum, zeta), which
+# needs neither.
 if TYPE_CHECKING:
+    import numpy as np
     import scipy.sparse as sp
 
 __all__ = [
@@ -52,7 +50,6 @@ __all__ = [
     "assemble_commutator",
     "commutator_norm",
     "commutator_row_norms",
-    "jacobi_D0",
     "hs_norm_Dg_inverse",
     "hs_double_sum",
     "hs_total_partial",
@@ -93,6 +90,8 @@ class TestFunction:
 
     def __call__(self, point: Center) -> float:
         """Value at one :class:`Center`."""
+        import numpy as np
+
         rank = 0
         for d in point.digits:
             rank = rank * point.params.q_res + d
@@ -112,6 +111,8 @@ def _symmetrized_D_csr(window: TreeWindow) -> tuple[np.ndarray, ...]:
     rows of the deepest level hold the diagonal only.  The arrays are written
     level by level, with no scipy call, in the index dtype scipy would pick.
     """
+    import numpy as np
+
     params = window.params
     q = params.q_res
     itype = np.int32 if window.total + q * window.level_offsets[-2] < 2**31 else np.int64
@@ -158,8 +159,12 @@ def assemble_DstarD(window: TreeWindow) -> sp.csr_matrix:
     (vectors are extended by zero beyond the window), which is the principal
     window compression of the full operator square.  The returned matrix is
     expressed in plain little-l2 coordinates via the weight similarity, so
-    its spectrum equals that of the weighted-space square; its fixed-tail
-    blocks coincide exactly with scaled copies of :func:`jacobi_D0`.
+    its spectrum equals that of the weighted-space square.  Its fixed-tail
+    block of tail length ``m`` is exactly ``p**(2m/e)`` times the
+    depth-direction tridiagonal (Jacobi) block whose eigenvalues the root
+    seeds of :mod:`padiclab.qspecial` bisect: row 0 has diagonal 1, row
+    ``l >= 1`` diagonal ``Q**(l-1) (1 + Q)``, and rows ``l, l+1`` couple by
+    ``-Q**l`` (``Q = p**(2/e)``).
     """
     b = assemble_symmetrized_D(window)
     mat = (b.T @ b).tocsr()
@@ -182,6 +187,8 @@ def rho_diag(window: TreeWindow, a: TestFunction) -> np.ndarray:
     the zero vertex at its digit-1 child, rank 1, which is ``pi**n``.  This
     is the only place the zero-vertex convention is applied.
     """
+    import numpy as np
+
     q = window.params.q_res
     out = np.empty(window.total)
     for n in window.levels:
@@ -211,6 +218,8 @@ def _commutator_csr(window: TreeWindow, diag: np.ndarray) -> tuple[np.ndarray, .
     Rows are the levels ``min_level .. N-1``, each holding its children in digit
     order; vanishing differences are not stored (a commuting function has none).
     """
+    import numpy as np
+
     params = window.params
     q = params.q_res
     n_rows = window.level_offsets[-2]
@@ -243,6 +252,8 @@ def commutator_row_norms(window: TreeWindow, a: TestFunction) -> np.ndarray:
 
 
 def _commutator_row_norms(window: TreeWindow, diag: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     data, indices, indptr = _commutator_csr(window, diag)
     if indices.size and np.bincount(indices).max() > 1:
         raise ValueError("commutator column with two nonzeros")
@@ -264,34 +275,6 @@ def commutator_norm(window: TreeWindow, a: TestFunction) -> float:
 def _commutator_norm(window: TreeWindow, diag: np.ndarray) -> float:
     rows = _commutator_row_norms(window, diag)
     return float(rows.max()) if rows.size else 0.0
-
-
-# ---------------------------------------------------------------------------
-# Depth-direction Jacobi blocks
-# ---------------------------------------------------------------------------
-
-
-def jacobi_D0(params: FieldParams, L: int) -> np.ndarray:
-    """Tridiagonal depth-block matrix of order ``L`` (zero-tail block).
-
-    Row 0 has diagonal 1 and off-diagonal -1; row ``l >= 1`` has diagonal
-    ``p**(2(l-1)/e) * (1 + p**(2/e))``, sub-diagonal ``-p**(2(l-1)/e)`` and
-    super-diagonal ``-p**(2l/e)``.  Truncation at ``L`` drops all couplings
-    beyond row ``L-1`` (zero boundary).  Every fixed-tail block of the window
-    square equals ``p**(2m/e)`` times this matrix (``m`` the tail length).
-    """
-    if L < 1:
-        raise ValueError("Jacobi block needs L >= 1")
-    Q = params.Q
-    mat = np.zeros((L, L))
-    mat[0, 0] = 1.0
-    for l in range(1, L):
-        mat[l, l] = Q ** (l - 1) * (1.0 + Q)
-    for l in range(L - 1):
-        off = -(Q**l)
-        mat[l, l + 1] = off
-        mat[l + 1, l] = off
-    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +360,7 @@ def kernel_rho_a_DFinv(
     decay exponent ``alpha > max(1, ef/2)``.  If ``t`` is given, each input
     level ``k`` is damped by the regularizer ``b_t(k)``.
     """
+    import numpy as np
     import scipy.sparse as sp
 
     _check_decay_admissible(window.params, a)
@@ -430,6 +414,8 @@ def kernel_frobenius_norm(window: TreeWindow, a: TestFunction, t: float | None =
     ``p**(-k/e) p**(f(n-k)) |a_n(x)|`` each).  Independent of the sparse
     assembly; used as its oracle.
     """
+    import numpy as np
+
     _check_decay_admissible(window.params, a)
     params = window.params
     diag = rho_diag(window, a)
@@ -454,6 +440,7 @@ def singular_values_window(window: TreeWindow, a: TestFunction, count: int) -> n
     ``count`` meets or exceeds the maximal possible rank, all singular values
     are returned (dense computation).
     """
+    import numpy as np
     import scipy.sparse.linalg as spla
 
     mat = kernel_rho_a_DFinv(window, a)

@@ -17,12 +17,17 @@ Series evaluation.  A :class:`_QSeries` holds the ratios
 one working precision, extended lazily, and sums ``F`` and ``F'`` from them;
 :func:`phi11` and :func:`phi11_derivative` are thin calls into it.
 
-Root search.  :func:`find_roots` seeds every root from one float
-``eigvalsh`` of the truncated Jacobi matrix :func:`operators.jacobi_D0`,
-whose eigenvalues converge to the roots of ``F`` as the truncation grows,
-and uses the series only to certify them.  Root ``n`` gets its index from a
-float Sturm count of that truncation and its working precision from a float
-estimate of the largest series term at the seed: near ``lambda_n`` the terms
+Root search.  :func:`find_roots` seeds every root from the truncated
+depth-direction Jacobi block, whose eigenvalues converge to the roots of
+``F`` as the truncation grows, and uses the series only to certify them.
+The seeds are float bisections of the block's Sturm count: the signs of its
+``LDL^T`` pivots, scaled per row so that they stay in range, in Python
+floats and without forming the matrix.  The count ends once the pivots have
+left the eigenvalue's neighbourhood and can no longer change sign, so
+whatever the truncation order, a count costs about as many rows as the
+eigenvalue's index plus the digits that resolve it.  The same count
+indexes each root, and a float estimate of the largest series term at the
+seed sets its working precision: near ``lambda_n`` the terms
 peak at about ``Q**(n(n+1)/2)`` (``Q = 1/q``), more as ``q -> 1``, and the
 residual gate ``|F(lambda_n)| < target_tol`` is absolute, so it needs that
 many digits beyond the target's own.  One ratio table per call, at the
@@ -54,14 +59,16 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import mpmath as mp
-import numpy as np
 from mpmath.libmp import from_man_exp, fzero, mpf_div, mpf_pos, to_fixed
 from mpmath.libmp import round_nearest as _RND
 
 from .field_model import FieldParams
-from .operators import jacobi_D0
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BracketError",
@@ -336,6 +343,8 @@ class RootTable:
         return self.roots[n]
 
     def values_float(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([float(r) for r in self.roots])
 
     @property
@@ -348,7 +357,7 @@ class RootTable:
         """
         ladder = [0.0] + [upper_bracket(self.params, n) for n in range(len(self.roots))]
         return all(lo < lam <= hi
-                   for lo, hi, lam in zip(ladder, ladder[1:], self.values_float()))
+                   for lo, hi, lam in zip(ladder, ladder[1:], map(float, self.roots)))
 
     def prefix(self, n_max: int) -> RootTable:
         """The table of roots ``0..n_max``."""
@@ -357,17 +366,113 @@ class RootTable:
                          self.brackets[:k], self.dps_used[:k])
 
 
-def _float_seeds(params: FieldParams, n_max: int) -> tuple[np.ndarray, int]:
-    """Float eigenvalues ``0..n_max+1`` of :func:`jacobi_D0` at a settled order.
+def _sturm_count(params: FieldParams, L: int):
+    """Float Sturm count of the order-``L`` truncated Jacobi block, ``L >= 2``.
+
+    Returns ``count(x)``: the number of negative pivots of the ``LDL^T``
+    factorization of the block minus ``x``, which is the number of its
+    eigenvalues below ``x``.  The block (row 0: diagonal 1, coupling -1; row
+    ``l >= 1``: diagonal ``Q**(l-1) (1 + Q)``, coupling ``-Q**l`` to row
+    ``l + 1``) is never formed.  Pivot ``l >= 1`` is divided by its row
+    scale ``Q**(l-1)``, which keeps its sign and every value in range:
+    ``D_0 = 1 - x``, ``D_1 = 1 + Q - x - 1/D_0`` and
+    ``D_l = 1 + Q - x q**(l-1) - Q/D_(l-1)``.  A zero pivot counts as
+    positive; the next one is then ``-inf``.
+
+    The count ends early.  The map ``g(D) = 1 + Q - Q/D`` has the fixed
+    points 1 and ``Q``, and it maps every ``D >= m = (1 + Q)/2`` to at least
+    ``g(m) = m + delta`` with ``delta = (Q - 1)**2 / (2 (1 + Q)) > 0``.  Since
+    ``D_l = g(D_(l-1)) - x q**(l-1)`` and ``x q**l`` falls with ``l``, once
+    some ``D_j >= m`` (``j >= 1``) with ``x q**j <= delta/2``, every later
+    pivot is at least ``m + delta/2`` before rounding, so at least ``m > 0``
+    after it (a float step errs by a few ulps of ``1 + Q``, far below
+    ``delta/2`` at the bases here), and none of them adds to the count: it
+    equals the count of the full float recurrence.  Near an eigenvalue the
+    pivots linger by the repelling fixed point 1, so the count runs on
+    until ``x`` is resolved; far from every eigenvalue it ends a few rows
+    past ``x q**l <= delta/2``, whatever ``L`` is.
+    """
+    Q, q = params.Q, params.q
+    diag = 1.0 + Q
+    mid = diag / 2
+    half_delta = (Q - 1.0) ** 2 / (4 * diag)
+    shifts = [q**l for l in range(1, L - 1)]  # q**(l-1) of pivots l = 2 .. L-1
+
+    def count(x: float) -> int:
+        d = 1.0 - x
+        below = d < 0
+        d = diag - x - (1.0 / d if d else math.inf)
+        below += d < 0
+        for shift in shifts:
+            xs = x * shift
+            if d >= mid and xs <= half_delta:
+                break
+            d = diag - xs - (Q / d if d else math.inf)
+            below += d < 0
+        return int(below)
+
+    return count
+
+
+def _bisect(count, n: int, hints: list[float] | None = None) -> list[float]:
+    """Eigenvalues ``0 .. n-1`` of a positive definite matrix from its Sturm ``count``.
+
+    Eigenvalue ``k`` is returned as a float ``hi`` with ``count(hi) > k``
+    whose predecessor ``lo`` has ``count(lo) <= k``: the eigenvalue lies in
+    ``(lo, hi]``.  Its search starts from the ``lo`` of eigenvalue ``k - 1``
+    (0 for ``k = 0``) and doubles upward to a ``hi``, or takes ``hints[k]``,
+    when given, a point known to have ``count > k``, probing ``2**-40``
+    below it (relative) first; then it halves the bracket, in geometric
+    means while its ends are more than a factor 2 apart.
+    """
+    eigs, lo = [], 0.0
+    for k in range(n):
+        hi = math.inf
+        if hints is not None:
+            hi = hints[k]
+            x = hi * (1 - 2**-40)
+            if lo < x:
+                if count(x) > k:
+                    hi = x
+                else:
+                    lo = x
+        while hi == math.inf:
+            x = 2 * lo if lo > 0 else 1.0
+            if count(x) > k:
+                hi = x
+            else:
+                lo = x
+        while True:
+            if lo > 0 and hi > 2 * lo:
+                x = math.sqrt(lo) * math.sqrt(hi)
+            else:
+                x = lo + (hi - lo) / 2
+            if not lo < x < hi:
+                break
+            if count(x) > k:
+                hi = x
+            else:
+                lo = x
+        eigs.append(hi)
+    return eigs
+
+
+def _float_seeds(params: FieldParams, n_max: int) -> tuple[list[float], int]:
+    """Float eigenvalues ``0..n_max+1`` of the truncated Jacobi block at a settled order.
 
     The order ``L`` starts at ``2 (n_max + 2)`` and doubles until no returned
     eigenvalue moves by more than ``_SEED_SETTLE`` relative; the eigenvalues
     of the larger order are returned with it.  Truncation only lowers the
     eigenvalues' accuracy at the deep end, so the step from ``L`` to ``2L``
     bounds the error of the order-``L`` values, and those of order ``2L`` are
-    closer still.  ``L`` is capped by ``_SEED_MAX_ORDER`` and by the float
-    range of the matrix (``Q**L`` below ``10**300``); seeds that have not
-    settled by the cap raise :class:`BracketError`.
+    closer still.  Each order bisects its :func:`_sturm_count` to adjacent
+    floats (:func:`_bisect`).  The order-``L`` block is a principal
+    submatrix of the order-``2L`` one, and the first ``L`` pivots of the two
+    counts are the same float operations, so a point above eigenvalue ``k``
+    at order ``L`` is above it at order ``2L``: each eigenvalue of order
+    ``L`` hints its successor.  ``L`` is capped by ``_SEED_MAX_ORDER`` and by
+    the float range of the unscaled block (``Q**L`` below ``10**300``);
+    seeds that have not settled by the cap raise :class:`BracketError`.
     """
     count = n_max + 2  # one eigenvalue beyond the last root, for its separator
     cap = min(_SEED_MAX_ORDER, int(300 / math.log10(params.Q)))
@@ -379,8 +484,8 @@ def _float_seeds(params: FieldParams, n_max: int) -> tuple[np.ndarray, int]:
         )
     prev = None
     while True:
-        eigs = np.linalg.eigvalsh(jacobi_D0(params, L))[:count]
-        if prev is not None and np.all(np.abs(eigs - prev) <= _SEED_SETTLE * eigs):
+        eigs = _bisect(_sturm_count(params, L), count, prev)
+        if prev is not None and all(abs(a - b) <= _SEED_SETTLE * a for a, b in zip(eigs, prev)):
             return eigs, L
         if L == cap:
             raise BracketError(
@@ -390,27 +495,7 @@ def _float_seeds(params: FieldParams, n_max: int) -> tuple[np.ndarray, int]:
         prev, L = eigs, min(2 * L, cap)
 
 
-def _sturm_counts(params: FieldParams, L: int, x: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues of ``jacobi_D0(params, L)`` below each ``x``, in floats.
-
-    Counts the negative pivots of the ``LDL^T`` factorization of
-    ``jacobi_D0 - x``.  Pivot ``l >= 1`` is divided by its row scale
-    ``Q**(l-1)``, which keeps its sign and every value in range:
-    ``D_0 = 1 - x``, ``D_1 = 1 + Q - x - 1/D_0`` and
-    ``D_l = 1 + Q - x q**(l-1) - Q/D_(l-1)``.  A zero pivot counts as
-    positive; the next one is then ``-inf``.
-    """
-    Q, q = params.Q, params.q
-    d = 1.0 - x
-    count = (d < 0).astype(np.int64)
-    with np.errstate(divide="ignore"):
-        for l in range(1, L):
-            d = (1.0 + Q) - x * q ** (l - 1) - (1.0 if l == 1 else Q) / d
-            count += d < 0
-    return count
-
-
-def _root_work(params: FieldParams, seeds: np.ndarray,
+def _root_work(params: FieldParams, seeds: list[float],
                target_tol: float) -> list[tuple[int, int]]:
     """Working precision and series length ``(dps, terms)`` for the root at each seed.
 
@@ -423,19 +508,33 @@ def _root_work(params: FieldParams, seeds: np.ndarray,
     ``_GUARD_DPS``.  Its evaluations end past the peak at the first term
     below ``10**-(dps-5)`` (the tail rule of :func:`phi11` where ``|F| < 1``),
     and ``terms`` adds ``_TERM_MARGIN`` coefficients to that.
+
+    ``log10 |a_k z**k|`` is concave in ``k``: its second difference is
+    ``log10 q + 2 log10((1 - q**k) / (1 - q**(k+1))) < 0``.  So once a term
+    past the running maximum falls below ``10**-(dps-5)``, with ``dps``
+    taken from that maximum, no later term can exceed it, and the scan ends
+    there with the peak and the cut-off of a scan over all ``_MAX_TERMS``.
     """
     q = params.q
-    k = np.arange(_MAX_TERMS)
-    log_poch = np.concatenate(([0.0], np.cumsum(np.log10(-np.expm1(k[1:] * math.log(q))))))
-    log_coeffs = k * (k - 1) / 2 * math.log10(q) - 2 * log_poch
+    log_q, ln_q = math.log10(q), math.log(q)
     target_digits = max(0, math.ceil(-math.log10(target_tol)))
+    log_coeffs = [0.0]  # log10 |a_k|, extended as the scans reach further
+    log_poch = 0.0  # log10 (q;q)_k of the last coefficient
     work = []
     for z in seeds:
-        log_terms = log_coeffs + math.log10(z) * k
-        peak = int(np.argmax(log_terms))
-        dps = math.ceil(log_terms[peak]) + target_digits + _GUARD_DPS
-        below = np.flatnonzero(log_terms[peak:] < 5 - dps)
-        last = peak + int(below[0]) if below.size else _MAX_TERMS
+        log_z = math.log10(z)
+        top, dps, last = 0.0, target_digits + _GUARD_DPS, _MAX_TERMS  # the term k = 0 is 1
+        for k in range(1, _MAX_TERMS):
+            if k == len(log_coeffs):
+                log_poch += math.log10(-math.expm1(k * ln_q))
+                log_coeffs.append(k * (k - 1) / 2 * log_q - 2 * log_poch)
+            term = log_coeffs[k] + log_z * k
+            if term > top:
+                top = term
+                dps = math.ceil(top) + target_digits + _GUARD_DPS
+            elif term < 5 - dps:
+                last = k
+                break
         work.append((dps, last + 1 + _TERM_MARGIN))
     return work
 
@@ -530,21 +629,22 @@ _ROOT_CACHE = _RootCache(ROOT_CACHE_SIZE)
 def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> RootTable:
     """Compute the roots ``lambda_0 .. lambda_n_max`` with certified brackets.
 
-    Seed.  One float ``eigvalsh`` of the truncated Jacobi matrix
-    :func:`jacobi_D0`, at an order grown until the requested eigenvalues
-    settle (:func:`_float_seeds`), seeds every root.
+    Seed.  A float bisection of the Sturm count of the truncated Jacobi
+    block (:func:`_sturm_count`, :func:`_bisect`), at an order grown until
+    the requested eigenvalues settle (:func:`_float_seeds`), seeds every
+    root.
 
-    Index.  A float Sturm count of the same truncation (:func:`_sturm_counts`)
-    must find exactly ``n`` eigenvalues below the separator ``s_n``, the
-    geometric mean of seeds ``n - 1`` and ``n`` (``s_0 = 0``), for every
-    ``n <= n_max + 1``, and the bracket of root ``n`` must lie inside
-    ``(s_n, s_(n+1))``.  As the order grows the truncation's eigenvalues
-    decrease to those of the untruncated block, the roots of ``F``; at a
-    settled order they agree to float accuracy, so the count below ``s_n``
-    is the number of roots of ``F`` below it, and the root certified in
-    bracket ``n`` is ``lambda_n``.  This does not use the
-    geometric interlacing ``q**-(n-1) < lambda_n``, which fails once ``q``
-    exceeds about 0.6 (see :attr:`RootTable.interlaced`).
+    Index.  The same count at the settled order must find exactly ``n``
+    eigenvalues below the separator ``s_n``, the geometric mean of seeds
+    ``n - 1`` and ``n`` (``s_0 = 0``), for every ``n <= n_max + 1``, and the
+    bracket of root ``n`` must lie inside ``(s_n, s_(n+1))``.  As the order
+    grows the truncation's eigenvalues decrease to those of the untruncated
+    block, the roots of ``F``; at a settled order they agree to float
+    accuracy, so the count below ``s_n`` is the number of roots of ``F``
+    below it, and the root certified in bracket ``n`` is ``lambda_n``.
+    This does not use the geometric interlacing ``q**-(n-1) < lambda_n``,
+    which fails once ``q`` exceeds about 0.6 (see
+    :attr:`RootTable.interlaced`).
 
     Precision.  Root ``n`` works at the digits of :func:`_root_work`: a
     float estimate of ``log10`` of the largest series term at the seed, plus
@@ -576,8 +676,9 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> Ro
         return cached if cached.n_max == n_max else cached.prefix(n_max)
     start = cached.n_max + 1 if cached is not None else 0
     seeds, L = _float_seeds(params, n_max)
-    separators = np.concatenate(([0.0], np.sqrt(seeds[:-1] * seeds[1:])))
-    if not np.array_equal(_sturm_counts(params, L, separators), np.arange(n_max + 2)):
+    separators = [0.0] + [math.sqrt(a * b) for a, b in zip(seeds, seeds[1:])]
+    count = _sturm_count(params, L)
+    if [count(x) for x in separators] != list(range(n_max + 2)):
         raise BracketError(
             f"Sturm count of the order-{L} truncation does not separate roots 0..{n_max} "
             f"(params p={params.p}, e={params.e}, f={params.f})"
@@ -587,8 +688,8 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> Ro
     work = _root_work(params, seeds[start : n_max + 1], target_tol)
     series = _series_at(params, max(dps for dps, _ in work))
     for n, (dps, terms) in enumerate(work, start):
-        guard = (float(separators[n]), float(separators[n + 1]))
-        root, residual, bracket = _certify_root(series, n, float(seeds[n]), dps, terms,
+        guard = (separators[n], separators[n + 1])
+        root, residual, bracket = _certify_root(series, n, seeds[n], dps, terms,
                                                 guard, target_tol)
         if not (guard[0] < bracket[0] and bracket[1] < guard[1]):
             raise BracketError(f"bracket of root {n} crosses a Sturm separator")

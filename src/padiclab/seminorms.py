@@ -29,13 +29,18 @@ agreement is part of the validation surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .field_model import FieldParams
 from .operators import TestFunction, _commutator_norm, rho_diag
 from .tree import TreeWindow
+
+# numpy is imported inside the functions that use it, like scipy in
+# operators: spectrum and zeta never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SeminormReport",
@@ -65,6 +70,8 @@ def _deepest_values(
     and the zero-pair ratio ``|a(0) - a(pi**N)| * p**(N/e)`` (that pair meets
     below the window).
     """
+    import numpy as np
+
     N = window.max_level
     mins = diag[window.level_slice(N)].copy()
     maxs = mins.copy()
@@ -93,6 +100,8 @@ def lipschitz_depth(window: TreeWindow, a: TestFunction) -> float:
 
 
 def _lipschitz(window: TreeWindow, a: TestFunction, diag: np.ndarray) -> float:
+    import numpy as np
+
     params = window.params
     q = params.q_res
     cur_min, cur_max, best = _deepest_values(window, a, diag)
@@ -142,6 +151,8 @@ def spectral_seminorm_formula(window: TreeWindow, a: TestFunction) -> float:
 
 
 def _formula(window: TreeWindow, diag: np.ndarray) -> float:
+    import numpy as np
+
     params = window.params
     q = params.q_res
     best_sq = 0.0
@@ -169,9 +180,9 @@ def comparison_constants(params: FieldParams) -> tuple[float, float]:
     ``upper = sqrt((p**f - 1) / p**f)``.
     """
     beta = params.scale_float(1)
-    lower = (beta - 1.0) / (2.0 * beta * np.sqrt(params.q_res))
-    upper = np.sqrt((params.q_res - 1.0) / params.q_res)
-    return float(lower), float(upper)
+    lower = (beta - 1.0) / (2.0 * beta * math.sqrt(params.q_res))
+    upper = math.sqrt((params.q_res - 1.0) / params.q_res)
+    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -245,6 +256,8 @@ def _agreement(
     Returns the counts and the compared length; a count equal to the length
     means the string represents the point ``c``.
     """
+    import numpy as np
+
     length = max(width, len(c_digits))
     padded = c_digits + (0,) * (length - len(c_digits))
     agree = np.zeros(len(ranks), dtype=np.int64)
@@ -263,6 +276,7 @@ def _distance_table(params: FieldParams, start: int, length: int) -> list[float]
 def _make_abs_shift(params: FieldParams, c_digits: tuple[int, ...], name: str) -> TestFunction:
     """``|x - c|`` for ``c`` the finite digit string of a point at the window's
     start level (``c_digits = ()`` gives the norm)."""
+    import numpy as np
 
     def ev(start: int, width: int, ranks: np.ndarray) -> np.ndarray:
         agree, length = _agreement(params.q_res, width, ranks, c_digits)
@@ -275,6 +289,8 @@ def _make_ball_indicator(
     params: FieldParams, prefix: tuple[int, ...], name: str
 ) -> TestFunction:
     """Indicator of the radius-``p**(-k/e)`` ball with digit prefix of length k."""
+    import numpy as np
+
     k = len(prefix)
 
     def ev(start: int, width: int, ranks: np.ndarray) -> np.ndarray:
@@ -288,6 +304,8 @@ def _make_ball_indicator(
 def _make_random_locally_constant(
     params: FieldParams, depth: int, seed: int
 ) -> TestFunction:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     table = rng.uniform(0.0, 1.0, size=params.q_res**depth)
 
@@ -298,6 +316,8 @@ def _make_random_locally_constant(
 
 
 def _make_decay(params: FieldParams, alpha: float, name: str) -> TestFunction:
+    import numpy as np
+
     def ev(start: int, width: int, ranks: np.ndarray) -> np.ndarray:
         agree, length = _agreement(params.q_res, width, ranks, ())
         norms = _distance_table(params, start, length)
@@ -315,6 +335,8 @@ def testfn_library(params: FieldParams) -> list[TestFunction]:
     windows (``alpha`` must exceed ``max(1, ef/2)`` to be admissible there —
     the ``alpha = ef`` entry fails that exactly when ``ef = 1``).
     """
+    import numpy as np
+
     lib = [
         TestFunction(
             name="const-1",

@@ -36,14 +36,19 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import mpmath as mp
-import numpy as np
 
 from .field_model import FieldParams, count_g
 from .operators import _symmetrized_D_csr
 from .qspecial import find_roots
 from .tree import TreeWindow, tree_window_r
+
+# numpy is imported inside the window validation and the other functions
+# that use it: spectrum and zeta never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PoleError",
@@ -98,6 +103,8 @@ class SpectrumTable:
 
     def values_expanded(self, k: int | None = None) -> np.ndarray:
         """Values repeated by multiplicity, ascending; first ``k`` if given."""
+        import numpy as np
+
         out: list[float] = []
         for row in self.rows:
             out.extend([row.value] * row.multiplicity)
@@ -199,6 +206,8 @@ def _tree_levels(window: TreeWindow) -> tuple[list[np.ndarray], list[np.ndarray]
     Each row's columns must be its own index, then (above the deepest level) its
     children ``child_start + q_res*r + d``, or :class:`ValueError` names the level.
     """
+    import numpy as np
+
     q = window.params.q_res
     data, indices, indptr = _symmetrized_D_csr(window)
     spans, lo = [], 0
@@ -230,6 +239,8 @@ def _copy_blocks(window: TreeWindow):
     enters per copy.  Blocks are sums over ``(d, s)``; ``residual`` is
     ``||A V - V blockdiag||_F / ||A V||_F``, every entry formed explicitly.
     """
+    import numpy as np
+
     q = window.params.q_res
     diag, child = _tree_levels(window)
     span = len(diag) - 1
@@ -291,6 +302,8 @@ def _haar_blocks(params: FieldParams, depth: int) -> _HaarBlocks:
     Blocks and residuals come from :func:`_copy_blocks` (no sparse product, no
     scipy); all copies of one ``m`` are solved in one batched ``eigvalsh``.
     """
+    import numpy as np
+
     spectra: list[np.ndarray] = []
     residual = scaling_dev = 0.0
     for m, (blocks, res) in enumerate(_copy_blocks(tree_window_r(params, depth))):
@@ -365,6 +378,8 @@ def validate_spectrum(
     reaches past it).  ``with_drift`` takes the same route on the depth
     ``N + 2`` window for the drift figures.
     """
+    import numpy as np
+
     blocks = _haar_blocks(params, N)
 
     # Families (m, n) by their depth-N value, with measured multiplicities.
@@ -511,6 +526,8 @@ def schatten_partial(params: FieldParams, s: float, m_max: int, n_max: int) -> f
     ``s`` must be positive; the m-sum diverges (term-wise constant or
     growing) for ``s <= ef/2``, which :func:`schatten_m_factor` exposes.
     """
+    import numpy as np
+
     if s <= 0:
         raise ValueError("s must be positive")
     roots = find_roots(params, n_max)
@@ -573,6 +590,25 @@ def zeta_D0(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:
     return ZetaValue(s=s, value=value, n_roots_used=n_roots, tail_bound=float(tail))
 
 
+def _quotient(a: complex, b: complex) -> complex:
+    """``a / b`` as numpy divides complex doubles (Smith's method, scaled by a
+    reciprocal), which can differ from Python's ``/`` in the last bit."""
+    if abs(b.real) >= abs(b.imag):
+        rat = b.imag / b.real
+        scl = 1.0 / (b.real + b.imag * rat)
+        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
+    rat = b.real / b.imag
+    scl = 1.0 / (b.imag + b.real * rat)
+    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
+
+
+def _one_minus_exp(w: complex) -> complex:
+    """``1 - exp(w)`` as numpy forms it: the real 1 taken as ``1 + 0i``, so
+    the imaginary part is ``0.0 - Im exp(w)`` (``+0.0`` where that is 0)."""
+    v = cmath.exp(w)
+    return complex(1.0 - v.real, 0.0 - v.imag)
+
+
 def zeta_factor(params: FieldParams, s: complex) -> complex:
     """Rational continuation factor ``(1 - p**(-2s/e)) / (1 - p**(f - 2s/e))``.
 
@@ -580,12 +616,12 @@ def zeta_factor(params: FieldParams, s: complex) -> complex:
     modulus (real-axis pole at ``s = ef/2``).
     """
     s = complex(s)
-    lp = np.log(float(params.p))
-    num = 1.0 - np.exp(-2.0 * s * lp / params.e)
-    den = 1.0 - np.exp((params.f - 2.0 * s / params.e) * lp)
+    lp = math.log(params.p)
+    num = _one_minus_exp(-2.0 * s * lp / params.e)
+    den = _one_minus_exp((params.f - 2.0 * s / params.e) * lp)
     if abs(den) <= 1e-12:
         raise PoleError(f"zeta factor pole at s = {s} (denominator vanishes)")
-    return complex(num / den)
+    return _quotient(num, den)
 
 
 def zeta_DR(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:
@@ -607,13 +643,13 @@ def zeta_DR(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:
 
 def factor_poles(params: FieldParams, k_range: range) -> list[complex]:
     """Poles of the rational factor: ``s = (e/2)(f - 2 pi i k / ln p)``."""
-    lp = np.log(float(params.p))
+    lp = math.log(params.p)
     return [
-        complex(params.e * params.f / 2.0, -params.e * np.pi * k / lp) for k in k_range
+        complex(params.e * params.f / 2.0, -params.e * math.pi * k / lp) for k in k_range
     ]
 
 
 def factor_zeros(params: FieldParams, k_range: range) -> list[complex]:
     """Zeros of the rational factor's numerator: ``s = pi i k e / ln p``."""
-    lp = np.log(float(params.p))
-    return [complex(0.0, np.pi * k * params.e / lp) for k in k_range]
+    lp = math.log(params.p)
+    return [complex(0.0, math.pi * k * params.e / lp) for k in k_range]

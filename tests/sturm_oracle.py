@@ -1,22 +1,104 @@
-"""The Sturm oracle: exact low eigenvalues of the truncated Jacobi block.
+"""The Sturm oracle: the truncated Jacobi block, its exact low eigenvalues,
+and the dense float seeds.
 
-:func:`sturm_counter` counts the eigenvalues of ``padiclab.jacobi_D0`` below
-a shift from the signs of the tridiagonal ``LDL^T`` pivots in mpmath
-arithmetic, and :func:`jacobi_lowest_eigs` bisects on that count, so each
-eigenvalue is accurate relative to itself whatever the grading.  The tests
-hold the float ``eigvalsh`` seeds, the float Sturm count of ``find_roots``
-and the certified roots against it.
+:func:`jacobi_D0` forms the depth-direction block as a dense matrix.
+:func:`sturm_counter` counts its eigenvalues below a shift from the signs of
+the tridiagonal ``LDL^T`` pivots in mpmath arithmetic, and
+:func:`jacobi_lowest_eigs` bisects on that count, so each eigenvalue is
+accurate relative to itself whatever the grading.  :func:`dense_seeds` and
+:func:`dense_root_work` are the float ``eigvalsh`` seeds and the numpy term
+scan that ``find_roots`` used before its seeds became a float Sturm
+bisection.  The tests hold the float seeds, the float Sturm count of
+``find_roots`` and the certified roots against these.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
+import numpy as np
 
 from padiclab import FieldParams
+from padiclab.qspecial import (
+    _GUARD_DPS, _MAX_TERMS, _SEED_MAX_ORDER, _SEED_SETTLE, _TERM_MARGIN, BracketError,
+)
+
+
+def jacobi_D0(params: FieldParams, L: int) -> np.ndarray:
+    """Tridiagonal depth-block matrix of order ``L`` (zero-tail block).
+
+    Row 0 has diagonal 1 and off-diagonal -1; row ``l >= 1`` has diagonal
+    ``p**(2(l-1)/e) * (1 + p**(2/e))``, sub-diagonal ``-p**(2(l-1)/e)`` and
+    super-diagonal ``-p**(2l/e)``.  Truncation at ``L`` drops all couplings
+    beyond row ``L-1`` (zero boundary).  Every fixed-tail block of the window
+    square equals ``p**(2m/e)`` times this matrix (``m`` the tail length).
+    """
+    if L < 1:
+        raise ValueError("Jacobi block needs L >= 1")
+    Q = params.Q
+    mat = np.zeros((L, L))
+    mat[0, 0] = 1.0
+    for l in range(1, L):
+        mat[l, l] = Q ** (l - 1) * (1.0 + Q)
+    for l in range(L - 1):
+        off = -(Q**l)
+        mat[l, l + 1] = off
+        mat[l + 1, l] = off
+    return mat
+
+
+def dense_seeds(params: FieldParams, n_max: int) -> tuple[np.ndarray, int]:
+    """Float eigenvalues ``0..n_max+1`` of :func:`jacobi_D0` at a settled order,
+    from one dense ``eigvalsh`` per order.
+
+    The order starts at ``2 (n_max + 2)`` and doubles until no returned
+    eigenvalue moves by more than ``_SEED_SETTLE`` relative, capped like the
+    package's seeds; the refusals carry the package's messages.
+    """
+    count = n_max + 2
+    cap = min(_SEED_MAX_ORDER, int(300 / math.log10(params.Q)))
+    L = 2 * count
+    if L > cap:
+        raise BracketError(
+            f"roots up to {n_max} need a Jacobi truncation of order {L}, over the "
+            f"limit of {cap} (params p={params.p}, e={params.e}, f={params.f})"
+        )
+    prev = None
+    while True:
+        eigs = np.linalg.eigvalsh(jacobi_D0(params, L))[:count]
+        if prev is not None and np.all(np.abs(eigs - prev) <= _SEED_SETTLE * eigs):
+            return eigs, L
+        if L == cap:
+            raise BracketError(
+                f"float seeds for roots 0..{n_max} did not settle by Jacobi order {L} "
+                f"(params p={params.p}, e={params.e}, f={params.f})"
+            )
+        prev, L = eigs, min(2 * L, cap)
+
+
+def dense_root_work(params: FieldParams, seeds, target_tol: float) -> list[tuple[int, int]]:
+    """``(dps, terms)`` per seed from all ``_MAX_TERMS`` float term logarithms
+    at once: ``dps`` from the largest, ``terms`` from the first past it below
+    ``10**-(dps-5)``."""
+    q = params.q
+    k = np.arange(_MAX_TERMS)
+    log_poch = np.concatenate(([0.0], np.cumsum(np.log10(-np.expm1(k[1:] * math.log(q))))))
+    log_coeffs = k * (k - 1) / 2 * math.log10(q) - 2 * log_poch
+    target_digits = max(0, math.ceil(-math.log10(target_tol)))
+    work = []
+    for z in seeds:
+        log_terms = log_coeffs + math.log10(z) * k
+        peak = int(np.argmax(log_terms))
+        dps = math.ceil(log_terms[peak]) + target_digits + _GUARD_DPS
+        below = np.flatnonzero(log_terms[peak:] < 5 - dps)
+        last = peak + int(below[0]) if below.size else _MAX_TERMS
+        work.append((dps, last + 1 + _TERM_MARGIN))
+    return work
 
 
 def sturm_counter(params: FieldParams, L: int):
-    """Exact eigenvalue counts of :func:`padiclab.jacobi_D0` of order ``L``.
+    """Exact eigenvalue counts of :func:`jacobi_D0` of order ``L``.
 
     Returns ``(count_below, upper, dps)``: ``count_below(x)`` is the number
     of eigenvalues below ``x``, from the signs of the tridiagonal ``LDL^T``
@@ -57,7 +139,7 @@ def sturm_counter(params: FieldParams, L: int):
 
 
 def jacobi_lowest_eigs(params: FieldParams, L: int, count: int = 1) -> list[mp.mpf]:
-    """Certified lowest eigenvalues of :func:`padiclab.jacobi_D0` via Sturm bisection.
+    """Certified lowest eigenvalues of :func:`jacobi_D0` via Sturm bisection.
 
     Counts eigenvalues below a shift through the tridiagonal ``LDL^T`` sign
     sequence in arbitrary precision and bisects, so each eigenvalue is

@@ -387,41 +387,49 @@ class TestDeterminism:
 
 class TestImportBoundary:
     """No CLI command loads scipy: it is left to the sparse-matrix API
-    functions.  The root layer loads nothing beyond numpy and mpmath."""
+    functions.  ``spectrum`` and ``zeta`` load no numpy either: the root
+    layer needs nothing beyond mpmath."""
 
     CODE = (
         "import json, sys\n"
         "from padiclab.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        "loaded = lambda top: sorted(m for m in sys.modules if m.split('.')[0] == top)\n"
+        "print(json.dumps([code, loaded('scipy'), loaded('numpy')]))\n"
     )
+    ROOT_COMMANDS = [["spectrum", *P211_ARGS], ["zeta", *P211_ARGS, "--s-min", "1", "--s-max", "2"]]
 
-    def _scipy_modules(self, tmp_path, argv):
+    def _loaded(self, tmp_path, argv):
+        """``(scipy modules, numpy modules)`` loaded by one request in a fresh interpreter."""
         env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         proc = subprocess.run(
             [sys.executable, "-c", self.CODE, *argv, "--out", str(tmp_path / "out")],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        code, modules = json.loads(proc.stdout)
+        code, scipy_modules, numpy_modules = json.loads(proc.stdout)
         assert code == EXIT_OK
-        return modules
+        return scipy_modules, numpy_modules
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["spectrum", *P211_ARGS], ["zeta", *P211_ARGS, "--s-min", "1", "--s-max", "2"]],
-    )
+    @pytest.mark.parametrize("argv", ROOT_COMMANDS)
     def test_root_commands_load_no_scipy(self, tmp_path, argv):
-        assert self._scipy_modules(tmp_path, argv) == []
+        assert self._loaded(tmp_path, argv)[0] == []
+
+    @pytest.mark.parametrize("argv", ROOT_COMMANDS)
+    def test_root_commands_load_no_numpy(self, tmp_path, argv):
+        """Seeds, separators and the zeta factor are float arithmetic in
+        pure Python; numpy is imported only by the functions that use it."""
+        assert self._loaded(tmp_path, argv)[1] == []
 
     def test_validate_loads_no_scipy(self, tmp_path):
         """The Haar blocks and commutator norms are read off numpy arrays."""
         argv = ["validate", *P211_ARGS, "--depth", "8", "--seminorm-depth", "3"]
-        assert self._scipy_modules(tmp_path, argv) == []
+        assert self._loaded(tmp_path, argv)[0] == []
 
-    def test_qspecial_adds_only_numpy_and_mpmath(self, tmp_path):
-        """The series layer sums in Python integers: importing it loads no
-        package beyond numpy and mpmath, the standard library aside."""
+    def test_qspecial_adds_only_mpmath(self, tmp_path):
+        """The series layer sums in Python integers and seeds its roots in
+        Python floats: importing it loads no package beyond mpmath, the
+        standard library aside."""
         code = (
             "import json, sys\n"
             "before = set(sys.modules)\n"
@@ -433,7 +441,7 @@ class TestImportBoundary:
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == ["mpmath", "numpy", "padiclab"]
+        assert json.loads(proc.stdout) == ["mpmath", "padiclab"]
 
 
 class TestTracer:

@@ -17,7 +17,6 @@ from padiclab import (
     hs_double_sum,
     hs_norm_Dg_inverse,
     hs_total_partial,
-    jacobi_D0,
     kernel_frobenius_norm,
     kernel_rho_a_DFinv,
     regularizer_bt,
@@ -31,7 +30,7 @@ from padiclab import operators
 from padiclab import testfn_library as function_library
 from padiclab.operators import _commutator_csr, _symmetrized_D_csr
 from sparse_oracles import commutator_coo, sparse_row_norms, symmetrized_D_coo
-from sturm_oracle import jacobi_lowest_eigs
+from sturm_oracle import jacobi_D0, jacobi_lowest_eigs
 
 P211 = FieldParams(2, 1, 1)
 P311 = FieldParams(3, 1, 1)

@@ -1,6 +1,8 @@
 """Base-q hypergeometric series, certified roots, and eigenvector routes."""
 
 import math
+import re
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -19,13 +21,14 @@ from padiclab import (
     eigvec_series_c,
     eigvec_tail_mass,
     find_roots,
-    jacobi_D0,
     phi11,
     phi11_derivative,
     upper_bracket,
 )
 from padiclab import qspecial
-from sturm_oracle import jacobi_lowest_eigs, sturm_counter
+from sturm_oracle import (
+    dense_root_work, dense_seeds, jacobi_D0, jacobi_lowest_eigs, sturm_counter,
+)
 
 P211 = FieldParams(2, 1, 1)
 P311 = FieldParams(3, 1, 1)
@@ -491,9 +494,10 @@ class TestParameterGrid:
         count_below, _, _ = sturm_counter(params, L)
         eigs = np.linalg.eigvalsh(jacobi_D0(params, L))[:8]
         points = np.concatenate(([0.0, 1e-3], np.sqrt(eigs[:-1] * eigs[1:]), eigs * 1.5))
-        got = qspecial._sturm_counts(params, L, points)
-        assert got.tolist() == [count_below(x) for x in points]
-        assert got[2:9].tolist() == list(range(1, 8))
+        count = qspecial._sturm_count(params, L)
+        got = [count(float(x)) for x in points]
+        assert got == [count_below(x) for x in points]
+        assert got[2:9] == list(range(1, 8))
 
     def test_oracle_eigenvalues_beyond_interlacing(self):
         params = FieldParams(2, 3, 1)
@@ -508,6 +512,60 @@ class TestParameterGrid:
         got = find_roots(params, 5).values_float()
         seeds = np.linalg.eigvalsh(jacobi_D0(params, _settled_order(params)))[:6]
         assert np.max(np.abs(seeds - got) / got) <= 4e-15
+
+
+class TestSeedsMatchDenseOracle:
+    """The float Sturm bisection against the dense ``eigvalsh`` seeds it
+    replaced (:func:`sturm_oracle.dense_seeds`): the same settled order or the
+    same refusal, seeds within ``_SEED_SETTLE``, the same ``(dps, terms)`` and
+    the same float roots."""
+
+    @pytest.mark.parametrize("params", GRID, ids=str)
+    def test_seeds_and_roots_match(self, params):
+        n_max = 5
+        seeds, L = qspecial._float_seeds(params, n_max)
+        dense, dense_L = dense_seeds(params, n_max)
+        assert L == dense_L
+        assert all(abs(a - b) <= qspecial._SEED_SETTLE * b for a, b in zip(seeds, dense))
+        work = qspecial._root_work(params, seeds[: n_max + 1], 1e-10)
+        assert work == dense_root_work(params, dense[: n_max + 1], 1e-10)
+        got = find_roots(params, n_max)
+        with mock.patch.object(qspecial, "_float_seeds", dense_seeds), \
+                mock.patch.object(qspecial, "_ROOT_CACHE", qspecial._RootCache(1)):
+            want = find_roots(params, n_max)
+        assert [float(r) for r in got.roots] == [float(r) for r in want.roots]
+        assert got.dps_used == want.dps_used
+
+    @pytest.mark.parametrize(("key", "n_max"), [
+        ((7, 1, 1), 86),  # settles at the float-range cap 177
+        ((7, 1, 1), 87),  # the first order is over the cap
+        ((5, 1, 1), 105),  # the first order is the cap: no second to settle against
+        ((2, 8, 1), 30),  # q about 0.84: doubled from order 64, settled at 512
+    ], ids=str)
+    def test_same_order_or_same_refusal(self, key, n_max):
+        params = FieldParams(*key)
+        try:
+            want = dense_seeds(params, n_max)
+        except BracketError as exc:
+            with pytest.raises(BracketError, match=re.escape(str(exc))):
+                qspecial._float_seeds(params, n_max)
+            return
+        seeds, L = qspecial._float_seeds(params, n_max)
+        assert L == want[1]
+        assert all(abs(a - b) <= qspecial._SEED_SETTLE * b for a, b in zip(seeds, want[0]))
+        assert (qspecial._root_work(params, seeds[: n_max + 1], 1e-10)
+                == dense_root_work(params, want[0][: n_max + 1], 1e-10))
+
+    def test_root_work_scan_matches_full_scan_near_the_budget(self):
+        """Seeds whose terms peak early, late, or never fall below the
+        cut-off within ``_MAX_TERMS``: the early-ending scan agrees with the
+        full one."""
+        params = FieldParams(2, 8, 1)
+        seeds = [0.5, 1e3, 1e15, 1e60, 1e75, 1e200]
+        work = qspecial._root_work(params, seeds, 1e-10)
+        assert work == dense_root_work(params, seeds, 1e-10)
+        budget = qspecial._MAX_TERMS + 1 + qspecial._TERM_MARGIN
+        assert [terms for _, terms in work][-2:] == [budget, budget]
 
 
 class TestEigvectors:

@@ -11,7 +11,6 @@ from padiclab import (
     assemble_DstarD,
     count_g,
     FieldParams,
-    jacobi_D0,
     PoleError,
     factor_poles,
     factor_zeros,
@@ -27,6 +26,7 @@ from padiclab import (
 from padiclab import spectrum_zeta, tree_window_r
 from padiclab.operators import _symmetrized_D_csr
 from sparse_oracles import sparse_haar_blocks
+from sturm_oracle import jacobi_D0
 
 P211 = FieldParams(2, 1, 1)
 P311 = FieldParams(3, 1, 1)
@@ -323,6 +323,43 @@ class TestZetaDR:
             zeta_factor(P211, 0.5)
         with pytest.raises(PoleError):
             zeta_DR(P212, 1.0)
+
+
+def _numpy_zeta_factor(params, s):
+    """The factor in numpy complex arithmetic, as it was computed before it
+    moved to ``math`` and ``cmath``; a pole is returned as ``None``."""
+    s = complex(s)
+    lp = np.log(float(params.p))
+    num = 1.0 - np.exp(-2.0 * s * lp / params.e)
+    den = 1.0 - np.exp((params.f - 2.0 * s / params.e) * lp)
+    return None if abs(den) <= 1e-12 else complex(num / den)
+
+
+class TestFactorMatchesNumpy:
+    """``zeta_factor`` runs without numpy but must round exactly as numpy's
+    complex exp and division did: ``zeta`` output is compared byte for byte."""
+
+    @pytest.mark.parametrize("params", [P211, P311, P221, P212, P511, P321,
+                                        FieldParams(7, 3, 2), FieldParams(2, 8, 1)], ids=str)
+    def test_real_and_complex_grid(self, params):
+        grid = [k / 8 for k in range(-40, 161)]
+        grid += [complex(x / 4, y / 3) for x in range(-8, 33) for y in range(-12, 13)]
+        for s in grid:
+            want = _numpy_zeta_factor(params, s)
+            try:
+                got = zeta_factor(params, s)
+            except PoleError:
+                got = None
+            assert repr(got) == repr(want), s
+
+    def test_quotient_is_numpy_division(self):
+        rng = np.random.default_rng(12)
+        parts = rng.uniform(-10, 10, (4, 5000)) * 10.0 ** rng.integers(-6, 7, (4, 5000))
+        parts[3, :500] = 0.0  # real divisors
+        parts[1, 500:1000] = 0.0  # real dividends
+        for ar, ai, br, bi in parts.T:
+            a, b = complex(ar, ai), complex(br, bi)
+            assert repr(spectrum_zeta._quotient(a, b)) == repr(complex(np.complex128(a) / b))
 
 
 class TestFactorLattice:

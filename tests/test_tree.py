@@ -8,11 +8,11 @@ from padiclab import (
     TreeWindow,
     assemble_DstarD,
     count_g,
-    jacobi_D0,
     tree_window_f,
     tree_window_r,
 )
 from sparse_oracles import haar_columns, haar_columns_coo
+from sturm_oracle import jacobi_D0
 
 P211 = FieldParams(2, 1, 1)
 P311 = FieldParams(3, 1, 1)
