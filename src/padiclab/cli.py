@@ -20,14 +20,16 @@ Subcommands
     real-axis pole are flagged, not fatal.
 
 All commands accept ``--format json|csv`` and ``--out PATH`` (default: the
-directory named by ``PADICLAB_OUTDIR``, else stdout).  Machine output goes to
-stdout or the file only; diagnostics go to stderr.  Identical configuration
-and seed produce byte-identical output.
+directory named by ``PADICLAB_OUTDIR``, else stdout); a path that cannot be
+written is a configuration error.  Machine output goes to stdout or the file
+only; diagnostics go to stderr.  Identical configuration and seed produce
+byte-identical output.
 
 Exit codes: 0 success; 1 configuration error (including a window or an
-s-grid over its limit, and a zeta value outside the float range); 2 numerical
-failure (uncertifiable root bracket, root seeds that do not settle, series
-tolerance not met, window cutoff too low); 3 validation failure.
+s-grid over its limit, a zeta value outside the float range, and an output
+path that cannot be written); 2 numerical failure (uncertifiable root
+bracket, root seeds that do not settle, series tolerance not met, window
+cutoff too low); 3 validation failure.
 """
 
 from __future__ import annotations
@@ -43,9 +45,7 @@ from typing import Any
 
 from . import __version__
 from .field_model import FieldParams
-from .operators import hs_double_sum, hs_norm_Dg_inverse, hs_total_partial
 from .qspecial import BracketError, SeriesError
-from .seminorms import MATCH_TOL, check_norm_comparison, testfn_library
 from .spectrum_zeta import (
     CutoffError,
     PoleError,
@@ -54,7 +54,9 @@ from .spectrum_zeta import (
     validate_spectrum,
     zeta_DR,
 )
-from .tree import tree_window_r
+
+# The operators, seminorms and tree modules are imported by ``validate``
+# alone, inside the functions that use them: spectrum and zeta never load them.
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -182,8 +184,11 @@ def _emit(
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
         print(f"wrote {out_path}", file=sys.stderr)
 
 
@@ -227,6 +232,10 @@ def _check_row(
 
 
 def _validate_rows(args: argparse.Namespace, params: FieldParams) -> tuple[list[dict], bool]:
+    from .operators import hs_double_sum, hs_norm_Dg_inverse, hs_total_partial
+    from .seminorms import check_norm_comparison, testfn_library
+    from .tree import tree_window_r
+
     rows: list[dict[str, Any]] = []
     ok = True
 
@@ -330,6 +339,8 @@ def _check_window_budget(args: argparse.Namespace, params: FieldParams) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace, params: FieldParams) -> int:
+    from .seminorms import MATCH_TOL
+
     _check_window_budget(args, params)
     rows, ok = _validate_rows(args, params)
     _emit(

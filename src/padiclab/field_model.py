@@ -15,7 +15,7 @@ multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["FieldParams", "Center", "count_g", "pi_power"]
 
@@ -31,8 +31,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldParams:
+# A NamedTuple body may not define ``__new__`` or ``__init__``, so the value
+# types that validate on construction subclass a plain field tuple.
+class _FieldTuple(NamedTuple):
+    p: int
+    e: int
+    f: int
+
+
+class FieldParams(_FieldTuple):
     """Structure constants ``(p, e, f)`` of the modeled field.
 
     Attributes:
@@ -43,17 +50,21 @@ class FieldParams:
             ``q_res = p**f``, with ``0`` the zero representative.
     """
 
-    p: int
-    e: int
-    f: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.e < 1:
-            raise ValueError(f"e must be a positive integer, got {self.e}")
-        if self.f < 1:
-            raise ValueError(f"f must be a positive integer, got {self.f}")
+    def __new__(cls, p: int, e: int, f: int) -> FieldParams:
+        if not _is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if e < 1:
+            raise ValueError(f"e must be a positive integer, got {e}")
+        if f < 1:
+            raise ValueError(f"f must be a positive integer, got {f}")
+        return super().__new__(cls, p, e, f)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the constructor, so that ``_replace`` validates too."""
+        return cls(*iterable)
 
     @property
     def q_res(self) -> int:
@@ -80,8 +91,13 @@ class FieldParams:
         return float(self.p) ** (num / self.e)
 
 
-@dataclass(frozen=True)
-class Center:
+class _CenterTuple(NamedTuple):
+    params: FieldParams
+    start: int
+    digits: tuple[int, ...]
+
+
+class Center(_CenterTuple):
     """A ball center: the digit string ``d_start, ..., d_(depth-1)``.
 
     The string represents the element ``sum_i d_i * pi**i`` over its index
@@ -91,15 +107,18 @@ class Center:
     ``start``.
     """
 
-    params: FieldParams
-    start: int
-    digits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        q_res = self.params.q_res
-        for d in self.digits:
+    def __init__(self, params: FieldParams, start: int, digits: tuple[int, ...]) -> None:
+        q_res = params.q_res
+        for d in digits:
             if not 0 <= d < q_res:
                 raise ValueError(f"digit {d} outside alphabet 0..{q_res - 1}")
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the constructor, so that ``_replace`` validates too."""
+        return cls(*iterable)
 
 
 def count_g(params: FieldParams, m: int) -> int:

@@ -29,8 +29,7 @@ deterministic (level-major, digit-lexicographic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .field_model import Center, FieldParams
 from .tree import TreeWindow
@@ -65,8 +64,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(NamedTuple):
     """A scalar function evaluated on digit-string points, a batch at a time.
 
     Attributes:

@@ -58,8 +58,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, fzero, mpf_div, mpf_pos, to_fixed
@@ -315,8 +314,7 @@ def upper_bracket(params: FieldParams, n: int) -> float:
     return params.scale_float(2 * n)
 
 
-@dataclass(frozen=True)
-class RootTable:
+class RootTable(NamedTuple):
     """Certified roots ``lambda_0..lambda_n_max`` for one parameter set.
 
     Attributes:

@@ -30,8 +30,7 @@ agreement is part of the validation surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .field_model import FieldParams
 from .operators import TestFunction, _commutator_norm, rho_diag
@@ -185,8 +184,7 @@ def comparison_constants(params: FieldParams) -> tuple[float, float]:
     return lower, upper
 
 
-@dataclass(frozen=True)
-class SeminormReport:
+class SeminormReport(NamedTuple):
     """Depth-N seminorm quantities and comparison outcomes for one function."""
 
     function_id: str

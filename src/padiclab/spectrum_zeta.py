@@ -35,20 +35,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import mpmath as mp
 
 from .field_model import FieldParams, count_g
-from .operators import _symmetrized_D_csr
 from .qspecial import find_roots
-from .tree import TreeWindow, tree_window_r
 
-# numpy is imported inside the window validation and the other functions
-# that use it: spectrum and zeta never load it.
+# numpy, the operators and the tree are imported inside the window validation
+# and the other functions that use them: spectrum and zeta never load them.
 if TYPE_CHECKING:
     import numpy as np
+
+    from .tree import TreeWindow
 
 __all__ = [
     "PoleError",
@@ -83,8 +82,7 @@ class CutoffError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
+class SpectrumRow(NamedTuple):
     """One spectral family: value ``p**(2m/e) * lambda_n`` with multiplicity."""
 
     m: int
@@ -94,8 +92,7 @@ class SpectrumRow:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
+class SpectrumTable(NamedTuple):
     """All families ``(m <= m_max, n <= n_max)``, sorted by value then (m, n)."""
 
     params: FieldParams
@@ -166,8 +163,7 @@ def _richardson_confluent(chain_vals: list[float], q: float) -> float:
     return cur[0]
 
 
-@dataclass(frozen=True)
-class _HaarBlocks:
+class _HaarBlocks(NamedTuple):
     """One assembled window square, solved block by block in its Haar basis.
 
     ``spectra[m]`` holds one ascending row of ``N + 1 - m`` eigenvalues per
@@ -207,6 +203,8 @@ def _tree_levels(window: TreeWindow) -> tuple[list[np.ndarray], list[np.ndarray]
     children ``child_start + q_res*r + d``, or :class:`ValueError` names the level.
     """
     import numpy as np
+
+    from .operators import _symmetrized_D_csr
 
     q = window.params.q_res
     data, indices, indptr = _symmetrized_D_csr(window)
@@ -304,6 +302,8 @@ def _haar_blocks(params: FieldParams, depth: int) -> _HaarBlocks:
     """
     import numpy as np
 
+    from .tree import tree_window_r
+
     spectra: list[np.ndarray] = []
     residual = scaling_dev = 0.0
     for m, (blocks, res) in enumerate(_copy_blocks(tree_window_r(params, depth))):
@@ -319,8 +319,7 @@ def _haar_blocks(params: FieldParams, depth: int) -> _HaarBlocks:
     return _HaarBlocks(params, tuple(spectra), residual, scaling_dev)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     measured: float
@@ -328,8 +327,7 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of the matrix-vs-analytic spectrum cross-validation."""
 
     params: FieldParams
@@ -541,8 +539,7 @@ def schatten_partial(params: FieldParams, s: float, m_max: int, n_max: int) -> f
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZetaValue:
+class ZetaValue(NamedTuple):
     """A truncated zeta sum with a certified tail bound."""
 
     s: complex

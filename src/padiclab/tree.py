@@ -16,29 +16,37 @@ reshape of each level (see :mod:`padiclab.spectrum_zeta`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .field_model import Center, FieldParams
 
 __all__ = ["TreeWindow", "tree_window_r", "tree_window_f"]
 
 
-@dataclass(frozen=True)
-class TreeWindow:
+class _WindowTuple(NamedTuple):
+    params: FieldParams
+    min_level: int
+    max_level: int
+
+
+class TreeWindow(_WindowTuple):
     """Window of the digit tree spanning ``min_level..max_level``.
 
     ``min_level = 0`` models the unit ball; ``min_level = -M`` models the
     enlarged ball of radius ``p**(M/e)`` (a hard spatial cutoff).
     """
 
-    params: FieldParams
-    min_level: int
-    max_level: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_level < self.min_level:
+    def __new__(cls, params: FieldParams, min_level: int, max_level: int) -> TreeWindow:
+        if max_level < min_level:
             raise ValueError("window needs max_level >= min_level")
+        return super().__new__(cls, params, min_level, max_level)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the constructor, so that ``_replace`` validates too."""
+        return cls(*iterable)
 
     # -- level layout -------------------------------------------------------
     @property
@@ -50,24 +58,26 @@ class TreeWindow:
         self._check_level(n)
         return self.params.q_res ** (n - self.min_level)
 
-    @cached_property
+    def _offset(self, i: int) -> int:
+        """Vertices on the ``i`` top levels: ``(q_res**i - 1) / (q_res - 1)``."""
+        q = self.params.q_res
+        return (q**i - 1) // (q - 1)
+
+    @property
     def level_offsets(self) -> tuple[int, ...]:
         """Start index of each level, plus the total as a sentinel."""
-        offsets = [0]
-        for n in self.levels:
-            offsets.append(offsets[-1] + self.level_size(n))
-        return tuple(offsets)
+        return tuple(self._offset(i) for i in range(len(self.levels) + 1))
 
     @property
     def total(self) -> int:
         """Total vertex count."""
-        return self.level_offsets[-1]
+        return self._offset(len(self.levels))
 
     def level_slice(self, n: int) -> slice:
         """Index-space slice of level ``n``."""
         self._check_level(n)
         i = n - self.min_level
-        return slice(self.level_offsets[i], self.level_offsets[i + 1])
+        return slice(self._offset(i), self._offset(i + 1))
 
     def _check_level(self, n: int) -> None:
         if not self.min_level <= n <= self.max_level:

@@ -1,7 +1,5 @@
 """Fixtures shared by the whole suite."""
 
-import dataclasses
-
 import pytest
 
 from padiclab import qspecial, spectrum_zeta
@@ -23,7 +21,7 @@ def analytic_error(monkeypatch):
     def perturbed(*args, **kwargs):
         table = exact(*args, **kwargs)
         low = table.rows[0]
-        rows = (dataclasses.replace(low, value=low.value * (1.0 + 1e-4)), *table.rows[1:])
-        return dataclasses.replace(table, rows=rows)
+        rows = (low._replace(value=low.value * (1.0 + 1e-4)), *table.rows[1:])
+        return table._replace(rows=rows)
 
     monkeypatch.setattr(spectrum_zeta, "full_spectrum", perturbed)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -366,6 +367,32 @@ class TestOutputRouting:
         assert doc["command"] == "spectrum"
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is a configuration error: one
+    line naming the path, exit 1, nothing on stdout."""
+
+    def _refused(self, capsys, argv, path, errno_code):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: cannot write {path}: {os.strerror(errno_code)}\n"
+
+    def test_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        self._refused(capsys, ["spectrum", *P211_ARGS, "--out", str(path)], path, errno.ENOENT)
+        assert not path.parent.exists()
+
+    def test_directory_as_output(self, tmp_path, capsys):
+        self._refused(capsys, ["spectrum", *P211_ARGS, "--out", str(tmp_path)], tmp_path,
+                      errno.EISDIR)
+
+    def test_missing_outdir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PADICLAB_OUTDIR", str(tmp_path / "missing"))
+        self._refused(capsys, ["zeta", *P211_ARGS, "--format", "csv"],
+                      tmp_path / "missing" / "zeta.csv", errno.ENOENT)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_byte_identical_reruns(self, tmp_path, fmt):
@@ -387,44 +414,75 @@ class TestDeterminism:
 
 class TestImportBoundary:
     """No CLI command loads scipy: it is left to the sparse-matrix API
-    functions.  ``spectrum`` and ``zeta`` load no numpy either: the root
-    layer needs nothing beyond mpmath."""
+    functions.  ``spectrum`` and ``zeta`` load no numpy either, and of the
+    package only the root layer: the namespace is lazy, and the modules that
+    only ``validate`` needs are imported inside its functions."""
 
     CODE = (
         "import json, sys\n"
         "from padiclab.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "loaded = lambda top: sorted(m for m in sys.modules if m.split('.')[0] == top)\n"
-        "print(json.dumps([code, loaded('scipy'), loaded('numpy')]))\n"
+        "tops = ('scipy', 'numpy', 'padiclab', 'dataclasses', 'inspect')\n"
+        "print(json.dumps([code, {top: loaded(top) for top in tops}]))\n"
     )
     ROOT_COMMANDS = [["spectrum", *P211_ARGS], ["zeta", *P211_ARGS, "--s-min", "1", "--s-max", "2"]]
+    ROOT_LAYER = ["padiclab", "padiclab.cli", "padiclab.field_model", "padiclab.qspecial",
+                  "padiclab.spectrum_zeta"]
+    VALIDATE = ["validate", *P211_ARGS, "--depth", "8", "--seminorm-depth", "3"]
 
     def _loaded(self, tmp_path, argv):
-        """``(scipy modules, numpy modules)`` loaded by one request in a fresh interpreter."""
+        """Modules under each top-level name in ``CODE`` after one request in a
+        fresh interpreter."""
         env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         proc = subprocess.run(
             [sys.executable, "-c", self.CODE, *argv, "--out", str(tmp_path / "out")],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        code, scipy_modules, numpy_modules = json.loads(proc.stdout)
+        code, loaded = json.loads(proc.stdout)
         assert code == EXIT_OK
-        return scipy_modules, numpy_modules
+        return loaded
 
     @pytest.mark.parametrize("argv", ROOT_COMMANDS)
     def test_root_commands_load_no_scipy(self, tmp_path, argv):
-        assert self._loaded(tmp_path, argv)[0] == []
+        assert self._loaded(tmp_path, argv)["scipy"] == []
 
     @pytest.mark.parametrize("argv", ROOT_COMMANDS)
     def test_root_commands_load_no_numpy(self, tmp_path, argv):
         """Seeds, separators and the zeta factor are float arithmetic in
         pure Python; numpy is imported only by the functions that use it."""
-        assert self._loaded(tmp_path, argv)[1] == []
+        assert self._loaded(tmp_path, argv)["numpy"] == []
+
+    @pytest.mark.parametrize("argv", ROOT_COMMANDS)
+    def test_root_commands_load_only_the_root_layer(self, tmp_path, argv):
+        """Neither ``tree``, ``operators`` nor ``seminorms``, and no
+        ``dataclasses`` or ``inspect``: the value types are named tuples."""
+        loaded = self._loaded(tmp_path, argv)
+        assert loaded["padiclab"] == self.ROOT_LAYER
+        assert loaded["dataclasses"] == [] and loaded["inspect"] == []
 
     def test_validate_loads_no_scipy(self, tmp_path):
         """The Haar blocks and commutator norms are read off numpy arrays."""
-        argv = ["validate", *P211_ARGS, "--depth", "8", "--seminorm-depth", "3"]
-        assert self._loaded(tmp_path, argv)[0] == []
+        assert self._loaded(tmp_path, self.VALIDATE)["scipy"] == []
+
+    def test_validate_loads_every_module(self, tmp_path):
+        loaded = self._loaded(tmp_path, self.VALIDATE)["padiclab"]
+        assert loaded == sorted([*self.ROOT_LAYER, "padiclab.operators", "padiclab.seminorms",
+                                 "padiclab.tree"])
+
+    def test_module_run_clean_under_warnings_as_errors(self, tmp_path):
+        """``python -m padiclab.cli`` imports the package first; had the package
+        imported ``cli`` itself, runpy would warn that it is already loaded."""
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        env.pop("PADICLAB_OUTDIR", None)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "padiclab.cli", "spectrum", *P211_ARGS,
+             "--n-max", "2", "--m-max", "1"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert json.loads(proc.stdout)["command"] == "spectrum"
 
     def test_qspecial_adds_only_mpmath(self, tmp_path):
         """The series layer sums in Python integers and seeds its roots in
@@ -459,3 +517,24 @@ class TestTracer:
         last = json.loads(spans.read_text().splitlines()[-1])
         assert last["request"] == 0
         assert "counters" in last
+
+    @pytest.mark.parametrize("argv, span", [
+        (["spectrum", *P211_ARGS, "--n-max", "3"], "spectrum_zeta.full_spectrum"),
+        (["zeta", *P211_ARGS, "--s-max", "2"], "spectrum_zeta.zeta_DR"),
+    ], ids=["spectrum", "zeta"])
+    def test_tracer_wraps_root_commands(self, tmp_path, argv, span):
+        """The tracer looks every module up in ``sys.modules`` after importing
+        only ``padiclab.cli``; the root commands load just the root layer, so
+        the tracer's own imports must bring in the rest."""
+        spans = tmp_path / "spans.jsonl"
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "bench" / "tracer.py"), str(spans), "1", *argv,
+             "--out", str(tmp_path / "out.json")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = [json.loads(line) for line in spans.read_text().splitlines()]
+        names = {line.get("name") for line in lines}
+        assert {"cli.import", "cli.main", "qspecial.find_roots", span} <= names
+        assert all(line["request"] == 1 for line in lines) and "counters" in lines[-1]

@@ -35,6 +35,44 @@ class TestFieldParams:
     def test_scale_exactness(self):
         assert P211.scale_float(-3) == 0.125
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((6, 1, 1), "p must be prime, got 6"),
+            ((1, 1, 1), "p must be prime, got 1"),
+            ((2, 0, 1), "e must be a positive integer, got 0"),
+            ((2, 1, -1), "f must be a positive integer, got -1"),
+        ],
+    )
+    def test_validation_messages(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FieldParams(*args)
+
+    def test_value_semantics(self):
+        """Equal fields give equal, equally hashed values (the root cache keys
+        on them), keyword and positional construction alike."""
+        same = FieldParams(p=2, e=1, f=1)
+        assert same == P211 and same is not P211
+        assert hash(same) == hash(P211)
+        assert {P211: "cached"}[same] == "cached"
+        assert P211 != P311 and P211 != P221 and P211 != P212
+        assert (same.p, same.e, same.f) == (2, 1, 1)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            P211.p = 3
+        with pytest.raises(AttributeError):
+            P211.extra = 1
+        assert P211.p == 2
+
+    def test_repr(self):
+        assert repr(P212) == "FieldParams(p=2, e=1, f=2)"
+
+    def test_replace_validates(self):
+        assert P211._replace(e=2) == P221 and type(P211._replace(e=2)) is FieldParams
+        with pytest.raises(ValueError, match="^p must be prime, got 4$"):
+            P211._replace(p=4)
+
 
 class TestCenter:
     def test_digit_validation(self):
@@ -43,6 +81,42 @@ class TestCenter:
             Center(P211, 0, (0, 2))
         with pytest.raises(ValueError):
             Center(P311, 0, (-1,))
+
+    @pytest.mark.parametrize(
+        "params, digits, message",
+        [(P211, (0, 2), "digit 2 outside alphabet 0..1"),
+         (P311, (-1,), "digit -1 outside alphabet 0..2"),
+         (P212, (3, 4), "digit 4 outside alphabet 0..3")],
+    )
+    def test_validation_messages(self, params, digits, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Center(params, 0, digits)
+
+    def test_value_semantics(self):
+        c = Center(P212, -1, (0, 3))
+        same = Center(params=FieldParams(2, 1, 2), start=-1, digits=(0, 3))
+        assert c == same and hash(c) == hash(same)
+        assert c != Center(P212, 0, (0, 3)) and c != Center(P212, -1, (0, 2))
+        assert c != Center(P211, -1, (0, 1)) and Center(P211, 0, ()) != Center(P311, 0, ())
+
+    def test_immutable(self):
+        c = Center(P211, 0, (1, 0))
+        with pytest.raises(AttributeError):
+            c.start = 1
+        with pytest.raises(AttributeError):
+            c.digits = (0,)
+        assert (c.start, c.digits) == (0, (1, 0))
+
+    def test_repr(self):
+        assert repr(Center(P212, -1, (0, 3))) == (
+            "Center(params=FieldParams(p=2, e=1, f=2), start=-1, digits=(0, 3))"
+        )
+
+    def test_replace_validates(self):
+        c = Center(P212, -1, (0, 3))
+        assert c._replace(start=0) == Center(P212, 0, (0, 3))
+        with pytest.raises(ValueError, match="^digit 3 outside alphabet 0..1$"):
+            c._replace(params=P211)
 
 
 class TestCountG:

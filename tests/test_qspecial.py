@@ -15,6 +15,7 @@ from mpmath.libmp import round_nearest as _RND
 from padiclab import (
     BracketError,
     FieldParams,
+    RootTable,
     SeriesError,
     eigvec_from_series,
     eigvec_recurrence,
@@ -335,6 +336,20 @@ class TestFindRoots:
         assert t4.brackets == t3.brackets[:3]
         assert t4.dps_used == t3.dps_used[:3]
         assert find_roots(params, 3) is t3
+
+    def test_prefix(self):
+        """``prefix`` cuts every per-root field to the same length and keeps
+        the parameters; the cut table is a value, equal to a direct build."""
+        table = find_roots(P211, 4)
+        head = table.prefix(2)
+        assert type(head) is RootTable and head.params == P211 and head.n_max == 2
+        assert head.roots == table.roots[:3] and head.residuals == table.residuals[:3]
+        assert head.brackets == table.brackets[:3] and head.dps_used == table.dps_used[:3]
+        assert head == RootTable(P211, table.roots[:3], table.residuals[:3],
+                                 table.brackets[:3], table.dps_used[:3])
+        assert table.prefix(4) == table and table.prefix(0).roots == table.roots[:1]
+        with pytest.raises(AttributeError):
+            head.roots = ()
 
     def test_cache_evicts_least_recently_used(self, monkeypatch):
         cache = qspecial._RootCache(2)

@@ -12,6 +12,8 @@ from padiclab import (
     count_g,
     FieldParams,
     PoleError,
+    SpectrumRow,
+    SpectrumTable,
     factor_poles,
     factor_zeros,
     find_roots,
@@ -23,7 +25,7 @@ from padiclab import (
     zeta_DR,
     zeta_factor,
 )
-from padiclab import spectrum_zeta, tree_window_r
+from padiclab import operators, spectrum_zeta, tree_window_r
 from padiclab.operators import _symmetrized_D_csr
 from sparse_oracles import sparse_haar_blocks
 from sturm_oracle import jacobi_D0
@@ -64,6 +66,21 @@ class TestFullSpectrum:
         assert np.all(np.diff(vals) >= 0)
         # The m=2 value appears twice in a row.
         assert vals[3] == vals[4]
+
+    def test_expanded_on_built_table(self):
+        """Rows repeat by multiplicity in row order, and ``k`` cuts the list,
+        also inside a row's copies."""
+        rows = (SpectrumRow(0, 0, 0.5, 0.5, 1), SpectrumRow(1, 0, 0.5, 2.0, 3),
+                SpectrumRow(0, 1, 4.0, 4.0, 1))
+        table = SpectrumTable(P211, rows)
+        assert table.values_expanded().tolist() == [0.5, 2.0, 2.0, 2.0, 4.0]
+        assert table.values_expanded(3).tolist() == [0.5, 2.0, 2.0]
+        assert table.values_expanded(9).tolist() == [0.5, 2.0, 2.0, 2.0, 4.0]
+        assert SpectrumTable(P211, ()).values_expanded(2).tolist() == []
+        assert table == SpectrumTable(params=P211, rows=rows)
+        assert repr(rows[0]) == "SpectrumRow(m=0, n=0, lam=0.5, value=0.5, multiplicity=1)"
+        with pytest.raises(AttributeError):
+            table.rows = ()
 
     def test_scale_overflow_refused_before_roots(self, monkeypatch):
         def no_roots(*args, **kwargs):
@@ -132,7 +149,7 @@ class TestValidateSpectrum:
             data[indptr[row] + 2] *= 1.0 + 1e-5  # the digit-1 child of that row
             return data, indices, indptr
 
-        monkeypatch.setattr(spectrum_zeta, "_symmetrized_D_csr", perturbed)
+        monkeypatch.setattr(operators, "_symmetrized_D_csr", perturbed)
         rep = validate_spectrum(P211, 8, with_drift=False)
         assert rep.failures() == ["multiplicity-pattern", "block-scaling-identity"]
         assert rep.scaling_max_dev > 1e-6
@@ -148,7 +165,7 @@ class TestValidateSpectrum:
             indices[indptr[window.level_slice(level).start + 1] - 1] += 1
             return data, indices, indptr
 
-        monkeypatch.setattr(spectrum_zeta, "_symmetrized_D_csr", moved)
+        monkeypatch.setattr(operators, "_symmetrized_D_csr", moved)
         message = f"assembled D breaks the tree's row pattern at level {level}"
         with pytest.raises(ValueError, match=f"^{message}$"):
             validate_spectrum(P211, 8, with_drift=False)
@@ -222,7 +239,7 @@ class TestHaarBlocks:
         data, indices, indptr = _symmetrized_D_csr(window)
         rng = np.random.default_rng(N)
         arrays = (data * (1.0 + 1e-3 * rng.standard_normal(data.size)), indices, indptr)
-        monkeypatch.setattr(spectrum_zeta, "_symmetrized_D_csr", lambda w: arrays)
+        monkeypatch.setattr(operators, "_symmetrized_D_csr", lambda w: arrays)
         ref_blocks, ref_residuals, _ = sparse_haar_blocks(
             params, N, sp.csr_matrix(arrays, shape=(window.total, window.total))
         )

@@ -81,13 +81,22 @@ class TestWindowShape:
             lambda: tree_window_f(P211, 1, 2).level_size(-2),
             lambda: tree_window_r(P311, 2).center(2, 9),
             lambda: tree_window_r(P311, 2).center(1, -1),
+            lambda: tree_window_r(P211, 2)._replace(max_level=-1),
         ],
         ids=["max-below-min", "negative-M", "level-past-window", "level-before-window",
-             "rank-past-level", "negative-rank"],
+             "rank-past-level", "negative-rank", "replaced-max-below-min"],
     )
     def test_bad_windows_and_addresses_rejected(self, build):
         with pytest.raises(ValueError):
             build()
+
+    def test_value_semantics(self):
+        w = tree_window_f(P211, 1, 3)
+        assert w == TreeWindow(P211, -1, 3) and hash(w) == hash(TreeWindow(P211, -1, 3))
+        assert w != tree_window_r(P211, 3) and w != TreeWindow(P311, -1, 3)
+        assert repr(w) == "TreeWindow(params=FieldParams(p=2, e=1, f=1), min_level=-1, max_level=3)"
+        with pytest.raises(AttributeError):
+            w.max_level = 4
 
     @pytest.mark.parametrize("n", [-2, -1, 3])
     def test_level_slice_outside_window_rejected(self, n):
