@@ -322,15 +322,23 @@ def _validate_rows(args: argparse.Namespace, params: FieldParams) -> tuple[list[
 def _check_window_budget(args: argparse.Namespace, params: FieldParams) -> None:
     """Refuse, before any assembly, a window over ``MAX_WINDOW_VERTICES``.
 
-    The size is summed in closed form over the levels ``0..depth`` (``q_res**n``
-    vertices each), so an absurd depth costs one integer power.
+    The size is summed level by level over ``0..depth`` (``q_res**n``
+    vertices each).  The sum stops once it passes the square of the limit,
+    so any depth is refused within a few dozen levels; the refusal names the
+    size only when it was summed to the end.
     """
     q = params.q_res
     windows = [("spectrum", args.depth), ("seminorm", args.seminorm_depth)]
     if not args.no_drift:
         windows.insert(1, ("drift", args.depth + 2))
     for name, depth in windows:
-        size = (q ** (depth + 1) - 1) // (q - 1)
+        size = level = 1
+        for _ in range(depth):
+            if size > MAX_WINDOW_VERTICES**2:
+                raise ValueError(f"{name} window of depth {depth} is over the limit of "
+                                 f"{MAX_WINDOW_VERTICES} vertices")
+            level *= q
+            size += level
         if size > MAX_WINDOW_VERTICES:
             raise ValueError(
                 f"{name} window of depth {depth} has {size} vertices, "

@@ -41,11 +41,16 @@ pass the residual gate and show certified opposite signs of ``F`` across
 ``lambda_n (1 -+ 10**-(dps-15))``.  Locating a root needs only relative
 accuracy, which ``d`` digits give whatever ``n`` is: at relative distance
 ``eps`` from the root ``|F|`` is about ``eps`` times the largest term, and
-the rounding error of a ``d``-digit sum about ``10**-d`` times it.  A pass
-runs in Python integers: each term is the last times ``r_k z``, held in
-absolute fixed point with 32 guard bits below the working precision, and
-the sums and the tail rule are integer additions and comparisons; only the
-returned values are mpmath numbers.
+the rounding error of a ``d``-digit sum about ``10**-d`` times it.
+
+All of this runs in Python integers.  At ``d`` digits every value (``q``,
+the point, ``F``, ``F'``, the Newton steps and the enclosure) is held in
+absolute fixed point with 32 guard bits below ``d`` digits' binary
+precision, and each term is the last times ``r_k z``, so a pass is integer
+products, shifts and comparisons.  The certified roots are exact
+:class:`Dyadic` values; mpmath is imported only by :func:`phi11`,
+:func:`phi11_derivative` and the eigenvector diagnostics, which take and
+return mpmath numbers.
 
 Also provided: the forward recurrence for the tridiagonal eigenvector at a
 given eigenvalue (a shooting diagnostic: at a true eigenvalue the decaying
@@ -59,10 +64,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from typing import TYPE_CHECKING, NamedTuple
-
-import mpmath as mp
-from mpmath.libmp import from_man_exp, fzero, mpf_div, mpf_pos, to_fixed
-from mpmath.libmp import round_nearest as _RND
 
 from .field_model import FieldParams
 
@@ -115,19 +116,103 @@ class SeriesError(RuntimeError):
     """A series evaluation failed to meet its tail criterion."""
 
 
-def _ratio_table(q, width: int, start: int, stop: int) -> list[tuple[int, int]]:
+def _bits(dps: int) -> int:
+    """Binary precision of ``dps`` decimal digits, as mpmath sets it."""
+    return max(1, int(round((dps + 1) * 3.3219280948873626)))
+
+
+def _fixed(x: float, scale: int) -> int:
+    """``floor(x * 2**scale)`` for a float ``x``, exactly."""
+    num, den = x.as_integer_ratio()
+    return (num << scale) // den
+
+
+def _iroot(n: int, k: int) -> int:
+    """``floor(n**(1/k))`` for ``n >= 1``, by Newton from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+class Dyadic:
+    """The exact value ``man * 2**exp``, stored with ``man`` odd (zero as ``0, 0``).
+
+    The certified roots are of this type.  ``float()`` rounds to nearest,
+    ties to even, as ``float`` of an mpmath number does, and ``_mpf_`` is
+    the raw mpmath value, so ``mp.mpf``, ``mp.power`` and arithmetic with
+    mpmath numbers take a root exactly.
+    """
+
+    __slots__ = ("man", "exp")
+
+    def __init__(self, man: int, exp: int):
+        zeros = max((man & -man).bit_length() - 1, 0)
+        self.man, self.exp = man >> zeros, exp + zeros if man else 0
+
+    def __float__(self) -> float:
+        try:
+            if self.exp >= 0:
+                return float(self.man << self.exp)
+            return self.man / (1 << -self.exp)
+        except OverflowError:
+            return math.copysign(math.inf, self.man)
+
+    @property
+    def _mpf_(self) -> tuple:
+        from mpmath.libmp import from_man_exp
+
+        return from_man_exp(self.man, self.exp)
+
+    def __eq__(self, other):
+        if isinstance(other, Dyadic):
+            return self.man == other.man and self.exp == other.exp
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.man, self.exp))
+
+    def __repr__(self) -> str:
+        return f"<Dyadic {float(self)!r}: {self.man} * 2**{self.exp}>"
+
+
+def _base(params: FieldParams, bits: int) -> tuple[int, int]:
+    """``q = p**(-2/e)`` floored at ``bits`` fractional bits, as ``(man, bits)``:
+    ``2**bits`` divided by ``p**(2/e)`` for ``e`` in {1, 2}, else the integer
+    ``e``-th root of ``2**(e bits) / p**2``."""
+    p, e = params.p, params.e
+    if 2 % e == 0:
+        return (1 << bits) // p ** (2 // e), bits
+    return _iroot((1 << (e * bits)) // (p * p), e), bits
+
+
+def _ratio_table(q: tuple[int, int], width: int, start: int, stop: int) -> list[tuple[int, int]]:
     """Ratios ``r_k = a_k / a_(k-1) = -q**(k-1) / (1 - q**k)**2`` for
-    ``start <= k < stop``, each rounded to nearest at ``width`` bits, as raw
+    ``start <= k < stop``, each rounded at ``width`` bits, as raw
     ``(mantissa, exponent)`` pairs: ``r_k = mantissa * 2**exponent``, the
-    mantissa signed."""
+    mantissa signed.  ``q = (man, bits)`` is ``man * 2**-bits``.
+
+    ``q**k`` is carried as a ``width + _GUARD_BITS``-bit mantissa times a
+    power of two, floored at each step; ``1 - q**k`` is exact on it, and
+    each ratio is a floored quotient of ``width + 2`` bits rounded to
+    nearest at ``width``.
+    """
+    q_man, q_bits = q
+    keep = width + _GUARD_BITS
     ratios = []
-    with mp.workprec(width + _GUARD_BITS):
-        q_pow = q ** (start - 1)
-        for _ in range(start, stop):
-            q_k = q_pow * q
-            sign, man, exp, _ = mpf_pos((-q_pow / (1 - q_k) ** 2)._mpf_, width, _RND)
-            ratios.append((-man if sign else man, exp))
-            q_pow = q_k
+    man, exp = 1, 0  # q**(k-1)
+    for k in range(1, stop):
+        next_man, next_exp = man * q_man, exp - q_bits  # q**k
+        drop = next_man.bit_length() - keep
+        if drop > 0:
+            next_man, next_exp = next_man >> drop, next_exp + drop
+        if k >= start:
+            den = ((1 << -next_exp) - next_man) ** 2  # ((1 - q**k) 2**-next_exp)**2
+            shift = den.bit_length() - man.bit_length() + width + 2
+            ratios.append(_narrowed((-((man << shift) // den), exp - 2 * next_exp - shift), width))
+        man, exp = next_man, next_exp
     return ratios
 
 
@@ -146,34 +231,28 @@ class _QSeries:
 
     Holds the ratios ``r_k = a_k / a_(k-1) = -q**(k-1) / (1 - q**k)**2`` of
     the coefficients ``a_k = (-1)**k q**(k(k-1)/2) / ((q;q)_k)**2`` of
-    ``F(z) = sum a_k z**k``, rounded at ``w = prec + _GUARD_BITS`` bits
-    (``prec`` the binary precision of ``dps`` digits) and extended lazily as
-    evaluations reach further.  A pass sums in Python integers: the terms
-    ``t_k = t_(k-1) * (r_k * z)`` are held in absolute fixed point with
-    ``S = prec + _GUARD_BITS`` fractional bits, each by an exact product
-    with the ratio's mantissa and ``z``'s and one floor shift, so no
-    evaluation recomputes a power of ``q`` or rounds a partial sum.  Only
-    the returned values become mpmath numbers.
+    ``F(z) = sum a_k z**k``, rounded at ``scale = prec + _GUARD_BITS`` bits
+    (``prec`` the binary precision of ``dps`` digits) and extended lazily
+    as evaluations reach further.  ``q = (man, bits)`` is ``man * 2**-bits``.
+    Points, sums and terms are integers in absolute fixed point with
+    ``scale`` fractional bits: each term ``t_k = t_(k-1) * (r_k * z)`` is
+    an exact product with the ratio's mantissa and ``z`` and one floor
+    shift, so no evaluation recomputes a power of ``q`` or rounds a sum.
     """
 
-    def __init__(self, q, dps: int):
-        with mp.workdps(dps):
-            q = mp.mpf(q)
-            if not 0 < q < 1:
-                raise ValueError("q must lie in (0, 1)")
-            self.dps = dps
-            self._prec = mp.mp.prec
-            self._default_tol = mp.mpf(10) ** (-(dps - 5))
-            self._rel_error = mp.mpf(10) ** (-(dps - 1))
+    def __init__(self, q: tuple[int, int], dps: int):
+        if not 0 < q[0] < 1 << q[1]:
+            raise ValueError("q must lie in (0, 1)")
+        self.dps = dps
+        self.scale = _bits(dps) + _GUARD_BITS
         self._q = q
-        self._width = self._prec + _GUARD_BITS
         self._ratios: list[tuple[int, int]] = []  # r_k at index k - 1
 
     def _grow(self, terms: int) -> None:
         """Extend the ratio table to cover the first ``terms`` coefficients."""
         have = len(self._ratios)
         if have + 1 < terms:
-            self._ratios += _ratio_table(self._q, self._width, have + 1, terms)
+            self._ratios += _ratio_table(self._q, self.scale, have + 1, terms)
 
     def rounded(self, dps: int, terms: int) -> _QSeries:
         """This series at precision ``dps`` (at most this one's), its table
@@ -181,52 +260,50 @@ class _QSeries:
         width; this table is extended to ``terms`` coefficients first."""
         self._grow(terms)
         lower = _QSeries(self._q, dps)
-        width = lower._width
-        lower._ratios = [_narrowed(r, width) for r in self._ratios[: terms - 1]]
+        lower._ratios = [_narrowed(r, lower.scale) for r in self._ratios[: terms - 1]]
         return lower
 
-    def sums(self, z, target_tol=None, max_terms: int = _MAX_TERMS,
+    def sums(self, z: int, target_tol: float | None = None, max_terms: int = _MAX_TERMS,
              value: bool = True, derivative: bool = False):
         """``F(z)`` and ``F'(z)`` from one pass over the terms ``t_k = a_k z**k``.
 
         ``F = sum t_k`` and ``F' = (sum k t_k) / z``.  Each sum ends by the
         tail rule of :func:`phi11` on its own terms (``t_k``, ``k t_k / z``),
-        and the pass ends once every requested sum has ended.  Returns
-        ``(F, F', terms, largest)``: the sums (``None`` where not requested)
-        and, when ``F`` is requested, its number of terms and its largest
-        term magnitude.  Raises :class:`SeriesError` when ``max_terms`` runs
-        out first.
+        ``target_tol`` (``None``: ``10**-(dps-5)``) taken exactly, and the
+        pass ends once every requested sum has ended.  ``z`` and the results
+        are in fixed point at ``scale``: returns ``(F, F', terms, largest)``,
+        the sums (``None`` where not requested; ``F'`` floored) and, when
+        ``F`` is requested, its number of terms and its largest term
+        magnitude.  Raises :class:`SeriesError` when ``max_terms`` runs out
+        first.
         """
-        prec = self._prec
-        scale = prec + _GUARD_BITS
-        with mp.workprec(prec):
-            z = mp.mpf(z)._mpf_
-            tol = self._default_tol if target_tol is None else mp.mpf(target_tol)
-        z_sign, z_man, z_exp, _ = z
-        z_man = -z_man if z_sign else z_man
-        # The rule "magnitude < tol * size" as (magnitude << tol_shift) < tol_man * size.
-        _, tol_man, tol_exp, _ = tol._mpf_
-        tol_man <<= max(tol_exp, 0)
-        tol_shift = max(-tol_exp, 0)
+        scale = self.scale
+        if target_tol is None:
+            tol_num, tol_den = 1, 10 ** (self.dps - 5)
+        else:
+            tol_num, tol_den = target_tol.as_integer_ratio()
+        # The rule "magnitude < tol * size" as magnitude * tol_den < tol_num * size.
         one = 1 << scale
-        size_z = abs(to_fixed(z, scale))
+        size_z = abs(z)
+        zeros = max((z & -z).bit_length() - 1, 0)  # z = z_odd * 2**zeros
+        z_odd = z >> zeros
         ratios = self._ratios
-        f_open, d_open = value, derivative and z != fzero
+        f_open, d_open = value, derivative and z != 0
         term = f_sum = largest = f_prev = one  # F, starting from t_0 = 1
         d_sum, d_prev = 0, size_z  # z F', its rule scaled by |z|
         terms, k = 1, 0
         while f_open or d_open:
             k += 1
             if k > max_terms:
+                tol = f"1e-{self.dps - 5}" if target_tol is None else target_tol
                 raise SeriesError(
-                    f"series did not meet tail tolerance {tol} "
-                    f"within {max_terms} terms"
+                    f"series did not meet tail tolerance {tol} within {max_terms} terms"
                 )
             if k > len(ratios):
                 self._grow(min(2 * k, max_terms) + 1)
             man, exp = ratios[k - 1]
-            shift = -(exp + z_exp)
-            term *= man * z_man
+            shift = scale - exp - zeros
+            term *= man * z_odd
             term = term >> shift if shift >= 0 else term << -shift
             if f_open:
                 f_sum += term
@@ -235,7 +312,7 @@ class _QSeries:
                     largest = mag
                 if mag <= f_prev:
                     size = abs(f_sum)
-                    f_open = (mag << tol_shift) >= tol_man * (size if size > one else one)
+                    f_open = mag * tol_den >= tol_num * (size if size > one else one)
                 f_prev, terms = mag, k + 1
             if d_open:
                 d_term = k * term
@@ -243,46 +320,60 @@ class _QSeries:
                 mag = abs(d_term)
                 if mag <= d_prev:
                     size = abs(d_sum)
-                    d_open = (mag << tol_shift) >= tol_man * (size if size > size_z else size_z)
+                    d_open = mag * tol_den >= tol_num * (size if size > size_z else size_z)
                 d_prev = mag
-        f_value = mp.make_mpf(from_man_exp(f_sum, -scale, prec, _RND)) if value else None
         d_value = None
         if derivative:
-            if z == fzero:  # F'(0) = a_1 = r_1
+            if z == 0:  # F'(0) = a_1 = r_1, and |r_1| > 1
                 self._grow(2)
-                d_value = mp.make_mpf(from_man_exp(*ratios[0], prec, _RND))
+                man, exp = ratios[0]
+                d_value = man << (scale + exp)
             else:
-                d_value = mp.make_mpf(mpf_div(from_man_exp(d_sum, -scale), z, prec, _RND))
-        return f_value, d_value, terms, mp.make_mpf(from_man_exp(largest, -scale, prec, _RND))
+                d_value = (d_sum << scale) // z
+        return f_sum if value else None, d_value, terms, largest
 
-    def sign(self, z):
+    def sign(self, z: int) -> int | None:
         """Sign of ``F(z)``, or ``None`` when ``|F(z)|`` does not exceed the
         evaluation's error bound: terms summed times the largest term times
         ``10**-(dps-1)``.
 
-        The pass's own error sits far inside that bound.  Write ``w`` for
-        the ratio width and ``S`` for the fractional bits, both
-        ``prec + _GUARD_BITS``.  Each ratio is within ``2 * 2**-w`` of its
-        exact value relative (rounded at the widest table's width, then
-        shifted to ``w``), and its product with ``z`` is exact, so after
+        The pass's own error sits far inside that bound.  Write ``S`` for
+        the fractional bits, ``prec + _GUARD_BITS``, which is also the
+        ratio width.  Each ratio is within ``2 * 2**-S`` of its exact value
+        at the table's ``q`` relative (rounded at the widest table's width,
+        then shifted to ``S``), and that ``q``, floored 32 bits beyond the
+        widest width, moves no ratio by as much again within
+        ``_MAX_TERMS``.  The product with ``z`` is exact, so after
         ``k <= _MAX_TERMS`` steps ``t_k`` has drifted by at most about
-        ``2k 2**-w |t_k|``.  Each shift floors, losing less than ``2**-S`` in
-        absolute value; a loss at step ``j`` reaches ``t_k`` scaled by
-        ``|t_k / t_j|``, which is at most ``largest``: ``|r_k z|`` falls with
-        ``k``, so the term magnitudes rise from ``|t_0| = 1`` to their peak
-        and then fall, and ``largest >= 1``.  Hence each term is off by at
-        most about ``3k 2**-S largest``, the ``terms``-term sum by
-        ``terms * largest * 3 _MAX_TERMS 2**-(prec+32) < terms * largest *
-        2**-(prec+19)``, and rounding it to ``prec`` bits adds at most
-        ``|F| 2**-prec <= terms * largest * 2**-prec``.  Since
-        ``2**-prec < 0.15 * 10**-dps``, the total stays below a fiftieth of
-        the bound.  As before, the bound covers the pass's arithmetic, not
-        the terms past the tail rule.
+        ``4k 2**-S |t_k|``.  Each shift floors, losing less than ``2**-S``
+        in absolute value; a loss at step ``j`` reaches ``t_k`` scaled by
+        ``|t_k / t_j|``, which is at most ``largest``: ``|r_k z|`` falls
+        with ``k``, so the term magnitudes rise from ``|t_0| = 1`` to their
+        peak and then fall, and ``largest >= 1``.  Hence each term is off by
+        at most about ``5k 2**-S largest``, and the ``terms``-term sum, which
+        is exact in fixed point, by ``terms * largest * 5 _MAX_TERMS
+        2**-(prec+32) < terms * largest * 2**-(prec+18)``.  Since ``2**-prec
+        < 0.15 * 10**-dps``, that is below a hundredth of the bound.  As
+        before, the bound covers the pass's arithmetic, not the terms past
+        the tail rule.
         """
         value, _, terms, largest = self.sums(z)
-        if abs(value) > terms * largest * self._rel_error:
-            return int(mp.sign(value))
+        if abs(value) * 10 ** (self.dps - 1) > terms * largest:
+            return 1 if value > 0 else -1
         return None
+
+
+def _caller_sums(q, z, target_tol, max_terms: int, derivative: bool):
+    """``F(z)`` or ``F'(z)`` at the caller's mpmath precision, as an mpmath number."""
+    import mpmath as mp
+    from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+
+    sign, man, exp, _ = mp.mpf(q)._mpf_
+    series = _QSeries(((-man if sign else man) << max(exp, 0), max(-exp, 0)), mp.mp.dps)
+    z = to_fixed(mp.mpf(z)._mpf_, series.scale)
+    tol = None if target_tol is None else float(target_tol)
+    value = series.sums(z, tol, max_terms, not derivative, derivative)[derivative]
+    return mp.make_mpf(from_man_exp(value, -series.scale, _bits(series.dps), round_nearest))
 
 
 def phi11(q, z, target_tol=None, max_terms: int = _MAX_TERMS):
@@ -291,20 +382,19 @@ def phi11(q, z, target_tol=None, max_terms: int = _MAX_TERMS):
     Sums until the next term is below ``target_tol * max(1, |sum|)`` *and*
     terms have started decreasing; raises :class:`SeriesError` if
     ``max_terms`` is exhausted first.  Runs at the caller's mpmath precision
-    (``target_tol=None`` uses that precision's floor).
+    (``target_tol=None`` uses that precision's floor) and returns an mpmath
+    number.
     """
-    return _QSeries(mp.mpf(q), mp.mp.dps).sums(z, target_tol, max_terms)[0]
+    return _caller_sums(q, z, target_tol, max_terms, False)
 
 
 def phi11_derivative(q, z, target_tol=None, max_terms: int = _MAX_TERMS):
     """Derivative in ``z`` of :func:`phi11` (termwise differentiation)."""
-    series = _QSeries(mp.mpf(q), mp.mp.dps)
-    return series.sums(z, target_tol, max_terms, value=False, derivative=True)[1]
+    return _caller_sums(q, z, target_tol, max_terms, True)
 
 
 def _series_at(params: FieldParams, dps: int) -> _QSeries:
-    with mp.workdps(dps):
-        return _QSeries(mp.power(params.p, -mp.mpf(2) / params.e), dps)
+    return _QSeries(_base(params, _bits(dps) + 2 * _GUARD_BITS), dps)
 
 
 def upper_bracket(params: FieldParams, n: int) -> float:
@@ -319,7 +409,7 @@ class RootTable(NamedTuple):
 
     Attributes:
         params: Field parameters.
-        roots: Roots as mpmath floats, ascending.
+        roots: Roots as exact :class:`Dyadic` values, ascending.
         residuals: ``|F(lambda_n)|`` as floats (evaluated at full precision).
         brackets: The certified sign-change interval per root: the final
             enclosure ``root (1 -+ 10**-(dps-15))`` widened outward to the
@@ -337,7 +427,7 @@ class RootTable(NamedTuple):
     def n_max(self) -> int:
         return len(self.roots) - 1
 
-    def root(self, n: int) -> mp.mpf:
+    def root(self, n: int) -> Dyadic:
         return self.roots[n]
 
     def values_float(self) -> np.ndarray:
@@ -469,8 +559,10 @@ def _float_seeds(params: FieldParams, n_max: int) -> tuple[list[float], int]:
     counts are the same float operations, so a point above eigenvalue ``k``
     at order ``L`` is above it at order ``2L``: each eigenvalue of order
     ``L`` hints its successor.  ``L`` is capped by ``_SEED_MAX_ORDER`` and by
-    the float range of the unscaled block (``Q**L`` below ``10**300``);
-    seeds that have not settled by the cap raise :class:`BracketError`.
+    the float range of the unscaled block (``Q**L`` below ``10**300``), and
+    never clamped to the cap, which would compare two orders too close to
+    bound anything: seeds that have not settled when ``2L`` passes the cap
+    raise :class:`BracketError`.
     """
     count = n_max + 2  # one eigenvalue beyond the last root, for its separator
     cap = min(_SEED_MAX_ORDER, int(300 / math.log10(params.Q)))
@@ -485,12 +577,13 @@ def _float_seeds(params: FieldParams, n_max: int) -> tuple[list[float], int]:
         eigs = _bisect(_sturm_count(params, L), count, prev)
         if prev is not None and all(abs(a - b) <= _SEED_SETTLE * a for a, b in zip(eigs, prev)):
             return eigs, L
-        if L == cap:
+        if 2 * L > cap:
             raise BracketError(
-                f"float seeds for roots 0..{n_max} did not settle by Jacobi order {L} "
+                f"float seeds for roots 0..{n_max} did not settle by Jacobi order {L}: "
+                f"order {2 * L} is over the limit of {cap} "
                 f"(params p={params.p}, e={params.e}, f={params.f})"
             )
-        prev, L = eigs, min(2 * L, cap)
+        prev, L = eigs, 2 * L
 
 
 def _root_work(params: FieldParams, seeds: list[float],
@@ -549,28 +642,36 @@ def _newton_levels(dps: int) -> list[int]:
     return levels[::-1]
 
 
-def _newton(series: _QSeries, root, guard: tuple[float, float], steps: int = 40):
-    """Newton for ``F`` from ``root`` at the series' precision ``d``.
+def _newton(series: _QSeries, x: int, guard: tuple[float, float], steps: int = 40):
+    """Newton for ``F`` from ``x`` at the series' precision ``d``, in its fixed point.
 
     Evaluates ``F`` and ``F'`` at most ``steps`` times, stopping at the first
-    step below ``10**-(d-10)`` relative; a step leaving the open interval
+    step below ``10**-(d-10)`` relative; each Newton point is rounded to the
+    binary precision of ``d`` digits, and a step leaving the open interval
     ``guard`` is not taken.  Returns ``(x, F(x), y)``: the last point ``x``
     evaluated, ``F`` there and the Newton point ``y`` that follows ``x``
     (``x`` itself when the step is not taken).
+
+    The rounding keeps the points as short as the precision they are good
+    to.  Deep roots at small ``q`` lie within far less than that of a short
+    dyadic number near ``Q**n``; a point rounded onto it is the root at
+    every higher level too, and the last level then stops after one step.
     """
-    lo, hi = guard
-    with mp.workdps(series.dps):
-        x = mp.mpf(root)
-        tol = mp.mpf(10) ** (-(series.dps - 10))
-        for i in range(steps):
-            fval, dval, _, _ = series.sums(x, derivative=True)
-            step = fval / dval if fval else fval
-            y = x - step
-            if not lo < y < hi:
-                return x, fval, x
-            if i + 1 == steps or abs(step) < tol * abs(x):
-                return x, fval, y
-            x = y
+    scale, bits = series.scale, _bits(series.dps)
+    lo, hi = _fixed(guard[0], scale), _fixed(guard[1], scale)
+    tol = 10 ** (series.dps - 10)
+    for i in range(steps):
+        fval, dval, _, _ = series.sums(x, derivative=True)
+        step = (fval << scale) // dval if fval else 0
+        y = x - step
+        drop = y.bit_length() - bits
+        if drop > 0:
+            y = (y + (1 << (drop - 1))) >> drop << drop
+        if not lo < y < hi:
+            return x, fval, x
+        if i + 1 == steps or abs(step) * tol < abs(x):
+            return x, fval, y
+        x = y
 
 
 def _certify_root(table: _QSeries, n: int, seed: float, dps: int, terms: int,
@@ -578,23 +679,25 @@ def _certify_root(table: _QSeries, n: int, seed: float, dps: int, terms: int,
     """Certify root ``n`` from its float seed at ``dps`` digits, as described
     under "Certify" in :func:`find_roots`, on copies of ``table`` truncated
     to ``terms`` coefficients.  Returns ``(root, residual, bracket)``."""
-    *lower, _ = _newton_levels(dps)
-    root = seed
-    for i, level in enumerate(lower):
-        root = _newton(table.rounded(level, terms), root, guard, 40 if i == 0 else 1)[2]
-    full = table.rounded(dps, terms)
-    root, value, _ = _newton(full, root, guard)
-    residual = float(abs(value))
+    levels = _newton_levels(dps)
+    for i, level in enumerate(levels):
+        series = table.rounded(level, terms)
+        root = _fixed(seed, series.scale) if i == 0 else root << (series.scale - scale)
+        scale = series.scale
+        if i + 1 < len(levels):
+            root = _newton(series, root, guard, 40 if i == 0 else 1)[2]
+    root, value, _ = _newton(series, root, guard)
+    residual = float(Dyadic(abs(value), -scale))
     if residual >= target_tol:
         raise BracketError(f"root {n} residual {residual:.3e} above target {target_tol}")
-    with mp.workdps(dps):
-        delta = mp.mpf(10) ** (-(dps - 15)) * root
-        left, right = root - delta, root + delta
-    sign_left = full.sign(left)
-    if sign_left is None or full.sign(right) != -sign_left:
+    delta = root // 10 ** (dps - 15)
+    left, right = root - delta, root + delta
+    sign_left = series.sign(left)
+    if sign_left is None or series.sign(right) != -sign_left:
         raise BracketError(f"final enclosure of root {n} shows no certified sign change")
-    bracket = (math.nextafter(float(left), -math.inf), math.nextafter(float(right), math.inf))
-    return root, residual, bracket
+    bracket = (math.nextafter(float(Dyadic(left, -scale)), -math.inf),
+               math.nextafter(float(Dyadic(right, -scale)), math.inf))
+    return Dyadic(root, -scale), residual, bracket
 
 
 class _RootCache:
@@ -685,6 +788,7 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> Ro
                 if cached is not None else ())
     work = _root_work(params, seeds[start : n_max + 1], target_tol)
     series = _series_at(params, max(dps for dps, _ in work))
+    series._grow(max(terms for _, terms in work))  # the whole table at once
     for n, (dps, terms) in enumerate(work, start):
         guard = (separators[n], separators[n + 1])
         root, residual, bracket = _certify_root(series, n, seeds[n], dps, terms,
@@ -711,11 +815,13 @@ def eigvec_recurrence(params: FieldParams, lam, L: int) -> list:
     decaying solution; away from one it blows up (shooting diagnostic).
     Working precision is raised internally so the decaying solution stays
     resolved out to ``L`` steps (the decaying branch shrinks like
-    ``Q**(-l)`` while rounding injects the non-decaying branch); pass an mpf
+    ``Q**(-l)`` while rounding injects the non-decaying branch); pass a root
     ``lam`` from :func:`find_roots` so its full mantissa is used.
     """
     if L < 1:
         raise ValueError("L must be positive")
+    import mpmath as mp
+
     log10Q = float(2 * mp.log10(mp.mpf(params.p)) / params.e)
     dps = max(mp.mp.dps, int(L * log10Q) + 80)
     with mp.workdps(dps):
@@ -735,6 +841,8 @@ def eigvec_tail_mass(phi: list) -> float:
     total; tiny at a true eigenvalue, order 1 at a spurious one.
     """
     L = len(phi) - 1
+    import mpmath as mp
+
     total = mp.fsum(abs(v) ** 2 for v in phi)
     tail = mp.fsum(abs(v) ** 2 for v in phi[L // 2 + 1 :])
     return float(tail / total)
@@ -750,6 +858,8 @@ def eigvec_series_c(params: FieldParams, lam, k_max: int) -> list:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    import mpmath as mp
+
     Q = mp.power(params.p, mp.mpf(2) / params.e)
     qv = 1 / Q
     lam = mp.mpf(lam)
@@ -768,6 +878,8 @@ def eigvec_from_series(params: FieldParams, lam, l: int):
     """
     if l < 1:
         raise ValueError("series reconstruction applies at depths l >= 1")
+    import mpmath as mp
+
     with mp.workdps(max(mp.mp.dps, 120)):
         Q = mp.power(params.p, mp.mpf(2) / params.e)
         qv = 1 / Q

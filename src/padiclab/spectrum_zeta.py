@@ -37,13 +37,12 @@ import cmath
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-import mpmath as mp
-
 from .field_model import FieldParams, count_g
 from .qspecial import find_roots
 
 # numpy, the operators and the tree are imported inside the window validation
 # and the other functions that use them: spectrum and zeta never load them.
+# mpmath is imported by zeta_D0 alone.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -573,6 +572,8 @@ def zeta_D0(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:
         raise ValueError(
             f"tail bound degenerate at n_roots={n_roots}; use more roots"
         )
+    import mpmath as mp
+
     roots = find_roots(params, n_roots - 1)
     s_mp = mp.mpc(s)
     value = complex(mp.fsum(mp.power(r, -s_mp) for r in roots.roots))

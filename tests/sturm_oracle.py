@@ -54,7 +54,8 @@ def dense_seeds(params: FieldParams, n_max: int) -> tuple[np.ndarray, int]:
 
     The order starts at ``2 (n_max + 2)`` and doubles until no returned
     eigenvalue moves by more than ``_SEED_SETTLE`` relative, capped like the
-    package's seeds; the refusals carry the package's messages.
+    package's seeds and, like them, never clamped to the cap; the refusals
+    carry the package's messages.
     """
     count = n_max + 2
     cap = min(_SEED_MAX_ORDER, int(300 / math.log10(params.Q)))
@@ -69,12 +70,13 @@ def dense_seeds(params: FieldParams, n_max: int) -> tuple[np.ndarray, int]:
         eigs = np.linalg.eigvalsh(jacobi_D0(params, L))[:count]
         if prev is not None and np.all(np.abs(eigs - prev) <= _SEED_SETTLE * eigs):
             return eigs, L
-        if L == cap:
+        if 2 * L > cap:
             raise BracketError(
-                f"float seeds for roots 0..{n_max} did not settle by Jacobi order {L} "
+                f"float seeds for roots 0..{n_max} did not settle by Jacobi order {L}: "
+                f"order {2 * L} is over the limit of {cap} "
                 f"(params p={params.p}, e={params.e}, f={params.f})"
             )
-        prev, L = eigs, min(2 * L, cap)
+        prev, L = eigs, 2 * L
 
 
 def dense_root_work(params: FieldParams, seeds, target_tol: float) -> list[tuple[int, int]]:

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -222,6 +223,12 @@ class TestConfigErrors:
              "drift window of depth 21 has 4194303 vertices, over the limit of 2000000"),
             (["validate", *P211_ARGS, "--no-drift", "--seminorm-depth", "21"],
              "seminorm window of depth 21 has 4194303 vertices, over the limit of 2000000"),
+            (["validate", *P211_ARGS, "--depth", "20000"],
+             "spectrum window of depth 20000 is over the limit of 2000000 vertices"),
+            (["validate", "--p", "7", "--e", "1", "--f", "2", "--depth", "1000000000"],
+             "spectrum window of depth 1000000000 is over the limit of 2000000 vertices"),
+            (["validate", *P211_ARGS, "--depth", "3", "--seminorm-depth", "1000000000"],
+             "seminorm window of depth 1000000000 is over the limit of 2000000 vertices"),
             (["validate", *P211_ARGS, "--inject-error", "1e-4"],
              "unrecognized arguments: --inject-error 1e-4"),
         ],
@@ -282,6 +289,34 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: need at least one root\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--p", "7", "--e", "1", "--f", "1", "--n-max", "86", "--m-max", "0"],
+         "float seeds for roots 0..86 did not settle by Jacobi order 176: "
+         "order 352 is over the limit of 177 (params p=7, e=1, f=1)"),
+        (["--p", "5", "--e", "1", "--f", "1", "--n-max", "105"],
+         "float seeds for roots 0..105 did not settle by Jacobi order 214: "
+         "order 428 is over the limit of 214 (params p=5, e=1, f=1)"),
+    ], ids=["7-1-1-86", "5-1-1-105"])
+    def test_unsettled_seeds_exit_2(self, argv, message, capsys):
+        """Seeds whose next doubled order is over the cap are refused in one
+        line: the order is never clamped to the cap, which would compare two
+        orders one row apart (176 and 177) or leave no second order at all."""
+        assert main(["spectrum", *argv]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {message}\n"
+
+    def test_seeds_settled_below_the_cap_unchanged(self, capsys):
+        """Roots 0..40 of (7,1,1) settle at order 168, below the cap 177; the
+        output is the one from before the seed orders stopped being clamped."""
+        argv = ["spectrum", "--p", "7", "--e", "1", "--f", "1", "--n-max", "40", "--m-max", "0",
+                "--format", "csv"]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "" and len(captured.out.splitlines()) == 42
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+            "485f39604e54eb5ccce5475a8e5a2b51a05e49dfe4d63d438e71ee06d1c57071")
 
     def test_numerical_failure_exits_2(self, capsys):
         """Roots past the Jacobi truncation cap are refused in one line, with no output."""
@@ -416,14 +451,15 @@ class TestImportBoundary:
     """No CLI command loads scipy: it is left to the sparse-matrix API
     functions.  ``spectrum`` and ``zeta`` load no numpy either, and of the
     package only the root layer: the namespace is lazy, and the modules that
-    only ``validate`` needs are imported inside its functions."""
+    only ``validate`` needs are imported inside its functions.  Only
+    ``zeta`` loads mpmath: the roots are certified in Python integers."""
 
     CODE = (
         "import json, sys\n"
         "from padiclab.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "loaded = lambda top: sorted(m for m in sys.modules if m.split('.')[0] == top)\n"
-        "tops = ('scipy', 'numpy', 'padiclab', 'dataclasses', 'inspect')\n"
+        "tops = ('scipy', 'numpy', 'mpmath', 'padiclab', 'dataclasses', 'inspect')\n"
         "print(json.dumps([code, {top: loaded(top) for top in tops}]))\n"
     )
     ROOT_COMMANDS = [["spectrum", *P211_ARGS], ["zeta", *P211_ARGS, "--s-min", "1", "--s-max", "2"]]
@@ -462,6 +498,16 @@ class TestImportBoundary:
         assert loaded["padiclab"] == self.ROOT_LAYER
         assert loaded["dataclasses"] == [] and loaded["inspect"] == []
 
+    @pytest.mark.parametrize("argv", [ROOT_COMMANDS[0], VALIDATE], ids=["spectrum", "validate"])
+    def test_spectrum_and_validate_load_no_mpmath(self, tmp_path, argv):
+        """Seeds, Newton, the enclosure and the sign certificate run on
+        floats and integers; the roots are exact dyadic values."""
+        assert self._loaded(tmp_path, argv)["mpmath"] == []
+
+    def test_zeta_loads_mpmath(self, tmp_path):
+        """The root sum ``sum lambda_n**-s`` stays an mpmath sum."""
+        assert "mpmath" in self._loaded(tmp_path, self.ROOT_COMMANDS[1])["mpmath"]
+
     def test_validate_loads_no_scipy(self, tmp_path):
         """The Haar blocks and commutator norms are read off numpy arrays."""
         assert self._loaded(tmp_path, self.VALIDATE)["scipy"] == []
@@ -484,10 +530,11 @@ class TestImportBoundary:
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         assert json.loads(proc.stdout)["command"] == "spectrum"
 
-    def test_qspecial_adds_only_mpmath(self, tmp_path):
-        """The series layer sums in Python integers and seeds its roots in
-        Python floats: importing it loads no package beyond mpmath, the
-        standard library aside."""
+    def test_qspecial_adds_only_padiclab(self, tmp_path):
+        """The series layer sums, and certifies its roots, in Python integers
+        and seeds them in Python floats: importing it loads no package but
+        its own, the standard library aside; mpmath is imported by the
+        functions that return mpmath numbers, when called."""
         code = (
             "import json, sys\n"
             "before = set(sys.modules)\n"
@@ -499,7 +546,7 @@ class TestImportBoundary:
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == ["mpmath", "padiclab"]
+        assert json.loads(proc.stdout) == ["padiclab"]
 
 
 class TestTracer:

@@ -8,10 +8,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 from mpmath.libmp import (
-    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
+    fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul,
+    mpf_mul_int, to_fixed,
 )
 from mpmath.libmp import round_nearest as _RND
 
+import mpf_oracle
 from padiclab import (
     BracketError,
     FieldParams,
@@ -27,6 +29,7 @@ from padiclab import (
     upper_bracket,
 )
 from padiclab import qspecial
+from padiclab.qspecial import Dyadic
 from sturm_oracle import (
     dense_root_work, dense_seeds, jacobi_D0, jacobi_lowest_eigs, sturm_counter,
 )
@@ -95,6 +98,22 @@ def _reference_sum(q, z, derivative=False, max_terms=2000):
 
 def _series_base(params: FieldParams) -> mp.mpf:
     return mp.power(params.p, -mp.mpf(2) / params.e)
+
+
+def _table_base(series) -> mp.mpf:
+    """The base ``q = (man, bits)`` of a ``_QSeries``, exactly, as an mpf."""
+    man, bits = series._q
+    return mp.make_mpf(from_man_exp(man, -bits))
+
+
+def _mpf_sums(series, z):
+    """``series.sums(z, derivative=True)`` with ``z`` (an mpf) taken into the
+    series' fixed point and ``F``, ``F'`` and the largest term returned as
+    exact mpf values."""
+    scale = series.scale
+    value, deriv, terms, largest = series.sums(to_fixed(z._mpf_, scale), derivative=True)
+    value, deriv, largest = (mp.make_mpf(from_man_exp(v, -scale)) for v in (value, deriv, largest))
+    return value, deriv, terms, largest
 
 
 class _LibmpSeries:
@@ -207,7 +226,8 @@ class TestKernelMatchesReference:
         with mp.workdps(dps):
             q = _series_base(params)
             for root in roots:
-                for z in (+root, root * (1 - mp.mpf(10) ** -3), root * (1 + mp.mpf(10) ** -3)):
+                for z in (mp.mpf(root), root * (1 - mp.mpf(10) ** -3),
+                          root * (1 + mp.mpf(10) ** -3)):
                     for fn, derivative in ((phi11, False), (phi11_derivative, True)):
                         want, largest = _reference_sum(q, z, derivative)
                         got = fn(q, z)
@@ -234,12 +254,12 @@ class TestFixedPointMatchesReference:
         for n, (dps, terms) in enumerate(work):
             for level in qspecial._newton_levels(dps):
                 series = table.rounded(level, terms)
-                reference = _LibmpSeries(table._q, level)
+                reference = _LibmpSeries(_table_base(table), level)
                 bound = mp.mpf(10) ** (-(level - 1))
                 with mp.workdps(level):
-                    points = (mp.mpf(float(seeds[n])), +roots[n])
+                    points = (mp.mpf(float(seeds[n])), mp.mpf(roots[n]))
                 for z in points:
-                    value, deriv, f_terms, largest = series.sums(z, derivative=True)
+                    value, deriv, f_terms, largest = _mpf_sums(series, z)
                     want, want_deriv, _, _, d_terms, d_largest = reference.sums(z)
                     assert abs(value - want) <= f_terms * largest * bound, (n, level)
                     d_bound = d_terms * d_largest * bound / abs(z)
@@ -257,13 +277,13 @@ class TestFixedPointMatchesReference:
         wide = qspecial._series_at(params, max(dps for dps, _ in work))
         for root, (dps, terms) in zip(table.roots, work):
             series = wide.rounded(dps, terms)
-            reference = _LibmpSeries(wide._q, dps + 40)
+            reference = _LibmpSeries(_table_base(wide), dps + 40)
             signs = []
             for j in range(dps - 15, dps + 3, 2):
                 for side in (-1, 1):
                     with mp.workdps(dps):
                         z = root * (1 + side * mp.mpf(10) ** -j)
-                    got = series.sign(z)
+                    got = series.sign(to_fixed(z._mpf_, series.scale))
                     if got is not None:
                         assert got == mp.sign(reference.sums(z)[0]), (j, side)
                     signs.append(got)
@@ -312,7 +332,7 @@ class TestFindRoots:
         for n, (root, (lo, hi), dps) in enumerate(
             zip(table.roots, table.brackets, table.dps_used)
         ):
-            assert lo <= root <= hi, n
+            assert mp.mpf(lo) <= root <= mp.mpf(hi), n
             with mp.workdps(dps):
                 q = _series_base(params)
                 assert mp.sign(phi11(q, lo)) * mp.sign(phi11(q, hi)) == -1, n
@@ -432,8 +452,7 @@ class TestEnclosureCertificate:
 
         def moved(series, root, guard, steps=40):
             x, value, y = newton(series, root, guard, steps)
-            with mp.workdps(series.dps):
-                return x * (1 + mp.mpf(10) ** -6), value, y
+            return x + x // 10**6, value, y
 
         monkeypatch.setattr(qspecial, "_newton", moved)
         with pytest.raises(BracketError, match="final enclosure of root 0"):
@@ -491,7 +510,7 @@ class TestParameterGrid:
             zip(table.roots, table.residuals, table.brackets, table.dps_used)
         ):
             assert res < 1e-10, n
-            assert lo <= root <= hi, n
+            assert mp.mpf(lo) <= root <= mp.mpf(hi), n
             with mp.workdps(dps):
                 q = _series_base(params)
                 assert mp.sign(phi11(q, lo)) * mp.sign(phi11(q, hi)) == -1, n
@@ -552,7 +571,8 @@ class TestSeedsMatchDenseOracle:
         assert got.dps_used == want.dps_used
 
     @pytest.mark.parametrize(("key", "n_max"), [
-        ((7, 1, 1), 86),  # settles at the float-range cap 177
+        ((7, 1, 1), 40),  # doubled from order 84 to 168, below the float-range cap 177
+        ((7, 1, 1), 86),  # order 176 does not settle, and 352 is over the cap
         ((7, 1, 1), 87),  # the first order is over the cap
         ((5, 1, 1), 105),  # the first order is the cap: no second to settle against
         ((2, 8, 1), 30),  # q about 0.84: doubled from order 64, settled at 512
@@ -583,12 +603,111 @@ class TestSeedsMatchDenseOracle:
         assert [terms for _, terms in work][-2:] == [budget, budget]
 
 
+# The benchmark's roots-deep entries (p, e, f, N): roots 0..N, up to 334 digits.
+ROOTS_DEEP = [((2, 1, 1), 28), ((2, 2, 1), 22), ((3, 1, 1), 20), ((3, 2, 1), 21),
+              ((5, 1, 1), 20), ((7, 1, 1), 18), ((2, 1, 2), 30)]
+ORACLE_CASES = ([(params, 5) for params in GRID]
+                + [(FieldParams(*key), n) for key, n in ROOTS_DEEP]
+                + [(FieldParams(2, 8, 1), 12), (FieldParams(3, 6, 1), 12)])
+
+
+class TestIntegerRootsMatchMpfOracle:
+    """The integer certification against the mpf one it replaced
+    (:mod:`mpf_oracle`), from the same seeds at the same precisions: equal
+    float roots, brackets and ``dps_used``, and roots within the enclosure
+    width ``10**-(dps-15)`` of each other, relative."""
+
+    @pytest.mark.parametrize(("params", "n_max"), ORACLE_CASES,
+                             ids=[f"{params}-{n}" for params, n in ORACLE_CASES])
+    def test_same_roots_brackets_and_precision(self, params, n_max):
+        got = find_roots(params, n_max)
+        want = mpf_oracle.find_roots(params, n_max)
+        assert [float(r) for r in got.roots] == [float(r) for r in want.roots]
+        assert got.brackets == want.brackets
+        assert got.dps_used == want.dps_used
+        for n, (root, other, dps) in enumerate(zip(got.roots, want.roots, got.dps_used)):
+            assert abs(other - root) <= mp.mpf(10) ** -(dps - 15) * other, n
+
+
+class TestDyadic:
+    """The exact root values: ``float()`` as mpmath rounds, exact in mpmath
+    arithmetic, and value semantics."""
+
+    # Odd 54-bit mantissas: each value lies halfway between two floats.
+    TIES = (2**53 + 1, 2**53 + 3, 3 * 2**52 + 1, 2**54 - 1)
+
+    @pytest.mark.parametrize("exp", [-1100, -1074, -300, -53, 0, 40, 969, 971])
+    def test_float_rounds_as_mpmath(self, exp):
+        """Ties (half to even) and the values 2**-10 of their last place
+        either side, negated too, around normal, subnormal and overflowing
+        magnitudes."""
+        for tie in self.TIES:
+            for man, e in ((tie, exp), ((tie << 10) - 1, exp - 10), ((tie << 10) + 1, exp - 10)):
+                for signed in (man, -man):
+                    want = float(mp.make_mpf(from_man_exp(signed, e)))
+                    assert float(Dyadic(signed, e)) == want, (signed, e)
+
+    def test_mpmath_takes_it_exactly(self):
+        root = find_roots(P311, 6).roots[6]
+        exact = mp.make_mpf(from_man_exp(root.man, root.exp))
+        assert root._mpf_ == exact._mpf_
+        with mp.workprec(root.man.bit_length()):
+            assert mp.mpf(root)._mpf_ == exact._mpf_
+        with mp.workdps(20):
+            assert mp.mpf(root)._mpf_ == mp.mpf(exact)._mpf_  # rounded alike
+        for s in (2, mp.mpf(-0.75), mp.mpc(2.5, 1.0)):
+            assert mp.power(root, -s) == mp.power(exact, -s)
+            assert repr(mp.power(root, -s)) == repr(mp.power(exact, -s))
+        x = mp.mpf("1.25")
+        with mp.workprec(2 * root.man.bit_length()):
+            assert (x + root)._mpf_ == (x + exact)._mpf_
+            assert (x - root)._mpf_ == (x - exact)._mpf_
+            assert (root - x)._mpf_ == (exact - x)._mpf_
+            assert (x - root) + root == x
+
+    def test_value_semantics(self):
+        assert Dyadic(12, -3) == Dyadic(3, -1) and hash(Dyadic(12, -3)) == hash(Dyadic(3, -1))
+        assert (Dyadic(12, -3).man, Dyadic(12, -3).exp) == (3, -1)
+        assert Dyadic(0, 7) == Dyadic(0, -2) and (Dyadic(0, 7).man, Dyadic(0, 7).exp) == (0, 0)
+        assert Dyadic(3, -1) != Dyadic(3, -2) and Dyadic(3, -1) != Dyadic(-3, -1)
+        assert Dyadic(3, -1) != 1.5  # no cross-type equality but through mpmath
+        assert mp.mpf(1.5) == Dyadic(3, -1)
+        assert repr(Dyadic(3, -1)) == "<Dyadic 1.5: 3 * 2**-1>"
+        assert float(Dyadic(0, 0)) == 0.0
+
+    def test_tables_equal_and_hash_alike(self):
+        """Roots recomputed from scratch are equal values, so whole tables and
+        their prefixes compare and hash alike."""
+        table = find_roots(P211, 6)
+        with mock.patch.object(qspecial, "_ROOT_CACHE", qspecial._RootCache(1)):
+            again = find_roots(P211, 6)
+        assert again is not table and again == table and hash(again) == hash(table)
+        assert table.prefix(3) == again.prefix(3) and hash(table.prefix(3)) == hash(again.prefix(3))
+        assert {table.roots[2], again.roots[2]} == {table.roots[2]}
+
+    def test_diagnostics_take_roots(self):
+        """``phi11``, ``phi11_derivative`` and the eigenvector routes give the
+        same numbers for a root as for its exact mpf."""
+        table = find_roots(P211, 2)
+        with mp.workdps(60):
+            q = _series_base(P211)
+            for root in table.roots:
+                exact = mp.make_mpf(root._mpf_)
+                assert phi11(q, root) == phi11(q, exact)
+                assert phi11_derivative(q, root) == phi11_derivative(q, exact)
+        for root in table.roots:
+            exact = mp.make_mpf(root._mpf_)
+            assert eigvec_recurrence(P211, root, 20) == eigvec_recurrence(P211, exact, 20)
+            assert eigvec_series_c(P211, root, 6) == eigvec_series_c(P211, exact, 6)
+            assert eigvec_from_series(P211, root, 3) == eigvec_from_series(P211, exact, 3)
+
+
 class TestEigvectors:
     def test_recurrence_start(self):
         lam = find_roots(P211, 0).roots[0]
         phi = eigvec_recurrence(P211, lam, 5)
         assert phi[0] == 1
-        assert float(phi[1]) == pytest.approx(float(1 - lam), rel=1e-15)
+        assert float(phi[1]) == pytest.approx(float(mp.mpf(1) - lam), rel=1e-15)
         assert len(phi) == 6
 
     def test_recurrence_validation(self):
@@ -614,7 +733,7 @@ class TestEigvectors:
         lam = find_roots(P211, 1).roots[1]
         c = eigvec_series_c(P211, lam, 3)
         assert c[0] == 1
-        expected_ratio = float(-lam * mp.mpf(4) / 3 * mp.mpf(4) / 15)
+        expected_ratio = float(-mp.mpf(lam) * mp.mpf(4) / 3 * mp.mpf(4) / 15)
         assert float(c[1] / c[0]) == pytest.approx(expected_ratio, rel=1e-12)
         with pytest.raises(ValueError):
             eigvec_series_c(P211, lam, 0)
