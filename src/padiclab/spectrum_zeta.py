@@ -42,7 +42,7 @@ from .qspecial import find_roots
 
 # numpy, the operators and the tree are imported inside the window validation
 # and the other functions that use them: spectrum and zeta never load them.
-# mpmath is imported by zeta_D0 alone.
+# mpmath is imported by zeta_D0 alone, for an s off the half-integer lattice.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -547,6 +547,100 @@ class ZetaValue(NamedTuple):
     tail_bound: float
 
 
+def _rounded(man: int, exp: int, prec: int, down: bool = False) -> tuple[int, int]:
+    """``man * 2**exp`` (``man > 0``) rounded to ``prec`` bits as mpmath's
+    ``normalize`` rounds: to nearest with ties to even, or down with ``down``.
+    The mantissa comes back odd."""
+    drop = man.bit_length() - prec
+    if drop > 0:
+        half = 1 << (drop - 1)
+        rest = man & ((half << 1) - 1)
+        man >>= drop
+        exp += drop
+        if not down and (rest > half or (rest == half and man & 1)):
+            man += 1
+    zeros = (man & -man).bit_length() - 1
+    return man >> zeros, exp + zeros
+
+
+def _inverse_power(man: int, exp: int, n: int) -> tuple[int, int]:
+    """``x**-n`` for ``x = man * 2**exp`` (``man`` odd) and ``n >= 1``, as
+    mpmath's ``mpf_pow_int(x, -n, 53)``: ``x**n`` at 58 bits (exact, then
+    rounded, for a short product; else binary powering truncated at
+    ``58 + 4*bitcount(n) + 4`` bits), then ``1/x**n`` rounded at 53 bits."""
+    if n > 1:
+        if n == 2 or man.bit_length() * n < 1000:
+            man, exp = _rounded(man**n, exp * n, 58)
+        else:
+            work = 58 + 4 * n.bit_length() + 4
+            pm, pe = 1, 0
+            while True:
+                if n & 1:
+                    pm, pe = pm * man, pe + exp
+                    cut = max(pm.bit_length() - work, 0)
+                    pm, pe = pm >> cut, pe + cut
+                    n -= 1
+                    if not n:
+                        break
+                man, exp = man * man, exp + exp
+                cut = max(man.bit_length() - work, 0)
+                man, exp = man >> cut, exp + cut
+                n //= 2
+            man, exp = _rounded(pm, pe, 58)
+    if man == 1:
+        return 1, -exp
+    extra = man.bit_length() + 57
+    # man is odd and above 1, so the quotient never ends: one sticky bit
+    return _rounded((((1 << extra) // man) << 1) | 1, -exp - extra - 1, 53)
+
+
+def _lattice_sum(roots, s: complex) -> complex | None:
+    """``sum r**-s`` over the :class:`Dyadic` ``roots``, rounded bit for bit as
+    ``mp.fsum(mp.power(r, -s) ...)`` at 53 bits, for a real ``s > 0`` with
+    ``2s`` an integer; ``None`` for any other ``s``.
+
+    Those are mpmath's two integer branches of ``mpc_pow_mpf``: for a
+    half-integer ``s`` the root is first square-rooted, rounded down at 63
+    bits; each term is then :func:`_inverse_power`.  The terms are added
+    exactly under ``mpf_sum``'s rule (a term more than 106 bits below the
+    running sum is dropped, and a running sum that far below a new term is
+    replaced by it), the sum is rounded once at 53 bits, and ``ldexp`` gives
+    the float (``inf`` past the float range, as ``to_float``).
+    """
+    if s.imag or not (2 * s.real).is_integer():
+        return None
+    n = int(2 * s.real)
+    half = n & 1
+    if not half:
+        n >>= 1
+    man = exp = 0
+    for root in roots:
+        x_man, x_exp = root.man, root.exp
+        if half:  # mpf_sqrt at 63 bits, rounded down
+            if x_exp & 1:
+                x_man, x_exp = x_man << 1, x_exp - 1
+            shift = max(4, 130 - x_man.bit_length())
+            shift += shift & 1
+            x_man, x_exp = _rounded(math.isqrt(x_man << shift), (x_exp - shift) // 2,
+                                    63, down=True)
+        x_man, x_exp = _inverse_power(x_man, x_exp, n)
+        delta = x_exp - exp
+        if delta >= 0:
+            if delta > 106 and (not man or delta - man.bit_length() > 106):
+                man, exp = x_man, x_exp
+            else:
+                man += x_man << delta
+        elif -delta - x_man.bit_length() <= 106:
+            man, exp = (man << -delta) + x_man, x_exp
+        elif not man:
+            man, exp = x_man, x_exp
+    man, exp = _rounded(man, exp, 53)
+    try:
+        return complex(math.ldexp(man, exp), 0.0)
+    except OverflowError:
+        return complex(math.inf, 0.0)
+
+
 def zeta_D0(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:
     """Base zeta ``sum_n lambda_n**(-s)`` truncated at ``n_roots`` roots.
 
@@ -559,6 +653,12 @@ def zeta_D0(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:
     at which the value or the tail bound is not a finite float (for
     example ``s = 2000`` at (2,1,1), where ``lambda_0**-s`` overflows, or
     ``s = 1e-17``, where ``q**s`` rounds to 1 and the tail bound divides by 0).
+
+    The root sum is ``mp.fsum(mp.power(r, -s) ...)`` at 53 bits, whatever
+    the caller's mpmath precision.  For a real ``s`` with ``2s`` an integer
+    it is formed in Python integers (:func:`_lattice_sum`), with no mpmath:
+    each term is rounded as mpmath's integer-power branch rounds it, and the
+    sum is rounded once.  Any other ``s`` is summed by mpmath itself.
     """
     s = complex(s)
     sigma = s.real
@@ -572,11 +672,13 @@ def zeta_D0(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:
         raise ValueError(
             f"tail bound degenerate at n_roots={n_roots}; use more roots"
         )
-    import mpmath as mp
+    roots = find_roots(params, n_roots - 1).roots
+    value = _lattice_sum(roots, s)
+    if value is None:
+        import mpmath as mp
 
-    roots = find_roots(params, n_roots - 1)
-    s_mp = mp.mpc(s)
-    value = complex(mp.fsum(mp.power(r, -s_mp) for r in roots.roots))
+        with mp.workprec(53):
+            value = complex(mp.fsum(mp.power(r, -mp.mpc(s)) for r in roots))
     try:
         tail = kappa ** (-sigma) * q ** (n_roots * sigma) / (1.0 - q**sigma)
     except (OverflowError, ZeroDivisionError):

@@ -1,4 +1,4 @@
-"""The mpf oracle: root certification in mpmath numbers.
+"""The mpf oracle: root certification and zeta root sums in mpmath numbers.
 
 Before the root layer ran in integer fixed point, ``find_roots`` built its
 ratio table in mpmath arithmetic, turned every series sum back into an
@@ -7,6 +7,9 @@ ratio table in mpmath arithmetic, turned every series sum back into an
 :func:`newton` and :func:`certify_root`.  :func:`find_roots` runs the
 package's own seeds, index and working precisions with them, so the tests
 can hold the integer certification against it root by root.
+
+:func:`zeta_sum` is the root sum ``sum r**-s`` as ``zeta_D0`` formed it in
+mpmath at every ``s``, the reference for its integer route.
 """
 
 from __future__ import annotations
@@ -183,3 +186,9 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10):
             mock.patch.object(qspecial, "_certify_root", certify_root), \
             mock.patch.object(qspecial, "_ROOT_CACHE", qspecial._RootCache(1)):
         return qspecial.find_roots(params, n_max, target_tol)
+
+
+def zeta_sum(roots, s) -> complex:
+    """``sum r**-s`` over ``roots``: mpmath powers, ``fsum`` at 53 bits."""
+    with mp.workprec(53):
+        return complex(mp.fsum(mp.power(r, -mp.mpc(s)) for r in roots))

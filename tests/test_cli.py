@@ -451,8 +451,10 @@ class TestImportBoundary:
     """No CLI command loads scipy: it is left to the sparse-matrix API
     functions.  ``spectrum`` and ``zeta`` load no numpy either, and of the
     package only the root layer: the namespace is lazy, and the modules that
-    only ``validate`` needs are imported inside its functions.  Only
-    ``zeta`` loads mpmath: the roots are certified in Python integers."""
+    only ``validate`` needs are imported inside its functions.  The roots are
+    certified in Python integers, and ``zeta`` sums their powers in Python
+    integers too at an integer or half-integer ``s``: mpmath is loaded only by
+    ``zeta`` at an ``s`` off the half-integer lattice."""
 
     CODE = (
         "import json, sys\n"
@@ -504,9 +506,13 @@ class TestImportBoundary:
         floats and integers; the roots are exact dyadic values."""
         assert self._loaded(tmp_path, argv)["mpmath"] == []
 
-    def test_zeta_loads_mpmath(self, tmp_path):
-        """The root sum ``sum lambda_n**-s`` stays an mpmath sum."""
-        assert "mpmath" in self._loaded(tmp_path, self.ROOT_COMMANDS[1])["mpmath"]
+    @pytest.mark.parametrize("step, mpmath", [("1", False), ("0.5", False), ("0.25", True)],
+                             ids=["integer", "half-integer", "quarter"])
+    def test_zeta_loads_mpmath_only_off_the_half_integer_lattice(self, tmp_path, step, mpmath):
+        """The root sum ``sum lambda_n**-s`` is summed in integers where
+        ``2s`` is an integer, and by mpmath at any other ``s``."""
+        argv = ["zeta", *P211_ARGS, "--s-min", "1", "--s-max", "3", "--s-step", step]
+        assert ("mpmath" in self._loaded(tmp_path, argv)["mpmath"]) is mpmath
 
     def test_validate_loads_no_scipy(self, tmp_path):
         """The Haar blocks and commutator norms are read off numpy arrays."""

@@ -28,6 +28,8 @@ from padiclab import (
 )
 from padiclab import operators, spectrum_zeta, tree_window_r
 from padiclab.operators import _symmetrized_D_csr
+from mpf_oracle import zeta_sum
+from padiclab.qspecial import Dyadic
 from sparse_oracles import sparse_haar_blocks
 from sturm_oracle import jacobi_D0
 
@@ -322,6 +324,87 @@ class TestZetaD0:
         z = zeta_D0(P311, 2.0)
         assert z.value.imag == pytest.approx(0.0, abs=1e-15)
         assert z.value.real > 0
+
+
+LATTICE = [float(k) for k in range(1, 13)] + [k / 2 for k in range(1, 24, 2)]
+ROOT_GRID = [FieldParams(p, e, f) for p in (2, 3, 5, 7) for e in range(1, 9) for f in (1, 2)]
+
+
+class TestZetaLatticeSum:
+    """At an integer or half-integer ``s`` the root sum is formed in Python
+    integers, and must equal mpmath's ``fsum`` of ``mp.power`` bit for bit."""
+
+    @staticmethod
+    def _branches(monkeypatch) -> set:
+        """Record which branch of mpmath's ``mpf_pow_int`` each term takes."""
+        seen = set()
+        inverse_power = spectrum_zeta._inverse_power
+
+        def spy(man, exp, n):
+            seen.add("n=1" if n == 1 else "n=2" if n == 2 else
+                     "exact" if man.bit_length() * n < 1000 else "binary")
+            return inverse_power(man, exp, n)
+
+        monkeypatch.setattr(spectrum_zeta, "_inverse_power", spy)
+        return seen
+
+    def test_bit_identical_to_mpmath_over_the_root_grid(self, monkeypatch):
+        """Every prefix of the roots 0..5 of every grid set, and the six roots
+        in descending order (each term then outgrows the sum, which ``fsum``
+        drops once it is over 106 bits below), at ``s = 1..12`` and
+        ``s = k/2`` for odd ``k <= 23``."""
+        seen = self._branches(monkeypatch)
+        mismatches = []
+        for params in ROOT_GRID:
+            roots = find_roots(params, 5).roots
+            for terms in [roots[:k] for k in range(1, len(roots) + 1)] + [roots[::-1]]:
+                for s in LATTICE:
+                    got = spectrum_zeta._lattice_sum(terms, complex(s))
+                    if repr(got) != repr(zeta_sum(terms, s)):
+                        mismatches.append((params, terms, s))
+        assert mismatches == []
+        assert seen == {"n=1", "n=2", "exact", "binary"}
+
+    @pytest.mark.parametrize("s", LATTICE)
+    def test_bit_identical_at_the_float_range_ends(self, s):
+        """The roots of (7,1,1) scaled by a power of two so that the sum is
+        subnormal (``ldexp`` rounds it again), near the largest float, or
+        past it (``inf``, as mpmath's ``to_float``)."""
+        roots = find_roots(FieldParams(7, 1, 1), 5).roots
+        for target in (-1070, -1040, 1020, 1030):
+            shift = round(-target / s)
+            scaled = [Dyadic(r.man, r.exp + shift) for r in roots]
+            got = spectrum_zeta._lattice_sum(scaled, complex(s))
+            assert repr(got) == repr(zeta_sum(scaled, s)), target
+        tiny = [Dyadic(r.man, r.exp + round(1070 / s)) for r in roots]
+        assert 0.0 < spectrum_zeta._lattice_sum(tiny, complex(s)).real < 2.0**-1022
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["descending", "ascending"])
+    def test_fsum_drop_rule_at_a_tie(self, order):
+        """``1 + 2**-53`` is a tie at 53 bits, so a term ``2**-(53 + j)``
+        decides the rounding if it is kept; ``fsum`` drops it once it is more
+        than 106 bits below the running sum (or, added first, replaces it)."""
+        values = set()
+        for j in range(100, 116):
+            roots = [Dyadic(1, 0), Dyadic(1, 53), Dyadic(1, 53 + j)][::order]
+            got = spectrum_zeta._lattice_sum(roots, 1 + 0j)
+            assert repr(got) == repr(zeta_sum(roots, 1)), j
+            values.add(got)
+        assert values == {1 + 0j, 1 + 2.0**-52 + 0j}
+
+    @pytest.mark.parametrize("s", [0.25, 1.75, math.pi, 2 + 1j, 1e-3j + 2])
+    def test_off_the_lattice_left_to_mpmath(self, s):
+        roots = find_roots(P311, 5).roots
+        assert spectrum_zeta._lattice_sum(roots, complex(s)) is None
+        assert zeta_D0(P311, s, n_roots=6).value == zeta_sum(roots, s)
+
+    def test_caller_precision_ignored(self):
+        """Every route sums at 53 bits whatever ``mp.dps`` the caller set."""
+        points = [*range(1, 9), 2.5, 2.25, 1.5 + 2j]
+        before = [zeta_D0(P311, s, 21).value for s in points]
+        with mp.workdps(50):
+            after = [zeta_D0(P311, s, 21).value for s in points]
+        assert [repr(v) for v in after] == [repr(v) for v in before]
 
 
 class TestZetaDR:
