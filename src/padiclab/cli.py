@@ -362,7 +362,8 @@ def _cmd_validate(args: argparse.Namespace, params: FieldParams) -> int:
         print("validation failed:", file=sys.stderr)
         for row in rows:
             if not row["passed"]:
-                print(f"  {row['name']}: measured {row['measured']}", file=sys.stderr)
+                detail = f" ({row['detail']})" if row["detail"] else ""
+                print(f"  {row['name']}: measured {row['measured']}{detail}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
 

@@ -4,8 +4,8 @@ Window quantities at explicit depth ``N``:
 
 * ``lipschitz_depth`` — the sup of ``|a(x) - a(y)| / dist(x, y)`` over
   distinct deepest-level centers (the zero center evaluated both at zero and
-  at its representative point ``pi**N``), computed exactly by a subtree
-  min/max sweep rather than over all pairs;
+  at its representative point ``pi**N``), computed exactly by one bottom-up
+  sweep of subtree minima and maxima rather than over all pairs;
 * ``spectral_seminorm_formula`` — the explicit maximum of weighted
   child-difference row sums whose square root equals the commutator operator
   norm (every child has one parent, so rows of the symmetrized commutator
@@ -52,45 +52,20 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Depth-N Lipschitz seminorm (exact subtree sweep)
+# Depth-N Lipschitz seminorm (one subtree min/max sweep)
 # ---------------------------------------------------------------------------
-
-
-def _deepest_values(
-    window: TreeWindow, a: TestFunction, diag: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Min and max function values carried by each deepest-level vertex.
-
-    Read from ``diag``, the :func:`rho_diag` of ``a``.  Nonzero centers
-    carry their representative-point value.  The zero vertex carries two
-    points — the true zero element and the stand-in ``pi**N`` that the
-    multiplication operator uses for it — so the sup ranges over every point
-    any operator quantity evaluates.  Returns the per-vertex minima, maxima,
-    and the zero-pair ratio ``|a(0) - a(pi**N)| * p**(N/e)`` (that pair meets
-    below the window).
-    """
-    import numpy as np
-
-    N = window.max_level
-    mins = diag[window.level_slice(N)].copy()
-    maxs = mins.copy()
-    a_pin = float(mins[0])
-    a_zero = float(a.evaluator(window.min_level, 0, np.zeros(1, dtype=np.int64))[0])
-    mins[0] = min(a_zero, a_pin)
-    maxs[0] = max(a_zero, a_pin)
-    zero_pair = abs(a_zero - a_pin) * window.params.scale_float(N)
-    return mins, maxs, zero_pair
 
 
 def lipschitz_depth(window: TreeWindow, a: TestFunction) -> float:
     """Exact sup of ``|a(x)-a(y)| / dist(x,y)`` over deepest-level points.
 
-    The point set is the deepest-level centers (the zero vertex contributing
-    both the zero element and its stand-in ``pi**N``).  Two points meeting at
-    a level-``l`` vertex are at distance ``p**(-l/e)``, so the sup decomposes
-    over internal vertices: for each vertex, the largest cross-child value
-    spread times ``p**(l/e)``.  Subtree minima and maxima propagate upward in
-    one sweep (O(total) instead of O(leaves**2) pairs).
+    The point set is the deepest-level centers, the zero vertex carrying both
+    the zero element and ``pi**N``, the stand-in the operators evaluate there
+    (that pair is scored at level ``N``).  Two points meeting at a level-``l`` vertex are at distance
+    ``p**(-l/e)``.  One sweep from level ``N`` up reduces subtree minima and
+    maxima by reshapes and takes, per level, the largest subtree spread times
+    ``p**(l/e)``.  A spread whose extremes sit in one child was already scored,
+    at a larger weight, where they meet, so the maximum is the all-pairs one.
 
     Exact for functions locally constant at the window depth; in general a
     lower bound for the untruncated seminorm.
@@ -102,27 +77,17 @@ def _lipschitz(window: TreeWindow, a: TestFunction, diag: np.ndarray) -> float:
     import numpy as np
 
     params = window.params
-    q = params.q_res
-    cur_min, cur_max, best = _deepest_values(window, a, diag)
-    for level in range(window.max_level - 1, window.min_level - 1, -1):
-        mins = cur_min.reshape(-1, q)
-        maxs = cur_max.reshape(-1, q)
-        i_max = np.argmax(maxs, axis=1)
-        j_min = np.argmin(mins, axis=1)
-        top = maxs[np.arange(len(maxs)), i_max]
-        bot = mins[np.arange(len(mins)), j_min]
-        spread = np.where(i_max != j_min, top - bot, -np.inf)
-        if q > 1:
-            # Same-child argmax/argmin: best is max vs second-min or
-            # second-max vs min across the remaining children.
-            sorted_min = np.sort(mins, axis=1)
-            sorted_max = np.sort(maxs, axis=1)
-            alt = np.maximum(top - sorted_min[:, 1], sorted_max[:, -2] - bot)
-            spread = np.where(i_max != j_min, spread, alt)
-        level_best = float(np.max(spread)) * params.scale_float(level)
-        best = max(best, level_best)
-        cur_min = mins.min(axis=1)
-        cur_max = maxs.max(axis=1)
+    N = window.max_level
+    lo = diag[window.level_slice(N)].copy()
+    hi = lo.copy()
+    a_zero = float(a.evaluator(window.min_level, 0, np.zeros(1, dtype=np.int64))[0])
+    lo[0], hi[0] = min(a_zero, lo[0]), max(a_zero, hi[0])
+    best = 0.0
+    for level in range(N, window.min_level - 1, -1):
+        if level < N:
+            lo = lo.reshape(-1, params.q_res).min(axis=1)
+            hi = hi.reshape(-1, params.q_res).max(axis=1)
+        best = max(best, float(np.max(hi - lo)) * params.scale_float(level))
     return best
 
 

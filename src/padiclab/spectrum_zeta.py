@@ -9,10 +9,10 @@ cross-checks that spectrum against the honestly assembled window matrix:
   the Haar basis of each tail length ``m`` a copy's columns live on
   consecutive ranks of each level, so every copy's block of ``V_m^T D^*D V_m``
   and the invariant-subspace residual (everything the blocks leave out) are
-  read off level reshapes of those arrays, with no sparse product and no
-  scipy, and all copies of one ``m`` are solved in one batched ``eigvalsh``;
-* family labels ``(m, n)`` come from the transform, and the multiplicity of
-  each ``m`` is the number of copies whose eigenvalues agree with copy 0;
+  read off level reshapes of those arrays, with no sparse product or scipy;
+* family labels ``(m, n)`` come from the transform; the multiplicity of each
+  ``m`` counts the copies whose block is ``p**(2m/e)`` times the radial block
+  to 1e-7, and one ``eigvalsh`` per ``m`` solves copy 0;
 * block ``m`` of the depth-``N`` window is ``p**(2m/e)`` times the radial
   block of the depth-``N - m`` window, so the blocks ``m = 0..5`` give each
   root a six-depth chain without assembling those windows; the chain is
@@ -165,17 +165,17 @@ def _richardson_confluent(chain_vals: list[float], q: float) -> float:
 class _HaarBlocks(NamedTuple):
     """One assembled window square, solved block by block in its Haar basis.
 
-    ``spectra[m]`` holds one ascending row of ``N + 1 - m`` eigenvalues per
-    copy of tail length ``m``.  ``residual`` is the largest invariant-subspace
-    residual ``||A V_m - V_m blockdiag||_F / ||A V_m||_F`` over ``m``.
-    ``scaling_dev`` is the largest deviation of a copy's block, divided by
-    ``p**(2m/e)``, from the leading part of the radial block (the radial
-    block of the depth ``N - m`` window), each entry measured against the
-    geometric mean of the two diagonal entries it couples.
+    ``spectra[m]``: the ascending eigenvalues of copy 0 of tail length ``m``.
+    A copy deviates by its block over ``p**(2m/e)`` minus the leading part of
+    the radial block (that of the depth ``N - m`` window), each entry against
+    the geometric mean of the two diagonal entries it couples; ``copies[m]``
+    counts the copies within 1e-7, ``scaling_dev`` is the largest deviation.
+    ``residual``: the largest ``||A V_m - V_m blockdiag||_F / ||A V_m||_F``.
     """
 
     params: FieldParams
     spectra: tuple[np.ndarray, ...]
+    copies: tuple[int, ...]
     residual: float
     scaling_dev: float
 
@@ -189,7 +189,7 @@ class _HaarBlocks(NamedTuple):
         """
         N = len(self.spectra) - 1
         chain = [
-            self.spectra[m][0, n] / self.params.scale_float(2 * m)
+            self.spectra[m][n] / self.params.scale_float(2 * m)
             for m in range(min(5, N - 1, N - n), -1, -1)
         ]
         return _richardson_confluent(chain, self.params.q)
@@ -297,13 +297,14 @@ def _haar_blocks(params: FieldParams, depth: int) -> _HaarBlocks:
     """Solve the depth-``depth`` window square block by block in its Haar basis.
 
     Blocks and residuals come from :func:`_copy_blocks` (no sparse product, no
-    scipy); all copies of one ``m`` are solved in one batched ``eigvalsh``.
+    scipy); every copy is measured, and one ``eigvalsh`` per ``m`` solves copy 0.
     """
     import numpy as np
 
     from .tree import tree_window_r
 
     spectra: list[np.ndarray] = []
+    copies = []
     residual = scaling_dev = 0.0
     for m, (blocks, res) in enumerate(_copy_blocks(tree_window_r(params, depth))):
         residual = max(residual, res)
@@ -312,10 +313,11 @@ def _haar_blocks(params: FieldParams, depth: int) -> _HaarBlocks:
         L = blocks.shape[1]
         base = radial[:L, :L]
         grade = np.sqrt(np.outer(np.diag(base), np.diag(base)))
-        dev = np.abs(blocks / params.scale_float(2 * m) - base) / grade
+        dev = (np.abs(blocks / params.scale_float(2 * m) - base) / grade).max(axis=(1, 2))
         scaling_dev = max(scaling_dev, float(dev.max()))
-        spectra.append(np.linalg.eigvalsh(blocks))
-    return _HaarBlocks(params, tuple(spectra), residual, scaling_dev)
+        copies.append(int(np.sum(dev <= 1e-7)))
+        spectra.append(np.linalg.eigvalsh(blocks[0]))
+    return _HaarBlocks(params, tuple(spectra), tuple(copies), residual, scaling_dev)
 
 
 class CheckResult(NamedTuple):
@@ -367,13 +369,13 @@ def validate_spectrum(
     table at relative tolerance ``tol``.
 
     Checks reported: the multiplicity pattern (the copies of each tail length
-    whose eigenvalues agree with copy 0 to 1e-7, against ``count_g(m)``), the
-    block structure (invariant-subspace residual and each copy's block
-    against ``p**(2m/e)`` times the radial block of the depth ``N - m``
-    window, 1e-7), the eigenvalue match, and the reliability cutoff
-    ``p**(2(N-2)/e)`` (raising :class:`CutoffError` if the requested ``k``
-    reaches past it).  ``with_drift`` takes the same route on the depth
-    ``N + 2`` window for the drift figures.
+    whose block is ``p**(2m/e)`` times the radial block of the depth
+    ``N - m`` window to 1e-7, against ``count_g(m)``), the block structure
+    (invariant-subspace residual and the largest such deviation, 1e-7), the
+    eigenvalue match, and the reliability cutoff ``p**(2(N-2)/e)`` (raising
+    :class:`CutoffError` if the requested ``k`` reaches past it).
+    ``with_drift`` takes the same route on the depth ``N + 2`` window for the
+    drift figures.
     """
     import numpy as np
 
@@ -382,14 +384,11 @@ def validate_spectrum(
     # Families (m, n) by their depth-N value, with measured multiplicities.
     mult_detail = []
     families: list[tuple[float, int, int, int]] = []  # (raw value, m, n, copies)
-    for m, spec in enumerate(blocks.spectra):
-        agree = int(np.sum(np.max(np.abs(spec - spec[0]) / spec[0], axis=1) <= 1e-7))
+    for m, (spec, agree) in enumerate(zip(blocks.spectra, blocks.copies)):
         expected = count_g(params, m)
         if agree != expected:
-            mult_detail.append(
-                f"m={m}: {agree} of {len(spec)} copies agree with copy 0, expected {expected}"
-            )
-        families.extend((float(v), m, n, agree) for n, v in enumerate(spec[0]))
+            mult_detail.append(f"m={m}: {agree} of {expected} copies match p^(2m/e) x radial")
+        families.extend((float(v), m, n, agree) for n, v in enumerate(spec))
     families.sort()
 
     # Refined matrix-side multiset over the families covering the k smallest.
@@ -432,8 +431,9 @@ def validate_spectrum(
         deeper = _haar_blocks(params, N + 2)
         lam0_here = blocks.refined(0)
         drift_refined = abs(deeper.refined(0) - lam0_here) / lam0_here
-        # The lowest eigenvalue of a window: rows ascend, so each copy's first column.
-        lowest = [min(float(s[:, 0].min()) for s in b.spectra) for b in (blocks, deeper)]
+        # The lowest eigenvalue of a window is the radial block's: block m >= 1
+        # is p**(2m/e) > 1 times a principal submatrix of it (Cauchy interlacing).
+        lowest = [float(b.spectra[0][0]) for b in (blocks, deeper)]
         drift_raw = abs(lowest[1] - lowest[0]) / lowest[0]
 
     structure_dev = max(blocks.residual, blocks.scaling_dev)

@@ -90,6 +90,33 @@ class TestValidateCommand:
         failed = [r["name"] for r in doc["results"] if r["passed"] is False]
         assert "spectrum:eigenvalue-match" in failed
 
+    def test_failed_rows_carry_their_detail_to_stderr(self, tmp_path, monkeypatch, capsys):
+        """One level-7 child coefficient of the assembled ``D`` perturbed by
+        1e-5 relative fails the two block-structure rows; each failed row's
+        stderr line ends with its detail, so the copy counts show there."""
+        from padiclab import operators
+
+        exact = operators._symmetrized_D_csr
+
+        def perturbed(window):
+            data, indices, indptr = exact(window)
+            data = data.copy()
+            data[indptr[window.level_slice(window.max_level - 1).start] + 2] *= 1.0 + 1e-5
+            return data, indices, indptr
+
+        monkeypatch.setattr(operators, "_symmetrized_D_csr", perturbed)
+        rc, out = _run(tmp_path, "coupled.json", ["validate", *P211_ARGS, "--depth", "8",
+                                                  "--no-drift", "--seminorm-depth", "3"])
+        assert rc == EXIT_VALIDATION
+        failed = [r for r in json.loads(out.read_text())["results"] if r["passed"] is False]
+        assert [r["name"] for r in failed] == ["spectrum:multiplicity-pattern",
+                                               "spectrum:block-scaling-identity"]
+        err = capsys.readouterr().err.splitlines()[1:]  # after the "wrote <path>" line
+        assert err == ["validation failed:"] + [
+            f"  {r['name']}: measured {r['measured']} ({r['detail']})" for r in failed
+        ]
+        assert err[1].startswith("  spectrum:multiplicity-pattern: measured 1.0 (m=4: 7 of 8 ")
+
     def test_hs_direction_depends_on_ramification(self, tmp_path):
         rc, out = _run(
             tmp_path,

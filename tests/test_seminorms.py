@@ -215,7 +215,39 @@ class TestComparisonConstants:
         assert 0.0 < lower < upper < 1.0
 
 
+def _all_pairs_lipschitz(window, fn):
+    """``|a(x) - a(y)| * p**(l/e)`` maximised over every pair of deepest-level
+    points, ``l`` the level where the pair meets: the centers (rank 0 is the
+    zero element) and the stand-in ``pi**N``, which meets zero at level ``N``."""
+    params, q = window.params, window.params.q_res
+    width = window.max_level - window.min_level
+    ranks = np.arange(q**width, dtype=np.int64)
+    values = fn.evaluator(window.min_level, width, ranks)
+    stand_in = fn.evaluator(window.min_level, width + 1, np.ones(1, dtype=np.int64))
+    ranks, values = np.append(ranks, 0), np.append(values, stand_in)
+    i, j = np.triu_indices(len(ranks), k=1)
+    common = np.zeros(len(i), dtype=np.int64)
+    for k in range(1, width + 1):
+        common += ranks[i] // q ** (width - k) == ranks[j] // q ** (width - k)
+    weights = np.array([params.scale_float(window.min_level + c) for c in range(width + 1)])
+    return float(np.max(np.abs(values[i] - values[j]) * weights[common]))
+
+
+def _oracle_windows(params, max_points=300):
+    """Unit windows and the enlarged window ``(2, 2)`` with at most
+    ``max_points`` deepest-level points."""
+    windows = [tree_window_r(params, N) for N in range(1, 10)] + [tree_window_f(params, 2, 2)]
+    return [w for w in windows if w.level_size(w.max_level) <= max_points]
+
+
 class TestLipschitzDepth:
+    @pytest.mark.parametrize("params", GRID)
+    def test_matches_all_pairs(self, params):
+        for w in _oracle_windows(params):
+            for fn in function_library(params):
+                got = lipschitz_depth(w, fn)
+                assert got == _all_pairs_lipschitz(w, fn), (fn.name, w.min_level, w.max_level)
+
     def test_frozen_values(self):
         w = tree_window_r(P211, 8)
         lib = _lib(P211)

@@ -143,7 +143,8 @@ class TestValidateSpectrum:
         """Negative control: one level-``N-1`` child coefficient of the assembled
         ``D``, perturbed by 1e-5 relative, must fail the block-structure gates
         (the copies below it no longer share their block) but not the
-        eigenvalue match."""
+        eigenvalue match.  The multiplicity detail counts the one perturbed
+        copy of each ``m = 4..7`` out, whichever copy it is (here copy 0)."""
 
         def perturbed(window):
             data, indices, indptr = _symmetrized_D_csr(window)
@@ -156,6 +157,10 @@ class TestValidateSpectrum:
         rep = validate_spectrum(P211, 8, with_drift=False)
         assert rep.failures() == ["multiplicity-pattern", "block-scaling-identity"]
         assert rep.scaling_max_dev > 1e-6
+        assert rep.checks[0].detail == "; ".join(
+            f"m={m}: {2 ** (m - 1) - 1} of {2 ** (m - 1)} copies match p^(2m/e) x radial"
+            for m in range(4, 8)
+        )
 
     @pytest.mark.parametrize("level", [0, 3, 8])
     def test_moved_column_refused(self, monkeypatch, level):
@@ -188,15 +193,20 @@ class TestHaarBlocks:
          (P221, 6)],
     )
     def test_block_union_is_the_assembled_spectrum(self, params, N):
-        """All copies' block spectra, with repetition, against a dense solve of
-        the assembled window: measures the multiplicity pattern."""
+        """Copy 0's block spectrum of each tail length, repeated by its measured
+        copy count, against a dense solve of the assembled window: the counts
+        are the multiplicity pattern, and the window's lowest eigenvalue is
+        the radial block's."""
         blocks = spectrum_zeta._haar_blocks(params, N)
-        for m, spec in enumerate(blocks.spectra):
-            assert spec.shape == (count_g(params, m), N + 1 - m)
+        for m, (spec, copies) in enumerate(zip(blocks.spectra, blocks.copies)):
+            assert spec.shape == (N + 1 - m,)
+            assert copies == count_g(params, m)
         dense = np.linalg.eigvalsh(assemble_DstarD(tree_window_r(params, N)).toarray())
-        union = np.sort(np.concatenate([s.ravel() for s in blocks.spectra]))
+        union = np.sort(np.concatenate(
+            [np.tile(s, c) for s, c in zip(blocks.spectra, blocks.copies)]))
         assert union.shape == dense.shape
         assert np.max(np.abs(union - dense) / dense) <= 1e-12
+        assert union[0] == blocks.spectra[0][0]  # so dense[0] matches it to 1e-12
         assert blocks.residual <= 1e-13
 
     @pytest.mark.parametrize("params,N", SUITE_WINDOWS)
