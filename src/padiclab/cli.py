@@ -415,6 +415,20 @@ def _cmd_zeta(args: argparse.Namespace, params: FieldParams) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # An exact multiplicity p**(m f) - p**((m-1) f) can have more digits than
+    # CPython (3.11 and later) converts to str by default; lift that limit
+    # while the command runs.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

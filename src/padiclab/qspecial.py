@@ -25,20 +25,24 @@ The seeds are float bisections of the block's Sturm count: the signs of its
 floats and without forming the matrix.  The count ends once the pivots have
 left the eigenvalue's neighbourhood and can no longer change sign, so
 whatever the truncation order, a count costs about as many rows as the
-eigenvalue's index plus the digits that resolve it.  The same count
-indexes each root, and a float estimate of the largest series term at the
-seed sets its working precision: near ``lambda_n`` the terms
-peak at about ``Q**(n(n+1)/2)`` (``Q = 1/q``), more as ``q -> 1``, and the
-residual gate ``|F(lambda_n)| < target_tol`` is absolute, so it needs that
-many digits beyond the target's own.  One ratio table per call, at the
-largest precision needed, serves every root and every level of a
-precision-doubling Newton lift, each through a truncated copy whose ratio
-mantissas are shifted down to its width.
+eigenvalue's index plus the digits that resolve it, and a count that ends
+early gives the same answer at every larger order: as the order doubles,
+only the eigenvalues whose bracket ends saw a count reach the last row are
+bisected again.  The same count indexes each root, and a float estimate of
+the largest series term at the seed sets its working precision: near
+``lambda_n`` the terms peak at about ``Q**(n(n+1)/2)`` (``Q = 1/q``), more
+as ``q -> 1``, and the residual gate ``|F(lambda_n)| < target_tol`` is
+absolute, so it needs that many digits beyond the target's own.  One ratio
+table per call, at the largest precision needed, serves every root and every
+level of a precision-doubling Newton lift, each through a truncated copy
+whose ratio mantissas are shifted down to its width.
 Newton converges at the lowest level from the float seed, takes one step on
 each doubled level, and converges again at full precision, where the point
 it evaluated last is the root and its ``|F|`` the residual.  The root must
 pass the residual gate and show certified opposite signs of ``F`` across
-``lambda_n (1 -+ 10**-(dps-15))``.  Locating a root needs only relative
+``lambda_n (1 -+ 10**-(dps-15))``, proved from the ``F`` and ``F'`` that
+the last Newton pass summed at the root (:func:`_sign_change`), so the
+certificate costs no pass of its own.  Locating a root needs only relative
 accuracy, which ``d`` digits give whatever ``n`` is: at relative distance
 ``eps`` from the root ``|F|`` is about ``eps`` times the largest term, and
 the rounding error of a ``d``-digit sum about ``10**-d`` times it.
@@ -89,7 +93,7 @@ _NEWTON_FLOOR_DPS = 30
 # Digits added at each halving of the Newton precision schedule.
 _SCHEDULE_GUARD_DPS = 10
 # Guard bits carried by the ratio table and the fixed-point terms, so that
-# their rounding stays far inside the error bound of _QSeries.sign.
+# their rounding stays far inside the margin of _sign_change.
 _GUARD_BITS = 32
 # Digits carried beyond the largest series term and the target's digits.
 _GUARD_DPS = 30
@@ -104,6 +108,8 @@ _TERM_MARGIN = 3
 _SEED_SETTLE = 1e-12
 # Largest Jacobi order the seeds are taken from.
 _SEED_MAX_ORDER = 1024
+# A root certified at dps digits is enclosed in root (1 -+ 10**-(dps - _ENCLOSURE_DPS)).
+_ENCLOSURE_DPS = 15
 # Root tables kept by find_roots, least recently used evicted first.
 ROOT_CACHE_SIZE = 32
 
@@ -332,36 +338,6 @@ class _QSeries:
                 d_value = (d_sum << scale) // z
         return f_sum if value else None, d_value, terms, largest
 
-    def sign(self, z: int) -> int | None:
-        """Sign of ``F(z)``, or ``None`` when ``|F(z)|`` does not exceed the
-        evaluation's error bound: terms summed times the largest term times
-        ``10**-(dps-1)``.
-
-        The pass's own error sits far inside that bound.  Write ``S`` for
-        the fractional bits, ``prec + _GUARD_BITS``, which is also the
-        ratio width.  Each ratio is within ``2 * 2**-S`` of its exact value
-        at the table's ``q`` relative (rounded at the widest table's width,
-        then shifted to ``S``), and that ``q``, floored 32 bits beyond the
-        widest width, moves no ratio by as much again within
-        ``_MAX_TERMS``.  The product with ``z`` is exact, so after
-        ``k <= _MAX_TERMS`` steps ``t_k`` has drifted by at most about
-        ``4k 2**-S |t_k|``.  Each shift floors, losing less than ``2**-S``
-        in absolute value; a loss at step ``j`` reaches ``t_k`` scaled by
-        ``|t_k / t_j|``, which is at most ``largest``: ``|r_k z|`` falls
-        with ``k``, so the term magnitudes rise from ``|t_0| = 1`` to their
-        peak and then fall, and ``largest >= 1``.  Hence each term is off by
-        at most about ``5k 2**-S largest``, and the ``terms``-term sum, which
-        is exact in fixed point, by ``terms * largest * 5 _MAX_TERMS
-        2**-(prec+32) < terms * largest * 2**-(prec+18)``.  Since ``2**-prec
-        < 0.15 * 10**-dps``, that is below a hundredth of the bound.  As
-        before, the bound covers the pass's arithmetic, not the terms past
-        the tail rule.
-        """
-        value, _, terms, largest = self.sums(z)
-        if abs(value) * 10 ** (self.dps - 1) > terms * largest:
-            return 1 if value > 0 else -1
-        return None
-
 
 def _caller_sums(q, z, target_tol, max_terms: int, derivative: bool):
     """``F(z)`` or ``F'(z)`` at the caller's mpmath precision, as an mpmath number."""
@@ -457,9 +433,11 @@ class RootTable(NamedTuple):
 def _sturm_count(params: FieldParams, L: int):
     """Float Sturm count of the order-``L`` truncated Jacobi block, ``L >= 2``.
 
-    Returns ``count(x)``: the number of negative pivots of the ``LDL^T``
-    factorization of the block minus ``x``, which is the number of its
-    eigenvalues below ``x``.  The block (row 0: diagonal 1, coupling -1; row
+    Returns ``count(x) -> (below, through)``: ``below`` is the number of
+    negative pivots of the ``LDL^T`` factorization of the block minus ``x``,
+    which is the number of its eigenvalues below ``x``, and ``through``
+    whether the count ran through every row rather than ending early (see
+    below).  The block (row 0: diagonal 1, coupling -1; row
     ``l >= 1``: diagonal ``Q**(l-1) (1 + Q)``, coupling ``-Q**l`` to row
     ``l + 1``) is never formed.  Pivot ``l >= 1`` is divided by its row
     scale ``Q**(l-1)``, which keeps its sign and every value in range:
@@ -478,7 +456,9 @@ def _sturm_count(params: FieldParams, L: int):
     equals the count of the full float recurrence.  Near an eigenvalue the
     pivots linger by the repelling fixed point 1, so the count runs on
     until ``x`` is resolved; far from every eigenvalue it ends a few rows
-    past ``x q**l <= delta/2``, whatever ``L`` is.
+    past ``x q**l <= delta/2``, whatever ``L`` is.  A count that ends
+    early ends at the same row at every order above ``L``, after the same
+    float operations, so its result holds at those orders too.
     """
     Q, q = params.Q, params.q
     diag = 1.0 + Q
@@ -486,7 +466,7 @@ def _sturm_count(params: FieldParams, L: int):
     half_delta = (Q - 1.0) ** 2 / (4 * diag)
     shifts = [q**l for l in range(1, L - 1)]  # q**(l-1) of pivots l = 2 .. L-1
 
-    def count(x: float) -> int:
+    def count(x: float) -> tuple[int, bool]:
         d = 1.0 - x
         below = d < 0
         d = diag - x - (1.0 / d if d else math.inf)
@@ -494,42 +474,60 @@ def _sturm_count(params: FieldParams, L: int):
         for shift in shifts:
             xs = x * shift
             if d >= mid and xs <= half_delta:
-                break
+                return int(below), False
             d = diag - xs - (Q / d if d else math.inf)
             below += d < 0
-        return int(below)
+        return int(below), True
 
     return count
 
 
-def _bisect(count, n: int, hints: list[float] | None = None) -> list[float]:
+def _bisect(count, n: int, hints: tuple[list[float], list[bool]] | None = None):
     """Eigenvalues ``0 .. n-1`` of a positive definite matrix from its Sturm ``count``.
 
-    Eigenvalue ``k`` is returned as a float ``hi`` with ``count(hi) > k``
-    whose predecessor ``lo`` has ``count(lo) <= k``: the eigenvalue lies in
-    ``(lo, hi]``.  Its search starts from the ``lo`` of eigenvalue ``k - 1``
-    (0 for ``k = 0``) and doubles upward to a ``hi``, or takes ``hints[k]``,
-    when given, a point known to have ``count > k``, probing ``2**-40``
-    below it (relative) first; then it halves the bracket, in geometric
-    means while its ends are more than a factor 2 apart.
+    Returns ``(eigs, open)``.  Eigenvalue ``k`` is a float ``hi`` with
+    ``count(hi) > k`` whose predecessor ``lo`` has ``count(lo) <= k``: the
+    eigenvalue lies in ``(lo, hi]``, and ``open[k]`` tells whether the count
+    at ``lo`` or at ``hi`` ran through every row (:func:`_sturm_count`).
+    Its search starts from the ``lo`` of eigenvalue ``k - 1`` (0 for
+    ``k = 0``, where the count ends early at every order) and doubles
+    upward to a ``hi``; then it halves the bracket, in geometric means while
+    its ends are more than a factor 2 apart, until ``lo`` and ``hi`` are
+    adjacent floats.
+
+    ``hints`` is the ``(eigs, open)`` of a count whose rows are the first
+    rows of this one.  A closed eigenvalue keeps its bracket: both of its
+    counts ended early, so they are the same float operations here.  An
+    open one takes its hint as ``hi``, a point with ``count > k`` since
+    the extra rows only add negative pivots, probes ``2**-40`` below it
+    (relative) first, and is bisected again; a ``hi`` left at the hint is
+    counted as open, its count at this order unknown.
     """
-    eigs, lo = [], 0.0
+    eigs, opens = [], []
+    lo, lo_open = 0.0, False
     for k in range(n):
-        hi = math.inf
+        hi, hi_open = math.inf, False
         if hints is not None:
-            hi = hints[k]
+            hi, hi_open = hints[0][k], True
+            if not hints[1][k]:
+                eigs.append(hi)
+                opens.append(False)
+                lo, lo_open = math.nextafter(hi, 0.0), False
+                continue
             x = hi * (1 - 2**-40)
             if lo < x:
-                if count(x) > k:
-                    hi = x
+                below, through = count(x)
+                if below > k:
+                    hi, hi_open = x, through
                 else:
-                    lo = x
+                    lo, lo_open = x, through
         while hi == math.inf:
             x = 2 * lo if lo > 0 else 1.0
-            if count(x) > k:
-                hi = x
+            below, through = count(x)
+            if below > k:
+                hi, hi_open = x, through
             else:
-                lo = x
+                lo, lo_open = x, through
         while True:
             if lo > 0 and hi > 2 * lo:
                 x = math.sqrt(lo) * math.sqrt(hi)
@@ -537,12 +535,14 @@ def _bisect(count, n: int, hints: list[float] | None = None) -> list[float]:
                 x = lo + (hi - lo) / 2
             if not lo < x < hi:
                 break
-            if count(x) > k:
-                hi = x
+            below, through = count(x)
+            if below > k:
+                hi, hi_open = x, through
             else:
-                lo = x
+                lo, lo_open = x, through
         eigs.append(hi)
-    return eigs
+        opens.append(lo_open or hi_open)
+    return eigs, opens
 
 
 def _float_seeds(params: FieldParams, n_max: int) -> tuple[list[float], int]:
@@ -556,13 +556,19 @@ def _float_seeds(params: FieldParams, n_max: int) -> tuple[list[float], int]:
     closer still.  Each order bisects its :func:`_sturm_count` to adjacent
     floats (:func:`_bisect`).  The order-``L`` block is a principal
     submatrix of the order-``2L`` one, and the first ``L`` pivots of the two
-    counts are the same float operations, so a point above eigenvalue ``k``
-    at order ``L`` is above it at order ``2L``: each eigenvalue of order
-    ``L`` hints its successor.  ``L`` is capped by ``_SEED_MAX_ORDER`` and by
-    the float range of the unscaled block (``Q**L`` below ``10**300``), and
-    never clamped to the cap, which would compare two orders too close to
-    bound anything: seeds that have not settled when ``2L`` passes the cap
-    raise :class:`BracketError`.
+    counts are the same float operations.  So a point above eigenvalue ``k``
+    at order ``L`` is above it at order ``2L``, and each eigenvalue of order
+    ``L`` hints its successor; and an eigenvalue whose two bracket counts
+    ended early keeps its bracket at order ``2L`` without a count.  Only the
+    open ones, whose brackets saw a count reach the last row, are bisected
+    again.  Wherever the float count rises monotonically in ``x``, the kept
+    bracket is the one a full bisection at order ``2L`` would find, so the
+    seeds and the settled order are those of bisecting every eigenvalue at
+    every order.  ``L`` is capped by ``_SEED_MAX_ORDER`` and by the float
+    range of the unscaled block (``Q**L`` below ``10**300``), and never
+    clamped to the cap, which would compare two orders too close to bound
+    anything: seeds that have not settled when ``2L`` passes the cap raise
+    :class:`BracketError`.
     """
     count = n_max + 2  # one eigenvalue beyond the last root, for its separator
     cap = min(_SEED_MAX_ORDER, int(300 / math.log10(params.Q)))
@@ -574,8 +580,8 @@ def _float_seeds(params: FieldParams, n_max: int) -> tuple[list[float], int]:
         )
     prev = None
     while True:
-        eigs = _bisect(_sturm_count(params, L), count, prev)
-        if prev is not None and all(abs(a - b) <= _SEED_SETTLE * a for a, b in zip(eigs, prev)):
+        eigs, opens = _bisect(_sturm_count(params, L), count, prev)
+        if prev is not None and all(abs(a - b) <= _SEED_SETTLE * a for a, b in zip(eigs, prev[0])):
             return eigs, L
         if 2 * L > cap:
             raise BracketError(
@@ -583,7 +589,7 @@ def _float_seeds(params: FieldParams, n_max: int) -> tuple[list[float], int]:
                 f"order {2 * L} is over the limit of {cap} "
                 f"(params p={params.p}, e={params.e}, f={params.f})"
             )
-        prev, L = eigs, 2 * L
+        prev, L = (eigs, opens), 2 * L
 
 
 def _root_work(params: FieldParams, seeds: list[float],
@@ -648,9 +654,10 @@ def _newton(series: _QSeries, x: int, guard: tuple[float, float], steps: int = 4
     Evaluates ``F`` and ``F'`` at most ``steps`` times, stopping at the first
     step below ``10**-(d-10)`` relative; each Newton point is rounded to the
     binary precision of ``d`` digits, and a step leaving the open interval
-    ``guard`` is not taken.  Returns ``(x, F(x), y)``: the last point ``x``
-    evaluated, ``F`` there and the Newton point ``y`` that follows ``x``
-    (``x`` itself when the step is not taken).
+    ``guard`` is not taken.  Returns ``(x, sums, y)``: the last point ``x``
+    evaluated, the pass there (``(F, F', terms, largest)`` as
+    :meth:`_QSeries.sums` returns it) and the Newton point ``y`` that
+    follows ``x`` (``x`` itself when the step is not taken).
 
     The rounding keeps the points as short as the precision they are good
     to.  Deep roots at small ``q`` lie within far less than that of a short
@@ -661,17 +668,75 @@ def _newton(series: _QSeries, x: int, guard: tuple[float, float], steps: int = 4
     lo, hi = _fixed(guard[0], scale), _fixed(guard[1], scale)
     tol = 10 ** (series.dps - 10)
     for i in range(steps):
-        fval, dval, _, _ = series.sums(x, derivative=True)
+        sums = series.sums(x, derivative=True)
+        fval, dval = sums[:2]
         step = (fval << scale) // dval if fval else 0
         y = x - step
         drop = y.bit_length() - bits
         if drop > 0:
             y = (y + (1 << (drop - 1))) >> drop << drop
         if not lo < y < hi:
-            return x, fval, x
+            return x, sums, x
         if i + 1 == steps or abs(step) * tol < abs(x):
-            return x, fval, y
+            return x, sums, y
         x = y
+
+
+def _sign_change(sums: tuple, delta: int, dps: int, scale: int) -> bool:
+    """Whether ``F`` has certified opposite signs at ``x -+ delta``.
+
+    ``sums = (F, F', terms, largest)`` is the pass of :meth:`_QSeries.sums`
+    at ``x``, at ``dps`` digits, and ``0 < delta <= eps |x|`` with
+    ``eps = 10**-(dps - _ENCLOSURE_DPS)``, all in fixed point at ``scale``.
+    The rule, decided exactly in integers, is
+
+        |delta F'| > |F| + 2 terms largest 10**-(dps-1) + terms**3 largest eps**2.
+
+    By Taylor's theorem ``F(x -+ delta) = F(x) -+ delta F'(x) + R``, so when
+    ``|delta F'|`` exceeds the exact ``|F|`` plus ``|R|`` the two signs are
+    those of ``-+ delta F'``.  The second term of the bound covers the
+    rounding of the pass, and the third the remainder.
+
+    Remainder.  With ``t_k = a_k x**k`` and ``|u| <= eps``, each term of
+    ``R`` is ``t_k ((1 + u)**k - 1 - k u)``, at most ``|t_k| (k eps)**2 / 2
+    e**(k eps)`` in modulus, so over the ``terms`` terms the pass summed
+    ``|R| < 0.51 terms**3 eps**2 largest``.  At ``dps >= 40`` that is below
+    ``2e-5`` of ``2 terms largest 10**-(dps-1)``, the margin that covers
+    the rounding; a caller's ``target_tol`` above ``1e-10`` can bring
+    ``dps`` down to ``_GUARD_DPS``, where the last term carries it.
+
+    Rounding.  Write ``S`` for the fractional bits, ``prec + _GUARD_BITS``
+    (``prec`` the binary precision of ``dps`` digits), which is also the
+    ratio width.  Each ratio is within ``2 * 2**-S`` of its exact value at
+    the table's ``q`` relative (rounded at the widest table's width, then
+    shifted to ``S``), and that ``q``, floored 32 bits beyond the widest
+    width, moves no ratio by as much again within ``_MAX_TERMS``.  The
+    product with ``x`` is exact, so after ``k <= _MAX_TERMS`` steps ``t_k``
+    has drifted by at most about ``4k 2**-S |t_k|``.  Each shift floors,
+    losing less than ``2**-S`` in absolute value; a loss at step ``j``
+    reaches ``t_k`` scaled by ``|t_k / t_j|``, which is at most
+    ``largest``: ``|r_k x|`` falls with ``k``, so the term magnitudes rise
+    from ``|t_0| = 1`` to their peak and then fall, and ``largest >= 1``.
+    Hence each term is off by at most about ``5k 2**-S largest``.
+    - ``F``, a ``terms``-term sum that is exact in fixed point, is off by
+      ``terms * largest * 5 _MAX_TERMS 2**-(prec+32) < terms * largest *
+      2**-(prec+18)``.  Since ``2**-prec < 0.15 * 10**-dps``, that is below
+      a hundredth of ``terms largest 10**-(dps-1)``.
+    - ``x F' = sum k t_k`` over at most ``K = _MAX_TERMS`` terms is off by
+      at most ``5 K**3 2**-S largest``, and the floored division by ``x``
+      adds ``2**-S``.  Since ``|x| <= |t_1| <= largest`` (``|r_1| > 1``) and
+      ``eps <= 10**-15``, ``delta`` times the error of ``F'`` is below
+      ``eps (5 K**3 + 1) 2**-S largest < 2**-(S+14) largest``.
+    Both sit far inside ``2 terms largest 10**-(dps-1)``.  As with the
+    residual, the certificate covers the pass's arithmetic, not the terms
+    past the tail rule.
+    """
+    value, deriv, terms, largest = sums
+    inv_eps, inv_err = 10 ** (dps - _ENCLOSURE_DPS), 10 ** (dps - 1)
+    slope = abs(delta * deriv) * inv_err * inv_eps**2
+    bound = ((abs(value) * inv_err + 2 * terms * largest) * inv_eps**2
+             + terms**3 * largest * inv_err)
+    return slope > bound << scale
 
 
 def _certify_root(table: _QSeries, n: int, seed: float, dps: int, terms: int,
@@ -686,14 +751,13 @@ def _certify_root(table: _QSeries, n: int, seed: float, dps: int, terms: int,
         scale = series.scale
         if i + 1 < len(levels):
             root = _newton(series, root, guard, 40 if i == 0 else 1)[2]
-    root, value, _ = _newton(series, root, guard)
-    residual = float(Dyadic(abs(value), -scale))
+    root, sums, _ = _newton(series, root, guard)
+    residual = float(Dyadic(abs(sums[0]), -scale))
     if residual >= target_tol:
         raise BracketError(f"root {n} residual {residual:.3e} above target {target_tol}")
-    delta = root // 10 ** (dps - 15)
+    delta = root // 10 ** (dps - _ENCLOSURE_DPS)
     left, right = root - delta, root + delta
-    sign_left = series.sign(left)
-    if sign_left is None or series.sign(right) != -sign_left:
+    if not _sign_change(sums, delta, dps, scale):
         raise BracketError(f"final enclosure of root {n} shows no certified sign change")
     bracket = (math.nextafter(float(Dyadic(left, -scale)), -math.inf),
                math.nextafter(float(Dyadic(right, -scale)), math.inf))
@@ -733,7 +797,8 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> Ro
     Seed.  A float bisection of the Sturm count of the truncated Jacobi
     block (:func:`_sturm_count`, :func:`_bisect`), at an order grown until
     the requested eigenvalues settle (:func:`_float_seeds`), seeds every
-    root.
+    root.  Each doubling of the order bisects again only the eigenvalues
+    whose bracket saw a count run through every row.
 
     Index.  The same count at the settled order must find exactly ``n``
     eigenvalues below the separator ``s_n``, the geometric mean of seeds
@@ -759,10 +824,13 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> Ro
     takes one step, and the full-precision level iterates again.  No step
     may leave ``(s_n, s_(n+1))``.  At full precision the point Newton
     evaluated last is the root, and ``|F|`` there must be below
-    ``target_tol``.  ``F`` must then have error-bounded opposite signs
-    (:meth:`_QSeries.sign`) across ``root (1 -+ 10**-(dps-15))``; that
-    enclosure, widened outward to floats, is the root's bracket.  Any
-    failure raises :class:`BracketError`.
+    ``target_tol``.  ``F`` must then have certified opposite signs across
+    ``root (1 -+ 10**-(dps-15))``, which :func:`_sign_change` proves from
+    the ``F``, ``F'``, term count and largest term of that last pass: the
+    step ``delta F'`` across the enclosure must exceed ``|F|`` plus the
+    pass's error bound and the Taylor remainder.  That enclosure, widened
+    outward to floats, is the root's bracket.  Any failure raises
+    :class:`BracketError`.
 
     Returns exactly ``n_max + 1`` roots.  Tables are cached per
     ``(p, e, f, target_tol)``, the ``ROOT_CACHE_SIZE`` most recently used
@@ -779,7 +847,7 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> Ro
     seeds, L = _float_seeds(params, n_max)
     separators = [0.0] + [math.sqrt(a * b) for a, b in zip(seeds, seeds[1:])]
     count = _sturm_count(params, L)
-    if [count(x) for x in separators] != list(range(n_max + 2)):
+    if [count(x)[0] for x in separators] != list(range(n_max + 2)):
         raise BracketError(
             f"Sturm count of the order-{L} truncation does not separate roots 0..{n_max} "
             f"(params p={params.p}, e={params.e}, f={params.f})"

@@ -702,10 +702,31 @@ def _quotient(a: complex, b: complex) -> complex:
     return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
 
 
+def _exp_times(x: float, c: float) -> float:
+    """``e**x * c`` for an ``x`` past the range of ``math.exp``: infinite
+    with the sign of ``c`` unless the product is still a float (``0`` stays
+    a signed zero).  Above ``x = 2200`` even the least subnormal ``c``
+    overflows; below it the product is taken in four factors, each finite."""
+    if not c or x > 2200.0:
+        return c if not c else math.copysign(math.inf, c)
+    h = math.exp(x / 4)
+    return c * h * h * h * h
+
+
 def _one_minus_exp(w: complex) -> complex:
     """``1 - exp(w)`` as numpy forms it: the real 1 taken as ``1 + 0i``, so
-    the imaginary part is ``0.0 - Im exp(w)`` (``+0.0`` where that is 0)."""
-    v = cmath.exp(w)
+    the imaginary part is ``0.0 - Im exp(w)`` (``+0.0`` where that is 0).
+
+    Where ``cmath.exp`` overflows, numpy's exp returns the parts
+    ``e**Re(w) cos(Im w)`` and ``e**Re(w) sin(Im w)`` infinite instead of
+    raising; they are formed so here (:func:`_exp_times`), the same infinities
+    and signed zeros as numpy's, and a part that stays finite within a few
+    ulps of it.  On the real axis that is ``inf`` and a signed zero.
+    """
+    try:
+        v = cmath.exp(w)
+    except OverflowError:
+        v = complex(_exp_times(w.real, math.cos(w.imag)), _exp_times(w.real, math.sin(w.imag)))
     return complex(1.0 - v.real, 0.0 - v.imag)
 
 

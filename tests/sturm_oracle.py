@@ -1,5 +1,5 @@
 """The Sturm oracle: the truncated Jacobi block, its exact low eigenvalues,
-and the dense float seeds.
+the dense float seeds, and the route that bisected every seed at every order.
 
 :func:`jacobi_D0` forms the depth-direction block as a dense matrix.
 :func:`sturm_counter` counts its eigenvalues below a shift from the signs of
@@ -8,20 +8,26 @@ the tridiagonal ``LDL^T`` pivots in mpmath arithmetic, and
 accurate relative to itself whatever the grading.  :func:`dense_seeds` and
 :func:`dense_root_work` are the float ``eigvalsh`` seeds and the numpy term
 scan that ``find_roots`` used before its seeds became a float Sturm
-bisection.  The tests hold the float seeds, the float Sturm count of
+bisection.  :func:`float_seeds` is that float Sturm bisection as it was
+before closed brackets were kept across orders: every eigenvalue bisected
+again at every order.  :func:`two_pass_find_roots` runs ``find_roots`` on
+those seeds and certifies each enclosure by two value-only passes at its
+ends (:func:`sign_pass`), as before the certificate was read off the last
+Newton pass.  The tests hold the float seeds, the float Sturm count of
 ``find_roots`` and the certified roots against these.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 
-from padiclab import FieldParams
+from padiclab import FieldParams, qspecial
 from padiclab.qspecial import (
-    _GUARD_DPS, _MAX_TERMS, _SEED_MAX_ORDER, _SEED_SETTLE, _TERM_MARGIN, BracketError,
+    _GUARD_DPS, _MAX_TERMS, _SEED_MAX_ORDER, _SEED_SETTLE, _TERM_MARGIN, BracketError, Dyadic,
 )
 
 
@@ -167,3 +173,113 @@ def jacobi_lowest_eigs(params: FieldParams, L: int, count: int = 1) -> list[mp.m
                     break
             eigs.append((lo + hi) / 2)
         return eigs
+
+
+def bisect(count, n: int, hints: list[float] | None = None) -> list[float]:
+    """Eigenvalues ``0 .. n-1`` from the Sturm ``count`` (an int per point),
+    each a float ``hi`` whose predecessor has ``count <= k < count(hi)``.
+
+    Eigenvalue ``k`` starts from the ``lo`` of eigenvalue ``k - 1`` and
+    doubles upward to a ``hi``, or takes ``hints[k]`` and probes ``2**-40``
+    below it first; then it halves the bracket, in geometric means while its
+    ends are more than a factor 2 apart, down to adjacent floats.
+    """
+    eigs, lo = [], 0.0
+    for k in range(n):
+        hi = math.inf
+        if hints is not None:
+            hi = hints[k]
+            x = hi * (1 - 2**-40)
+            if lo < x:
+                if count(x) > k:
+                    hi = x
+                else:
+                    lo = x
+        while hi == math.inf:
+            x = 2 * lo if lo > 0 else 1.0
+            if count(x) > k:
+                hi = x
+            else:
+                lo = x
+        while True:
+            if lo > 0 and hi > 2 * lo:
+                x = math.sqrt(lo) * math.sqrt(hi)
+            else:
+                x = lo + (hi - lo) / 2
+            if not lo < x < hi:
+                break
+            if count(x) > k:
+                hi = x
+            else:
+                lo = x
+        eigs.append(hi)
+    return eigs
+
+
+def float_seeds(params: FieldParams, n_max: int) -> tuple[list[float], int]:
+    """``qspecial._float_seeds`` bisecting every eigenvalue at every order:
+    the same orders, cap, settle test and refusals."""
+    count = n_max + 2
+    cap = min(_SEED_MAX_ORDER, int(300 / math.log10(params.Q)))
+    L = 2 * count
+    if L > cap:
+        raise BracketError(
+            f"roots up to {n_max} need a Jacobi truncation of order {L}, over the "
+            f"limit of {cap} (params p={params.p}, e={params.e}, f={params.f})"
+        )
+    prev = None
+    while True:
+        sturm = qspecial._sturm_count(params, L)
+        eigs = bisect(lambda x: sturm(x)[0], count, prev)
+        if prev is not None and all(abs(a - b) <= _SEED_SETTLE * a for a, b in zip(eigs, prev)):
+            return eigs, L
+        if 2 * L > cap:
+            raise BracketError(
+                f"float seeds for roots 0..{n_max} did not settle by Jacobi order {L}: "
+                f"order {2 * L} is over the limit of {cap} "
+                f"(params p={params.p}, e={params.e}, f={params.f})"
+            )
+        prev, L = eigs, 2 * L
+
+
+def sign_pass(series, z: int) -> int | None:
+    """Sign of ``F(z)`` from a value-only pass, or ``None`` when ``|F(z)|`` is
+    at most ``terms * largest * 10**-(dps-1)``."""
+    value, _, terms, largest = series.sums(z)
+    if abs(value) * 10 ** (series.dps - 1) > terms * largest:
+        return 1 if value > 0 else -1
+    return None
+
+
+def two_pass_certify_root(table, n: int, seed: float, dps: int, terms: int,
+                          guard: tuple[float, float], target_tol: float):
+    """``qspecial._certify_root`` with the enclosure ``root (1 -+ 10**-(dps-15))``
+    certified by a value-only :func:`sign_pass` at each end."""
+    levels = qspecial._newton_levels(dps)
+    for i, level in enumerate(levels):
+        series = table.rounded(level, terms)
+        root = qspecial._fixed(seed, series.scale) if i == 0 else root << (series.scale - scale)
+        scale = series.scale
+        if i + 1 < len(levels):
+            root = qspecial._newton(series, root, guard, 40 if i == 0 else 1)[2]
+    root, (value, *_), _ = qspecial._newton(series, root, guard)
+    residual = float(Dyadic(abs(value), -scale))
+    if residual >= target_tol:
+        raise BracketError(f"root {n} residual {residual:.3e} above target {target_tol}")
+    delta = root // 10 ** (dps - 15)
+    left, right = root - delta, root + delta
+    sign_left = sign_pass(series, left)
+    if sign_left is None or sign_pass(series, right) != -sign_left:
+        raise BracketError(f"final enclosure of root {n} shows no certified sign change")
+    bracket = (math.nextafter(float(Dyadic(left, -scale)), -math.inf),
+               math.nextafter(float(Dyadic(right, -scale)), math.inf))
+    return Dyadic(root, -scale), residual, bracket
+
+
+def two_pass_find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10):
+    """``qspecial.find_roots`` on :func:`float_seeds` with
+    :func:`two_pass_certify_root`, on a cache of its own."""
+    with mock.patch.object(qspecial, "_float_seeds", float_seeds), \
+            mock.patch.object(qspecial, "_certify_root", two_pass_certify_root), \
+            mock.patch.object(qspecial, "_ROOT_CACHE", qspecial._RootCache(1)):
+        return qspecial.find_roots(params, n_max, target_tol)

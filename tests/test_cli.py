@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import contextlib
+import csv
 import errno
 import hashlib
 import io
@@ -200,6 +201,60 @@ class TestLargeBase:
             assert proc.stderr.startswith("numerical failure: ")
 
 
+@contextlib.contextmanager
+def _exact_ints():
+    """Lift CPython's limit on int-to-str digits (3.11 and later) for the block."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestLargeResidueField:
+    """Large ``f``: multiplicities ``p**(m f)`` of thousands of digits, and a
+    zeta factor whose ``p**f`` is past the float range."""
+
+    def test_zeta_factor_past_the_float_range(self, capsys):
+        """``exp(f ln p)`` overflows at f = 1100: numpy's exp returned
+        infinity there, so the factor and every value are signed zeros."""
+        argv = ["zeta", "--p", "2", "--e", "1", "--f", "1100", "--n-roots", "3",
+                "--s-max", "2", "--format", "csv"]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "re_s,im_s,re_zeta,im_zeta,tail_bound,n_roots_used,pole",
+            "1,0,0,-0,0,3,false",
+            "2,0,0,-0,0,3,false",
+        ]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_multiplicities_print_exactly(self, fmt, capsys):
+        """At f = 20000 the multiplicity of m = 3 has 18,062 digits: each one
+        is printed as the exact ``p**(m f) - p**((m-1) f)``, and the caller's
+        limit on int-to-str digits is left as it was."""
+        p, f = 2, 20000
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        argv = ["spectrum", "--p", str(p), "--e", "1", "--f", str(f), "--n-max", "1",
+                "--format", fmt]
+        assert main(argv) == EXIT_OK
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        out = capsys.readouterr().out
+        with _exact_ints():
+            if fmt == "json":
+                rows = [(r["m"], r["multiplicity"]) for r in json.loads(out)["results"]]
+            else:
+                rows = [(int(r["m"]), int(r["multiplicity"]))
+                        for r in csv.DictReader(io.StringIO(out))]
+            assert len(rows) == 8 and len(str(max(mult for _, mult in rows))) == 18_062
+        for m, mult in rows:
+            assert mult == (p ** (m * f) - p ** ((m - 1) * f) if m else 1), m
+
+
 class TestConfigErrors:
     def test_composite_p(self, tmp_path):
         rc = main(["spectrum", "--p", "6", "--e", "1", "--f", "1",
@@ -368,14 +423,17 @@ class TestExitContract:
     @given(
         p=st.sampled_from([2, 3, 5, 7]),
         e=st.integers(1, 8),
-        f=st.integers(1, 2),
+        f=st.one_of(st.integers(1, 2), st.integers(3, 20_000)),
         n=st.integers(0, 3),
         s=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     )
     @example(p=2, e=1, f=1, n=3, s=1e-300)
+    @example(p=2, e=1, f=1100, n=2, s=2.0)  # p**f past the float range in the zeta factor
+    @example(p=2, e=1, f=20000, n=1, s=1.0)  # multiplicities of 6,000 to 12,000 digits
     def test_every_run_exits_with_a_documented_code(self, p, e, f, n, s):
-        """``spectrum`` and a one-point ``zeta`` over the CLI's parameter grid
-        exit 0, 1 or 2, and a nonzero exit writes exactly one stderr line."""
+        """``spectrum`` and a one-point ``zeta`` over the CLI's parameter grid,
+        ``f`` up to 20,000, exit 0, 1 or 2, and a nonzero exit writes exactly
+        one stderr line."""
         field = ["--p", str(p), "--e", str(e), "--f", str(f)]
         for argv in (
             ["spectrum", *field, "--m-max", "2", "--n-max", str(n)],
@@ -391,18 +449,22 @@ class TestExitContract:
     @given(
         p=st.sampled_from([2, 3, 5, 7]),
         e=st.integers(1, 8),
-        f=st.integers(1, 2),
+        f=st.one_of(st.integers(1, 2), st.integers(13, 20_000)),
         depth=st.integers(1, 5),
         k=st.integers(1, 6),
         seminorm_depth=st.integers(1, 3),
         drift=st.booleans(),
     )
+    @example(p=2, e=1, f=20000, depth=1, k=1, seminorm_depth=1, drift=False)
     def test_every_validate_exits_with_a_documented_code(self, p, e, f, depth, k,
                                                          seminorm_depth, drift):
         """``validate`` over the same grid exits 0, 1, 2 or 3, and exits 1
         and 2 write exactly one stderr line.  The window budget is lowered
         to 5,000 vertices, so a larger window takes the budget's refusal and
-        every example stays small."""
+        every example stays small.  From ``f = 13`` up even a depth-1 window,
+        ``1 + p**f`` vertices, is over it for every ``p``.  ``f`` from 3 to 12
+        is left out: there the library's random test function draws a table
+        of ``p**(4f)`` values before any budget is consulted."""
         argv = ["validate", "--p", str(p), "--e", str(e), "--f", str(f),
                 "--depth", str(depth), "--k", str(k), "--seminorm-depth", str(seminorm_depth)]
         if not drift:

@@ -31,7 +31,8 @@ from padiclab import (
 from padiclab import qspecial
 from padiclab.qspecial import Dyadic
 from sturm_oracle import (
-    dense_root_work, dense_seeds, jacobi_D0, jacobi_lowest_eigs, sturm_counter,
+    dense_root_work, dense_seeds, float_seeds, jacobi_D0, jacobi_lowest_eigs, sturm_counter,
+    two_pass_find_roots,
 )
 
 P211 = FieldParams(2, 1, 1)
@@ -242,7 +243,7 @@ AGREEMENT_PARAMS = [P211, P311, P212, FieldParams(2, 3, 1), FieldParams(5, 1, 1)
 class TestFixedPointMatchesReference:
     """The fixed-point pass against the libmp reference, at every level of
     the Newton schedule of each root and at full precision, within the
-    error bound of ``_QSeries.sign``: ``terms * largest * 10**-(dps-1)``."""
+    rounding margin of ``_sign_change``: ``terms * largest * 10**-(dps-1)``."""
 
     @pytest.mark.parametrize("params", AGREEMENT_PARAMS, ids=str)
     def test_sums_within_certificate_bound(self, params):
@@ -267,27 +268,40 @@ class TestFixedPointMatchesReference:
 
     @pytest.mark.parametrize("params", AGREEMENT_PARAMS, ids=str)
     def test_sign_never_opposite(self, params):
-        """Around each root, from the certified enclosure in to points where
-        ``|F|`` is below the bound: ``sign`` is the sign of ``F`` summed by
-        the reference 40 digits wider, or ``None``."""
+        """The certificate of ``_sign_change`` from the pass at ``x``, for
+        ``x`` at each root and moved off it by ``10**-i`` relative, over
+        half-widths ``10**-j`` from the enclosure's in to where ``|F|``
+        swamps the step: wherever it certifies, ``F`` summed by the
+        reference 40 digits wider has opposite signs at ``x -+ delta``.  It
+        certifies the enclosure at the root and no half-width below
+        ``10**-(dps+3)``."""
         n_max = 4
         table = find_roots(params, n_max)
         seeds, _ = qspecial._float_seeds(params, n_max)
         work = qspecial._root_work(params, seeds[: n_max + 1], 1e-10)
         wide = qspecial._series_at(params, max(dps for dps, _ in work))
+        gap = qspecial._ENCLOSURE_DPS
         for root, (dps, terms) in zip(table.roots, work):
             series = wide.rounded(dps, terms)
+            scale = series.scale
             reference = _LibmpSeries(_table_base(wide), dps + 40)
-            signs = []
-            for j in range(dps - 15, dps + 3, 2):
-                for side in (-1, 1):
-                    with mp.workdps(dps):
-                        z = root * (1 + side * mp.mpf(10) ** -j)
-                    got = series.sign(to_fixed(z._mpf_, series.scale))
-                    if got is not None:
-                        assert got == mp.sign(reference.sums(z)[0]), (j, side)
-                    signs.append(got)
-            assert signs[0] is not None and signs[1] == -signs[0]
+            at_root = root.man << (scale + root.exp)
+            certified = 0
+            for i in (None, dps - gap - 2, dps - gap + 1, dps - gap + 4, dps - 3):
+                x = at_root if i is None else at_root + at_root // 10**i
+                sums = series.sums(x, derivative=True)
+                for j in range(dps - gap, dps + 4):
+                    delta = x // 10**j
+                    if not qspecial._sign_change(sums, delta, dps, scale):
+                        continue
+                    certified += 1
+                    left, right = (reference.sums(mp.make_mpf(from_man_exp(z, -scale)))[0]
+                                   for z in (x - delta, x + delta))
+                    assert mp.sign(left) == -mp.sign(right) != 0, (i, j)
+                assert not qspecial._sign_change(sums, x // 10 ** (dps + 3), dps, scale)
+            assert qspecial._sign_change(series.sums(at_root, derivative=True),
+                                         at_root // 10 ** (dps - gap), dps, scale)
+            assert certified > 1
 
 
 class TestBrackets:
@@ -415,7 +429,7 @@ class TestFindRoots:
 
 class TestCertificationWork:
     def test_full_precision_passes_and_one_table(self, monkeypatch):
-        """Roots 0..20 of (3,1,1) from a cold cache: at most 4 series passes
+        """Roots 0..20 of (3,1,1) from a cold cache: at most 2 series passes
         per root at the root's own precision, on average, and one ratio
         table extended once, to about the deepest root's series length."""
         sums, ratio_table, certify = (qspecial._QSeries.sums, qspecial._ratio_table,
@@ -442,24 +456,31 @@ class TestCertificationWork:
         monkeypatch.setattr(qspecial._QSeries, "sums", counting_sums)
         monkeypatch.setattr(qspecial, "_ratio_table", counting_ratio_table)
         table = find_roots(P311, 20)
-        assert counts["full"] / len(table.roots) <= 4.0
+        assert counts["full"] / len(table.roots) <= 2.0
         assert counts["extend"] <= counts["terms"] + 5
 
 
 class TestEnclosureCertificate:
     def test_moved_root_refused(self, monkeypatch):
+        """A point a millionth off the root, returned with its own ``F``
+        and ``F'``: its residual, 7.8e-7, passes a loosened gate, and the
+        certificate refuses the enclosure, which no longer holds the root."""
         newton = qspecial._newton
 
         def moved(series, root, guard, steps=40):
-            x, value, y = newton(series, root, guard, steps)
-            return x + x // 10**6, value, y
+            x, _, y = newton(series, root, guard, steps)
+            x += x // 10**6
+            return x, series.sums(x, derivative=True), y
 
         monkeypatch.setattr(qspecial, "_newton", moved)
         with pytest.raises(BracketError, match="final enclosure of root 0"):
-            find_roots(P211, 2)
+            find_roots(P211, 2, target_tol=1e-3)
 
-    def test_uncertified_sign_refused(self, monkeypatch):
-        monkeypatch.setattr(qspecial._QSeries, "sign", lambda self, z: None)
+    def test_narrow_enclosure_refused(self, monkeypatch):
+        """An enclosure 10 digits narrower than the working precision: the
+        step ``delta F'`` falls below the rounding margin, so nothing is
+        certified."""
+        monkeypatch.setattr(qspecial, "_ENCLOSURE_DPS", -10)
         with pytest.raises(BracketError, match="final enclosure of root 0"):
             find_roots(P211, 2)
 
@@ -529,7 +550,7 @@ class TestParameterGrid:
         eigs = np.linalg.eigvalsh(jacobi_D0(params, L))[:8]
         points = np.concatenate(([0.0, 1e-3], np.sqrt(eigs[:-1] * eigs[1:]), eigs * 1.5))
         count = qspecial._sturm_count(params, L)
-        got = [count(float(x)) for x in points]
+        got = [count(float(x))[0] for x in points]
         assert got == [count_below(x) for x in points]
         assert got[2:9] == list(range(1, 8))
 
@@ -609,6 +630,63 @@ ROOTS_DEEP = [((2, 1, 1), 28), ((2, 2, 1), 22), ((3, 1, 1), 20), ((3, 2, 1), 21)
 ORACLE_CASES = ([(params, 5) for params in GRID]
                 + [(FieldParams(*key), n) for key, n in ROOTS_DEEP]
                 + [(FieldParams(2, 8, 1), 12), (FieldParams(3, 6, 1), 12)])
+
+
+TWO_PASS_CASES = ([(params, n) for n in (5, 12) for params in GRID]
+                  + [(FieldParams(*key), n) for key, n in ROOTS_DEEP]
+                  + [(FieldParams(*key), 24) for key in ((2, 3, 1), (3, 6, 1), (2, 8, 1))])
+
+
+class TestMatchesTwoPassRoute:
+    """Against the route that bisected every seed at every order and
+    certified each enclosure by two value-only passes at its ends
+    (:func:`sturm_oracle.two_pass_find_roots`): the same seeds and settled
+    order bit for bit, and equal root tables (exact roots, residuals,
+    brackets and ``dps_used``), or the same refusal."""
+
+    @pytest.mark.parametrize(("params", "n_max"), TWO_PASS_CASES,
+                             ids=[f"{params}-{n}" for params, n in TWO_PASS_CASES])
+    def test_same_seeds_and_tables(self, params, n_max):
+        try:
+            want_seeds = float_seeds(params, n_max)
+            want = two_pass_find_roots(params, n_max)
+        except BracketError as exc:
+            with pytest.raises(BracketError, match=f"^{re.escape(str(exc))}$"):
+                find_roots(params, n_max)
+            return
+        assert qspecial._float_seeds(params, n_max) == want_seeds
+        assert find_roots(params, n_max) == want
+
+    def test_closed_brackets_are_not_bisected_again(self, monkeypatch):
+        """On the benchmark's deep entries the seeds take fewer Sturm counts
+        than bisecting every eigenvalue at every order, and the settled
+        order takes none on every entry but (3,2,1), where one bracket of
+        the order before it was left open."""
+        sturm_count = qspecial._sturm_count
+        calls: dict = {}
+
+        def counting(params, L):
+            count = sturm_count(params, L)
+            calls[L] = 0
+
+            def counted(x):
+                calls[L] += 1
+                return count(x)
+
+            return counted
+
+        monkeypatch.setattr(qspecial, "_sturm_count", counting)
+        idle = 0
+        for key, n_max in ROOTS_DEEP:
+            params = FieldParams(*key)
+            calls.clear()
+            _, L = qspecial._float_seeds(params, n_max)
+            got = dict(calls)
+            calls.clear()
+            assert float_seeds(params, n_max)[1] == L
+            assert sum(got.values()) < sum(calls.values()), key
+            idle += got[L] == 0
+        assert idle == 6
 
 
 class TestIntegerRootsMatchMpfOracle:

@@ -1,6 +1,7 @@
 """Analytic spectrum tables, matrix validation, Schatten sums, and zeta values."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -340,6 +341,48 @@ LATTICE = [float(k) for k in range(1, 13)] + [k / 2 for k in range(1, 24, 2)]
 ROOT_GRID = [FieldParams(p, e, f) for p in (2, 3, 5, 7) for e in range(1, 9) for f in (1, 2)]
 
 
+def _root_power_sums(q, k_max: int) -> list:
+    """``sum_n lambda_n**-k`` for ``k = 1..k_max`` from the coefficients of
+    ``F(z) = sum a_k z**k = prod (1 - z/lambda_n)`` (entire of order 0), by
+    Newton's identities: ``p_1 = -a_1``, ``p_k = -k a_k - sum_(i<k) a_i p_(k-i)``.
+    Exact for a :class:`Fraction` ``q``; else in the arithmetic of ``q``."""
+    a = [1]
+    for k in range(1, k_max + 1):
+        a.append(-a[-1] * q ** (k - 1) / (1 - q**k) ** 2)
+    sums = []
+    for k in range(1, k_max + 1):
+        sums.append(-k * a[k] - sum(a[i] * sums[k - i - 1] for i in range(1, k)))
+    return sums
+
+
+class TestZetaClosedForm:
+    """``zeta_D0`` at ``s = 1..8`` against the root power sums that Newton's
+    identities give from the series coefficients alone, with no root found:
+    exact fractions where ``q`` is rational (``e`` in {1, 2}), else 60 digits."""
+
+    def test_exact_fractions(self):
+        assert _root_power_sums(Fraction(1, 4), 2) == [Fraction(16, 9), Fraction(4352, 2025)]
+        assert _root_power_sums(Fraction(1, 3), 2)[1] == Fraction(405, 128)
+
+    @pytest.mark.parametrize("params", ROOT_GRID, ids=str)
+    def test_value_within_its_tail_bound(self, params):
+        """``|closed - value| <= tail_bound + 2 ulp(value)``: the truncated
+        root sum plus its certified tail bound brackets the closed form."""
+        exact = Fraction if params.e <= 2 else mp.mpf
+        with mp.workdps(60):
+            q = exact(1, params.p ** (2 // params.e)) if params.e <= 2 else \
+                mp.power(params.p, mp.mpf(-2) / params.e)
+            closed = _root_power_sums(q, 8)
+        for s, want in enumerate(closed, start=1):
+            got = zeta_D0(params, float(s))
+            assert got.value.imag == 0.0, s
+            value = got.value.real
+            with mp.workdps(60):
+                gap = abs(exact(value) - want)
+                slack = exact(got.tail_bound) + 2 * exact(math.ulp(value))
+                assert gap <= slack, (s, float(gap), got.tail_bound)
+
+
 class TestZetaLatticeSum:
     """At an integer or half-integer ``s`` the root sum is formed in Python
     integers, and must equal mpmath's ``fsum`` of ``mp.power`` bit for bit."""
@@ -462,6 +505,28 @@ class TestFactorMatchesNumpy:
             except PoleError:
                 got = None
             assert repr(got) == repr(want), s
+
+    @pytest.mark.parametrize("params", [FieldParams(2, 1, 1100), FieldParams(3, 2, 700),
+                                        FieldParams(7, 5, 400)], ids=str)
+    def test_exp_past_the_float_range(self, params):
+        """``f ln p`` above 709: numpy's exp overflows to infinity where
+        ``cmath.exp`` raises.  On the real axis the factor is numpy's signed
+        zero bit for bit; off it every infinite or zero part is numpy's, and
+        a finite part within 2 ulps of it."""
+        grid = [k / 4 for k in range(1, 41)]
+        grid += [complex(x / 4, y / 3) for x in range(-8, 33) for y in range(-12, 13)]
+        for s in grid:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _numpy_zeta_factor(params, s)
+            got = zeta_factor(params, s)
+            if isinstance(s, float):
+                assert repr(got) == repr(want), s
+                continue
+            for a, b in ((got.real, want.real), (got.imag, want.imag)):
+                if math.isfinite(b) and b != 0.0:
+                    assert abs(a - b) <= 2 * math.ulp(b), s
+                else:
+                    assert repr(a) == repr(b), s
 
     def test_quotient_is_numpy_division(self):
         rng = np.random.default_rng(12)
