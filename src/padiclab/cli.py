@@ -320,13 +320,19 @@ def _validate_rows(args: argparse.Namespace, params: FieldParams) -> tuple[list[
 
 
 def _check_window_budget(args: argparse.Namespace, params: FieldParams) -> None:
-    """Refuse, before any assembly, a window over ``MAX_WINDOW_VERTICES``.
+    """Refuse, before any assembly, a window over ``MAX_WINDOW_VERTICES``,
+    and then a random test-function table over it.
 
     The size is summed level by level over ``0..depth`` (``q_res**n``
     vertices each).  The sum stops once it passes the square of the limit,
     so any depth is refused within a few dozen levels; the refusal names the
-    size only when it was summed to the end.
+    size only when it was summed to the end.  The table of the library's
+    deeper random test function holds one value per vertex of its level,
+    ``q_res**RANDOM_TABLE_DEPTH``; every window passed, so ``q_res`` is
+    within the limit and the table's size is named.
     """
+    from .seminorms import RANDOM_TABLE_DEPTH
+
     q = params.q_res
     windows = [("spectrum", args.depth), ("seminorm", args.seminorm_depth)]
     if not args.no_drift:
@@ -344,6 +350,12 @@ def _check_window_budget(args: argparse.Namespace, params: FieldParams) -> None:
                 f"{name} window of depth {depth} has {size} vertices, "
                 f"over the limit of {MAX_WINDOW_VERTICES}"
             )
+    table = q**RANDOM_TABLE_DEPTH
+    if table > MAX_WINDOW_VERTICES:
+        raise ValueError(
+            f"random test function of depth {RANDOM_TABLE_DEPTH} has {table} values, "
+            f"over the limit of {MAX_WINDOW_VERTICES}"
+        )
 
 
 def _cmd_validate(args: argparse.Namespace, params: FieldParams) -> int:

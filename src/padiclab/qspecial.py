@@ -17,21 +17,19 @@ Series evaluation.  A :class:`_QSeries` holds the ratios
 one working precision, extended lazily, and sums ``F`` and ``F'`` from them;
 :func:`phi11` and :func:`phi11_derivative` are thin calls into it.
 
-Root search.  :func:`find_roots` seeds every root from the truncated
-depth-direction Jacobi block, whose eigenvalues converge to the roots of
-``F`` as the truncation grows, and uses the series only to certify them.
-The seeds are float bisections of the block's Sturm count: the signs of its
-``LDL^T`` pivots, scaled per row so that they stay in range, in Python
-floats and without forming the matrix.  The count ends once the pivots have
-left the eigenvalue's neighbourhood and can no longer change sign, so
-whatever the truncation order, a count costs about as many rows as the
-eigenvalue's index plus the digits that resolve it, and a count that ends
-early gives the same answer at every larger order: as the order doubles,
-only the eigenvalues whose bracket ends saw a count reach the last row are
-bisected again.  The same count indexes each root, and a float estimate of
-the largest series term at the seed sets its working precision: near
-``lambda_n`` the terms peak at about ``Q**(n(n+1)/2)`` (``Q = 1/q``), more
-as ``q -> 1``, and the residual gate ``|F(lambda_n)| < target_tol`` is
+Root search.  :func:`find_roots` seeds every root from the depth-direction
+Jacobi block, whose eigenvalues are the roots of ``F``, and uses the series
+only to certify them.  The seeds are float bisections of the block's Sturm
+count: the signs of its ``LDL^T`` pivots, scaled per row so that they stay
+in range, in Python floats and without forming the matrix.  The count ends
+once the pivots have left the eigenvalue's neighbourhood and can no longer
+change sign, so a count costs about as many rows as the eigenvalue's index
+plus the digits that resolve it, and a count that ends early is the count
+of the untruncated block: one bisection, its counts allowed up to a cap on
+their rows, gives the seeds.  The same count indexes each root, and a float
+estimate of the largest series term at the seed sets its working precision:
+near ``lambda_n`` the terms peak at about ``Q**(n(n+1)/2)`` (``Q = 1/q``),
+more as ``q -> 1``, and the residual gate ``|F(lambda_n)| < target_tol`` is
 absolute, so it needs that many digits beyond the target's own.  One ratio
 table per call, at the largest precision needed, serves every root and every
 level of a precision-doubling Newton lift, each through a truncated copy
@@ -103,10 +101,7 @@ _MAX_TERMS = 2000
 # Coefficients a root's table holds beyond the float estimate of the last
 # term its full-precision evaluations reach.
 _TERM_MARGIN = 3
-# The float seeds have settled once doubling the Jacobi order moves none of
-# them by more than this, relative.
-_SEED_SETTLE = 1e-12
-# Largest Jacobi order the seeds are taken from.
+# Most rows a Sturm count of the seeds may run through.
 _SEED_MAX_ORDER = 1024
 # A root certified at dps digits is enclosed in root (1 -+ 10**-(dps - _ENCLOSURE_DPS)).
 _ENCLOSURE_DPS = 15
@@ -456,9 +451,15 @@ def _sturm_count(params: FieldParams, L: int):
     equals the count of the full float recurrence.  Near an eigenvalue the
     pivots linger by the repelling fixed point 1, so the count runs on
     until ``x`` is resolved; far from every eigenvalue it ends a few rows
-    past ``x q**l <= delta/2``, whatever ``L`` is.  A count that ends
-    early ends at the same row at every order above ``L``, after the same
-    float operations, so its result holds at those orders too.
+    past ``x q**l <= delta/2``, whatever ``L`` is.
+
+    A count that ends early ends at the same row at every order above ``L``,
+    after the same float operations, so it gives the same result at all of
+    them.  As the order grows, the truncation's eigenvalues decrease to
+    those of the untruncated block, the roots of ``F``, so the number of
+    them below ``x`` tends to the number of roots below ``x``.  A count that
+    ends early is therefore, up to the rounding of its pivots, the count of
+    the untruncated block, and no larger order can change it.
     """
     Q, q = params.Q, params.q
     diag = 1.0 + Q
@@ -482,114 +483,67 @@ def _sturm_count(params: FieldParams, L: int):
     return count
 
 
-def _bisect(count, n: int, hints: tuple[list[float], list[bool]] | None = None):
-    """Eigenvalues ``0 .. n-1`` of a positive definite matrix from its Sturm ``count``.
+def _bisect(count, n: int) -> list[float]:
+    """Eigenvalues ``0 .. n-1`` of a positive definite matrix from its Sturm
+    ``count`` (:func:`_sturm_count`).
 
-    Returns ``(eigs, open)``.  Eigenvalue ``k`` is a float ``hi`` with
-    ``count(hi) > k`` whose predecessor ``lo`` has ``count(lo) <= k``: the
-    eigenvalue lies in ``(lo, hi]``, and ``open[k]`` tells whether the count
-    at ``lo`` or at ``hi`` ran through every row (:func:`_sturm_count`).
-    Its search starts from the ``lo`` of eigenvalue ``k - 1`` (0 for
-    ``k = 0``, where the count ends early at every order) and doubles
-    upward to a ``hi``; then it halves the bracket, in geometric means while
-    its ends are more than a factor 2 apart, until ``lo`` and ``hi`` are
-    adjacent floats.
-
-    ``hints`` is the ``(eigs, open)`` of a count whose rows are the first
-    rows of this one.  A closed eigenvalue keeps its bracket: both of its
-    counts ended early, so they are the same float operations here.  An
-    open one takes its hint as ``hi``, a point with ``count > k`` since
-    the extra rows only add negative pivots, probes ``2**-40`` below it
-    (relative) first, and is bisected again; a ``hi`` left at the hint is
-    counted as open, its count at this order unknown.
+    Eigenvalue ``k`` is a float ``hi`` with ``count(hi) > k`` whose
+    predecessor ``lo`` has ``count(lo) <= k``.  Its search starts from the
+    ``lo`` of eigenvalue ``k - 1`` (0 for ``k = 0``) and doubles upward to a
+    ``hi``; then it halves the bracket, in geometric means while its ends
+    are more than a factor 2 apart, until ``lo`` and ``hi`` are adjacent
+    floats.  The list stops short before the first eigenvalue whose search
+    met a count that ran through every row.
     """
-    eigs, opens = [], []
-    lo, lo_open = 0.0, False
+    eigs, lo = [], 0.0
     for k in range(n):
-        hi, hi_open = math.inf, False
-        if hints is not None:
-            hi, hi_open = hints[0][k], True
-            if not hints[1][k]:
-                eigs.append(hi)
-                opens.append(False)
-                lo, lo_open = math.nextafter(hi, 0.0), False
-                continue
-            x = hi * (1 - 2**-40)
-            if lo < x:
-                below, through = count(x)
-                if below > k:
-                    hi, hi_open = x, through
-                else:
-                    lo, lo_open = x, through
-        while hi == math.inf:
-            x = 2 * lo if lo > 0 else 1.0
-            below, through = count(x)
-            if below > k:
-                hi, hi_open = x, through
-            else:
-                lo, lo_open = x, through
+        hi = math.inf
         while True:
-            if lo > 0 and hi > 2 * lo:
+            if hi == math.inf:
+                x = 2 * lo if lo > 0 else 1.0
+            elif lo > 0 and hi > 2 * lo:
                 x = math.sqrt(lo) * math.sqrt(hi)
             else:
                 x = lo + (hi - lo) / 2
             if not lo < x < hi:
                 break
             below, through = count(x)
+            if through:
+                return eigs
             if below > k:
-                hi, hi_open = x, through
+                hi = x
             else:
-                lo, lo_open = x, through
+                lo = x
         eigs.append(hi)
-        opens.append(lo_open or hi_open)
-    return eigs, opens
+    return eigs
 
 
 def _float_seeds(params: FieldParams, n_max: int) -> tuple[list[float], int]:
-    """Float eigenvalues ``0..n_max+1`` of the truncated Jacobi block at a settled order.
+    """Float roots ``0..n_max+1`` of ``F`` and the row cap ``L`` of their Sturm count.
 
-    The order ``L`` starts at ``2 (n_max + 2)`` and doubles until no returned
-    eigenvalue moves by more than ``_SEED_SETTLE`` relative; the eigenvalues
-    of the larger order are returned with it.  Truncation only lowers the
-    eigenvalues' accuracy at the deep end, so the step from ``L`` to ``2L``
-    bounds the error of the order-``L`` values, and those of order ``2L`` are
-    closer still.  Each order bisects its :func:`_sturm_count` to adjacent
-    floats (:func:`_bisect`).  The order-``L`` block is a principal
-    submatrix of the order-``2L`` one, and the first ``L`` pivots of the two
-    counts are the same float operations.  So a point above eigenvalue ``k``
-    at order ``L`` is above it at order ``2L``, and each eigenvalue of order
-    ``L`` hints its successor; and an eigenvalue whose two bracket counts
-    ended early keeps its bracket at order ``2L`` without a count.  Only the
-    open ones, whose brackets saw a count reach the last row, are bisected
-    again.  Wherever the float count rises monotonically in ``x``, the kept
-    bracket is the one a full bisection at order ``2L`` would find, so the
-    seeds and the settled order are those of bisecting every eigenvalue at
-    every order.  ``L`` is capped by ``_SEED_MAX_ORDER`` and by the float
-    range of the unscaled block (``Q**L`` below ``10**300``), and never
-    clamped to the cap, which would compare two orders too close to bound
-    anything: seeds that have not settled when ``2L`` passes the cap raise
-    :class:`BracketError`.
+    One :func:`_bisect` of the :func:`_sturm_count` of order ``L``, where
+    every count must end early: it is then the count of the untruncated
+    block, whose eigenvalues are the roots, so no larger order could move
+    a seed.  ``L`` is ``_SEED_MAX_ORDER`` or less, keeping the unscaled
+    block in float range (``Q**L`` below ``10**300``).  A request whose
+    ``2 (n_max + 2)`` is over ``L`` is refused before any count, the one
+    bound on a request's size; an eigenvalue whose count runs through all
+    ``L`` rows raises :class:`BracketError`.
     """
     count = n_max + 2  # one eigenvalue beyond the last root, for its separator
-    cap = min(_SEED_MAX_ORDER, int(300 / math.log10(params.Q)))
-    L = 2 * count
-    if L > cap:
+    L = min(_SEED_MAX_ORDER, int(300 / math.log10(params.Q)))
+    if 2 * count > L:
         raise BracketError(
-            f"roots up to {n_max} need a Jacobi truncation of order {L}, over the "
-            f"limit of {cap} (params p={params.p}, e={params.e}, f={params.f})"
+            f"roots up to {n_max} need a Jacobi truncation of order {2 * count}, over the "
+            f"limit of {L} (params p={params.p}, e={params.e}, f={params.f})"
         )
-    prev = None
-    while True:
-        eigs, opens = _bisect(_sturm_count(params, L), count, prev)
-        if prev is not None and all(abs(a - b) <= _SEED_SETTLE * a for a, b in zip(eigs, prev[0])):
-            return eigs, L
-        if 2 * L > cap:
-            raise BracketError(
-                f"float seeds for roots 0..{n_max} did not settle by Jacobi order {L}: "
-                f"order {2 * L} is over the limit of {cap} "
-                f"(params p={params.p}, e={params.e}, f={params.f})"
-            )
-        prev, L = (eigs, opens), 2 * L
+    eigs = _bisect(_sturm_count(params, L), count)
+    if len(eigs) < count:
+        raise BracketError(
+            f"the Sturm count for root {len(eigs)} did not end within the limit of {L} "
+            f"Jacobi rows (params p={params.p}, e={params.e}, f={params.f})"
+        )
+    return eigs, L
 
 
 def _root_work(params: FieldParams, seeds: list[float],
@@ -794,22 +748,19 @@ _ROOT_CACHE = _RootCache(ROOT_CACHE_SIZE)
 def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> RootTable:
     """Compute the roots ``lambda_0 .. lambda_n_max`` with certified brackets.
 
-    Seed.  A float bisection of the Sturm count of the truncated Jacobi
-    block (:func:`_sturm_count`, :func:`_bisect`), at an order grown until
-    the requested eigenvalues settle (:func:`_float_seeds`), seeds every
-    root.  Each doubling of the order bisects again only the eigenvalues
-    whose bracket saw a count run through every row.
+    Seed.  One float bisection of the Sturm count of the Jacobi block
+    (:func:`_sturm_count`, :func:`_bisect`), every count of which ended
+    before the row cap (:func:`_float_seeds`), seeds every root.
 
-    Index.  The same count at the settled order must find exactly ``n``
-    eigenvalues below the separator ``s_n``, the geometric mean of seeds
-    ``n - 1`` and ``n`` (``s_0 = 0``), for every ``n <= n_max + 1``, and the
-    bracket of root ``n`` must lie inside ``(s_n, s_(n+1))``.  As the order
-    grows the truncation's eigenvalues decrease to those of the untruncated
-    block, the roots of ``F``; at a settled order they agree to float
-    accuracy, so the count below ``s_n`` is the number of roots of ``F``
-    below it, and the root certified in bracket ``n`` is ``lambda_n``.
-    This does not use the geometric interlacing ``q**-(n-1) < lambda_n``,
-    which fails once ``q`` exceeds about 0.6 (see
+    Index.  The same count must find exactly ``n`` eigenvalues below the
+    separator ``s_n``, the geometric mean of seeds ``n - 1`` and ``n``
+    (``s_0 = 0``), for every ``n <= n_max + 1``, and end before the cap,
+    and the bracket of root ``n`` must lie inside ``(s_n, s_(n+1))``.  A
+    count that ends early is the count of the untruncated block, whose
+    eigenvalues are the roots of ``F``, so the count below ``s_n`` is the
+    number of roots of ``F`` below it, and the root certified in bracket
+    ``n`` is ``lambda_n``.  This does not use the geometric interlacing
+    ``q**-(n-1) < lambda_n``, which fails once ``q`` exceeds about 0.6 (see
     :attr:`RootTable.interlaced`).
 
     Precision.  Root ``n`` works at the digits of :func:`_root_work`: a
@@ -847,7 +798,7 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> Ro
     seeds, L = _float_seeds(params, n_max)
     separators = [0.0] + [math.sqrt(a * b) for a, b in zip(seeds, seeds[1:])]
     count = _sturm_count(params, L)
-    if [count(x)[0] for x in separators] != list(range(n_max + 2)):
+    if [count(x) for x in separators] != [(n, False) for n in range(n_max + 2)]:
         raise BracketError(
             f"Sturm count of the order-{L} truncation does not separate roots 0..{n_max} "
             f"(params p={params.p}, e={params.e}, f={params.f})"

@@ -41,6 +41,10 @@ from .tree import TreeWindow
 if TYPE_CHECKING:
     import numpy as np
 
+# Depth of the deeper random test function of testfn_library, whose table of
+# q_res**RANDOM_TABLE_DEPTH floats is drawn when the library is built.
+RANDOM_TABLE_DEPTH = 4
+
 __all__ = [
     "SeminormReport",
     "lipschitz_depth",
@@ -314,7 +318,7 @@ def testfn_library(params: FieldParams) -> list[TestFunction]:
         _make_ball_indicator(params, (0, 1), "ball-pi-depth2"),
         _make_ball_indicator(params, (1, 0, 0), "ball-1-depth3"),
         _make_random_locally_constant(params, depth=3, seed=7),
-        _make_random_locally_constant(params, depth=4, seed=11),
+        _make_random_locally_constant(params, depth=RANDOM_TABLE_DEPTH, seed=11),
         _make_decay(params, 2.0, "decay-quadratic"),
         _make_decay(params, float(params.ef), "decay-ef"),
     ]

@@ -9,12 +9,14 @@ accurate relative to itself whatever the grading.  :func:`dense_seeds` and
 :func:`dense_root_work` are the float ``eigvalsh`` seeds and the numpy term
 scan that ``find_roots`` used before its seeds became a float Sturm
 bisection.  :func:`float_seeds` is that float Sturm bisection as it was
-before closed brackets were kept across orders: every eigenvalue bisected
-again at every order.  :func:`two_pass_find_roots` runs ``find_roots`` on
-those seeds and certifies each enclosure by two value-only passes at its
-ends (:func:`sign_pass`), as before the certificate was read off the last
-Newton pass.  The tests hold the float seeds, the float Sturm count of
-``find_roots`` and the certified roots against these.
+before the seeds became one bisection of the untruncated count: at an order
+doubled until no seed moves by more than ``_SEED_SETTLE``, every eigenvalue
+bisected again at every order.  :func:`two_pass_find_roots` runs
+``find_roots`` on those seeds and certifies each enclosure by two
+value-only passes at its ends (:func:`sign_pass`), as before the
+certificate was read off the last Newton pass.  The tests hold the float
+seeds, the float Sturm count of ``find_roots`` and the certified roots
+against these.
 """
 
 from __future__ import annotations
@@ -27,8 +29,12 @@ import numpy as np
 
 from padiclab import FieldParams, qspecial
 from padiclab.qspecial import (
-    _GUARD_DPS, _MAX_TERMS, _SEED_MAX_ORDER, _SEED_SETTLE, _TERM_MARGIN, BracketError, Dyadic,
+    _GUARD_DPS, _MAX_TERMS, _SEED_MAX_ORDER, _TERM_MARGIN, BracketError, Dyadic,
 )
+
+# The seeds of the doubled orders have settled once doubling the Jacobi
+# order moves none of them by more than this, relative.
+_SEED_SETTLE = 1e-12
 
 
 def jacobi_D0(params: FieldParams, L: int) -> np.ndarray:

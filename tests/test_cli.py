@@ -311,6 +311,12 @@ class TestConfigErrors:
              "spectrum window of depth 1000000000 is over the limit of 2000000 vertices"),
             (["validate", *P211_ARGS, "--depth", "3", "--seminorm-depth", "1000000000"],
              "seminorm window of depth 1000000000 is over the limit of 2000000 vertices"),
+            (["validate", "--p", "3", "--e", "3", "--f", "5", "--depth", "1",
+              "--seminorm-depth", "1", "--no-drift"],
+             "random test function of depth 4 has 3486784401 values, over the limit of 2000000"),
+            (["validate", "--p", "2", "--e", "1", "--f", "7", "--depth", "1",
+              "--seminorm-depth", "1", "--no-drift"],
+             "random test function of depth 4 has 268435456 values, over the limit of 2000000"),
             (["validate", *P211_ARGS, "--inject-error", "1e-4"],
              "unrecognized arguments: --inject-error 1e-4"),
         ],
@@ -372,26 +378,21 @@ class TestConfigErrors:
         assert captured.out == ""
         assert captured.err == "error: need at least one root\n"
 
-    @pytest.mark.parametrize("argv, message", [
-        (["--p", "7", "--e", "1", "--f", "1", "--n-max", "86", "--m-max", "0"],
-         "float seeds for roots 0..86 did not settle by Jacobi order 176: "
-         "order 352 is over the limit of 177 (params p=7, e=1, f=1)"),
-        (["--p", "5", "--e", "1", "--f", "1", "--n-max", "105"],
-         "float seeds for roots 0..105 did not settle by Jacobi order 214: "
-         "order 428 is over the limit of 214 (params p=5, e=1, f=1)"),
-    ], ids=["7-1-1-86", "5-1-1-105"])
-    def test_unsettled_seeds_exit_2(self, argv, message, capsys):
-        """Seeds whose next doubled order is over the cap are refused in one
-        line: the order is never clamped to the cap, which would compare two
-        orders one row apart (176 and 177) or leave no second order at all."""
-        assert main(["spectrum", *argv]) == EXIT_NUMERICAL
+    def test_unsettled_seeds_exit_2(self, capsys):
+        """A seed whose Sturm count runs through every row up to the cap is
+        refused in one line: at q = 2**(-1/25) ~ 0.973 the pivots linger by
+        the fixed point 1 for more than 1024 rows near lambda_0."""
+        assert main(["spectrum", "--p", "2", "--e", "50", "--f", "1"]) == EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"numerical failure: {message}\n"
+        assert captured.err == (
+            "numerical failure: the Sturm count for root 0 did not end within the limit of "
+            "1024 Jacobi rows (params p=2, e=50, f=1)\n"
+        )
 
     def test_seeds_settled_below_the_cap_unchanged(self, capsys):
-        """Roots 0..40 of (7,1,1) settle at order 168, below the cap 177; the
-        output is the one from before the seed orders stopped being clamped."""
+        """Roots 0..40 of (7,1,1), whose Sturm counts may run up to the
+        float-range cap of 177 rows: the output keeps its pinned hash."""
         argv = ["spectrum", "--p", "7", "--e", "1", "--f", "1", "--n-max", "40", "--m-max", "0",
                 "--format", "csv"]
         assert main(argv) == EXIT_OK
@@ -449,7 +450,7 @@ class TestExitContract:
     @given(
         p=st.sampled_from([2, 3, 5, 7]),
         e=st.integers(1, 8),
-        f=st.one_of(st.integers(1, 2), st.integers(13, 20_000)),
+        f=st.one_of(st.integers(1, 2), st.integers(3, 12), st.integers(13, 20_000)),
         depth=st.integers(1, 5),
         k=st.integers(1, 6),
         seminorm_depth=st.integers(1, 3),
@@ -460,11 +461,10 @@ class TestExitContract:
                                                          seminorm_depth, drift):
         """``validate`` over the same grid exits 0, 1, 2 or 3, and exits 1
         and 2 write exactly one stderr line.  The window budget is lowered
-        to 5,000 vertices, so a larger window takes the budget's refusal and
-        every example stays small.  From ``f = 13`` up even a depth-1 window,
-        ``1 + p**f`` vertices, is over it for every ``p``.  ``f`` from 3 to 12
-        is left out: there the library's random test function draws a table
-        of ``p**(4f)`` values before any budget is consulted."""
+        to 5,000 vertices, so a larger window or random test-function table
+        takes the budget's refusal and every example stays small.  From
+        ``f = 13`` up even a depth-1 window, ``1 + p**f`` vertices, is over it
+        for every ``p``."""
         argv = ["validate", "--p", str(p), "--e", str(e), "--f", str(f),
                 "--depth", str(depth), "--k", str(k), "--seminorm-depth", str(seminorm_depth)]
         if not drift:

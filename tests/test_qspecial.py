@@ -31,8 +31,8 @@ from padiclab import (
 from padiclab import qspecial
 from padiclab.qspecial import Dyadic
 from sturm_oracle import (
-    dense_root_work, dense_seeds, float_seeds, jacobi_D0, jacobi_lowest_eigs, sturm_counter,
-    two_pass_find_roots,
+    _SEED_SETTLE, dense_root_work, dense_seeds, float_seeds, jacobi_D0, jacobi_lowest_eigs,
+    sturm_counter, two_pass_find_roots,
 )
 
 P211 = FieldParams(2, 1, 1)
@@ -413,10 +413,25 @@ class TestFindRoots:
             find_roots(P211, 2, target_tol=0.0)
 
     def test_unsettled_seed_refused(self):
-        # q = 2**(-1/25) ~ 0.973: the truncated Jacobi spectrum still moves
-        # at the largest order the seed may use.
-        with pytest.raises(BracketError, match="did not settle"):
+        # q = 2**(-1/25) ~ 0.973: near lambda_0 the pivots linger by the
+        # fixed point 1 for more rows than the cap allows.
+        with pytest.raises(BracketError, match=(
+                r"^the Sturm count for root 0 did not end within the limit of 1024 Jacobi rows "
+                r"\(params p=2, e=50, f=1\)$")):
             find_roots(FieldParams(2, 50, 1), 5)
+
+    def test_unended_separator_count_refused(self, monkeypatch):
+        """A separator count that runs through every row counts the
+        truncation, not the block, even where its number is right: at order
+        30 the counts of (2,8,1) below separators 3..6 are right and do not
+        end."""
+        params = FieldParams(2, 8, 1)
+        seeds, _ = qspecial._float_seeds(params, 5)
+        monkeypatch.setattr(qspecial, "_float_seeds", lambda params, n_max: (seeds, 30))
+        monkeypatch.setattr(qspecial, "_ROOT_CACHE", qspecial._RootCache(1))
+        with pytest.raises(BracketError, match=(
+                r"^Sturm count of the order-30 truncation does not separate roots 0\.\.5 ")):
+            find_roots(params, 5)
 
     def test_returns_exactly_the_requested_roots(self):
         long = find_roots(P211, 6)
@@ -554,8 +569,10 @@ class TestParameterGrid:
         assert got == [count_below(x) for x in points]
         assert got[2:9] == list(range(1, 8))
 
-    def test_oracle_eigenvalues_beyond_interlacing(self):
-        params = FieldParams(2, 3, 1)
+    # (2,20,1): q = 2**(-1/10) ~ 0.93, where a Sturm count near a root runs
+    # on for about 500 rows.
+    @pytest.mark.parametrize("params", [FieldParams(2, 3, 1), FieldParams(2, 20, 1)], ids=str)
+    def test_oracle_eigenvalues_beyond_interlacing(self, params):
         got = find_roots(params, 5).values_float()
         L = _settled_order(params)
         exact = np.array([float(v) for v in jacobi_lowest_eigs(params, L, count=6)])
@@ -571,17 +588,16 @@ class TestParameterGrid:
 
 class TestSeedsMatchDenseOracle:
     """The float Sturm bisection against the dense ``eigvalsh`` seeds it
-    replaced (:func:`sturm_oracle.dense_seeds`): the same settled order or the
-    same refusal, seeds within ``_SEED_SETTLE``, the same ``(dps, terms)`` and
-    the same float roots."""
+    replaced (:func:`sturm_oracle.dense_seeds`): seeds within
+    ``_SEED_SETTLE``, the same ``(dps, terms)`` and the same float roots, or
+    the same refusal."""
 
     @pytest.mark.parametrize("params", GRID, ids=str)
     def test_seeds_and_roots_match(self, params):
         n_max = 5
-        seeds, L = qspecial._float_seeds(params, n_max)
-        dense, dense_L = dense_seeds(params, n_max)
-        assert L == dense_L
-        assert all(abs(a - b) <= qspecial._SEED_SETTLE * b for a, b in zip(seeds, dense))
+        seeds, _ = qspecial._float_seeds(params, n_max)
+        dense, _ = dense_seeds(params, n_max)
+        assert all(abs(a - b) <= _SEED_SETTLE * b for a, b in zip(seeds, dense))
         work = qspecial._root_work(params, seeds[: n_max + 1], 1e-10)
         assert work == dense_root_work(params, dense[: n_max + 1], 1e-10)
         got = find_roots(params, n_max)
@@ -592,25 +608,30 @@ class TestSeedsMatchDenseOracle:
         assert got.dps_used == want.dps_used
 
     @pytest.mark.parametrize(("key", "n_max"), [
-        ((7, 1, 1), 40),  # doubled from order 84 to 168, below the float-range cap 177
-        ((7, 1, 1), 86),  # order 176 does not settle, and 352 is over the cap
-        ((7, 1, 1), 87),  # the first order is over the cap
-        ((5, 1, 1), 105),  # the first order is the cap: no second to settle against
-        ((2, 8, 1), 30),  # q about 0.84: doubled from order 64, settled at 512
+        ((7, 1, 1), 40),  # dense: doubled from order 84 to 168, below the float-range cap 177
+        ((7, 1, 1), 86),  # dense: order 176 does not settle, and 352 is over the cap
+        ((7, 1, 1), 87),  # the first order is over the cap: refused up front
+        ((5, 1, 1), 105),  # dense: the first order is the cap, with no second to settle against
+        ((2, 8, 1), 30),  # q about 0.84: dense doubled from order 64, settled at 512
     ], ids=str)
     def test_same_order_or_same_refusal(self, key, n_max):
+        """Where the dense route ran out of orders to settle against, the
+        count needs none: its seeds match ``eigvalsh`` at the cap."""
         params = FieldParams(*key)
         try:
-            want = dense_seeds(params, n_max)
+            want = dense_seeds(params, n_max)[0]
         except BracketError as exc:
-            with pytest.raises(BracketError, match=re.escape(str(exc))):
-                qspecial._float_seeds(params, n_max)
-            return
-        seeds, L = qspecial._float_seeds(params, n_max)
-        assert L == want[1]
-        assert all(abs(a - b) <= qspecial._SEED_SETTLE * b for a, b in zip(seeds, want[0]))
+            if "did not settle" not in str(exc):
+                with pytest.raises(BracketError, match=f"^{re.escape(str(exc))}$"):
+                    qspecial._float_seeds(params, n_max)
+                return
+            want = None
+        seeds, cap = qspecial._float_seeds(params, n_max)
+        if want is None:
+            want = np.linalg.eigvalsh(jacobi_D0(params, cap))[: n_max + 2]
+        assert all(abs(a - b) <= _SEED_SETTLE * b for a, b in zip(seeds, want))
         assert (qspecial._root_work(params, seeds[: n_max + 1], 1e-10)
-                == dense_root_work(params, want[0][: n_max + 1], 1e-10))
+                == dense_root_work(params, want[: n_max + 1], 1e-10))
 
     def test_root_work_scan_matches_full_scan_near_the_budget(self):
         """Seeds whose terms peak early, late, or never fall below the
@@ -640,9 +661,9 @@ TWO_PASS_CASES = ([(params, n) for n in (5, 12) for params in GRID]
 class TestMatchesTwoPassRoute:
     """Against the route that bisected every seed at every order and
     certified each enclosure by two value-only passes at its ends
-    (:func:`sturm_oracle.two_pass_find_roots`): the same seeds and settled
-    order bit for bit, and equal root tables (exact roots, residuals,
-    brackets and ``dps_used``), or the same refusal."""
+    (:func:`sturm_oracle.two_pass_find_roots`): the same seeds bit for bit,
+    and equal root tables (exact roots, residuals, brackets and
+    ``dps_used``), or the same refusal."""
 
     @pytest.mark.parametrize(("params", "n_max"), TWO_PASS_CASES,
                              ids=[f"{params}-{n}" for params, n in TWO_PASS_CASES])
@@ -654,39 +675,34 @@ class TestMatchesTwoPassRoute:
             with pytest.raises(BracketError, match=f"^{re.escape(str(exc))}$"):
                 find_roots(params, n_max)
             return
-        assert qspecial._float_seeds(params, n_max) == want_seeds
+        assert qspecial._float_seeds(params, n_max)[0] == want_seeds[0]
         assert find_roots(params, n_max) == want
 
-    def test_closed_brackets_are_not_bisected_again(self, monkeypatch):
-        """On the benchmark's deep entries the seeds take fewer Sturm counts
-        than bisecting every eigenvalue at every order, and the settled
-        order takes none on every entry but (3,2,1), where one bracket of
-        the order before it was left open."""
+    def test_fewer_counts_than_every_order(self, monkeypatch):
+        """On the benchmark's deep entries one bisection of the untruncated
+        count makes fewer Sturm counts than bisecting every eigenvalue at
+        every order until the seeds settle."""
         sturm_count = qspecial._sturm_count
-        calls: dict = {}
+        calls = [0]
 
         def counting(params, L):
             count = sturm_count(params, L)
-            calls[L] = 0
 
             def counted(x):
-                calls[L] += 1
+                calls[0] += 1
                 return count(x)
 
             return counted
 
         monkeypatch.setattr(qspecial, "_sturm_count", counting)
-        idle = 0
         for key, n_max in ROOTS_DEEP:
             params = FieldParams(*key)
-            calls.clear()
-            _, L = qspecial._float_seeds(params, n_max)
-            got = dict(calls)
-            calls.clear()
-            assert float_seeds(params, n_max)[1] == L
-            assert sum(got.values()) < sum(calls.values()), key
-            idle += got[L] == 0
-        assert idle == 6
+            calls[0] = 0
+            qspecial._float_seeds(params, n_max)
+            got = calls[0]
+            calls[0] = 0
+            float_seeds(params, n_max)
+            assert got < calls[0], key
 
 
 class TestIntegerRootsMatchMpfOracle:
