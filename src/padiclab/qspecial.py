@@ -63,8 +63,8 @@ cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from typing import TYPE_CHECKING, NamedTuple
 
 from .field_model import FieldParams
@@ -105,8 +105,6 @@ _TERM_MARGIN = 3
 _SEED_MAX_ORDER = 1024
 # A root certified at dps digits is enclosed in root (1 -+ 10**-(dps - _ENCLOSURE_DPS)).
 _ENCLOSURE_DPS = 15
-# Root tables kept by find_roots, least recently used evicted first.
-ROOT_CACHE_SIZE = 32
 
 
 class BracketError(RuntimeError):
@@ -382,6 +380,11 @@ class RootTable(NamedTuple):
         params: Field parameters.
         roots: Roots as exact :class:`Dyadic` values, ascending.
         residuals: ``|F(lambda_n)|`` as floats (evaluated at full precision).
+            A residual depends on the whole request, not on its root alone:
+            all roots of one call share one ratio table, rounded at the
+            precision of the call's deepest root, so the same root can show
+            a residual that differs in its last digits in a table of
+            another length.
         brackets: The certified sign-change interval per root: the final
             enclosure ``root (1 -+ 10**-(dps-15))`` widened outward to the
             next floats, so both ends are floats a few ulps apart.
@@ -417,12 +420,6 @@ class RootTable(NamedTuple):
         ladder = [0.0] + [upper_bracket(self.params, n) for n in range(len(self.roots))]
         return all(lo < lam <= hi
                    for lo, hi, lam in zip(ladder, ladder[1:], map(float, self.roots)))
-
-    def prefix(self, n_max: int) -> RootTable:
-        """The table of roots ``0..n_max``."""
-        k = n_max + 1
-        return RootTable(self.params, self.roots[:k], self.residuals[:k],
-                         self.brackets[:k], self.dps_used[:k])
 
 
 def _sturm_count(params: FieldParams, L: int):
@@ -718,33 +715,6 @@ def _certify_root(table: _QSeries, n: int, seed: float, dps: int, terms: int,
     return Dyadic(root, -scale), residual, bracket
 
 
-class _RootCache:
-    """Root tables keyed by ``(p, e, f, target_tol)``, at most ``maxsize`` of
-    them; the least recently used table is evicted first."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._tables: OrderedDict[tuple, RootTable] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._tables)
-
-    def get(self, key: tuple) -> RootTable | None:
-        table = self._tables.get(key)
-        if table is not None:
-            self._tables.move_to_end(key)
-        return table
-
-    def put(self, key: tuple, table: RootTable) -> None:
-        self._tables[key] = table
-        self._tables.move_to_end(key)
-        while len(self._tables) > self.maxsize:
-            self._tables.popitem(last=False)
-
-
-_ROOT_CACHE = _RootCache(ROOT_CACHE_SIZE)
-
-
 def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> RootTable:
     """Compute the roots ``lambda_0 .. lambda_n_max`` with certified brackets.
 
@@ -783,18 +753,20 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> Ro
     outward to floats, is the root's bracket.  Any failure raises
     :class:`BracketError`.
 
-    Returns exactly ``n_max + 1`` roots.  Tables are cached per
-    ``(p, e, f, target_tol)``, the ``ROOT_CACHE_SIZE`` most recently used
-    kept: a request of the cached size returns the cached table, a shorter
-    one its prefix, and a longer one extends it.
+    Returns exactly ``n_max + 1`` roots.  Tables are cached per request
+    ``(params, n_max, target_tol)``, the 32 most recently used kept
+    (:func:`functools.lru_cache` on :func:`_root_table`): the same request
+    returns the same table, and a table is a function of its request alone,
+    whatever was asked before.
     """
     if not target_tol > 0:
         raise ValueError(f"target_tol must be positive, got {target_tol}")
-    key = (params.p, params.e, params.f, target_tol)
-    cached = _ROOT_CACHE.get(key)
-    if cached is not None and cached.n_max >= n_max:
-        return cached if cached.n_max == n_max else cached.prefix(n_max)
-    start = cached.n_max + 1 if cached is not None else 0
+    return _root_table(params, n_max, target_tol)
+
+
+@functools.lru_cache(maxsize=32)
+def _root_table(params: FieldParams, n_max: int, target_tol: float) -> RootTable:
+    """The table :func:`find_roots` returns, computed without the cache."""
     seeds, L = _float_seeds(params, n_max)
     separators = [0.0] + [math.sqrt(a * b) for a, b in zip(seeds, seeds[1:])]
     count = _sturm_count(params, L)
@@ -803,21 +775,18 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> Ro
             f"Sturm count of the order-{L} truncation does not separate roots 0..{n_max} "
             f"(params p={params.p}, e={params.e}, f={params.f})"
         )
-    rows = list(zip(cached.roots, cached.residuals, cached.brackets, cached.dps_used)
-                if cached is not None else ())
-    work = _root_work(params, seeds[start : n_max + 1], target_tol)
+    work = _root_work(params, seeds[: n_max + 1], target_tol)
     series = _series_at(params, max(dps for dps, _ in work))
     series._grow(max(terms for _, terms in work))  # the whole table at once
-    for n, (dps, terms) in enumerate(work, start):
+    rows = []
+    for n, (dps, terms) in enumerate(work):
         guard = (separators[n], separators[n + 1])
         root, residual, bracket = _certify_root(series, n, seeds[n], dps, terms,
                                                 guard, target_tol)
         if not (guard[0] < bracket[0] and bracket[1] < guard[1]):
             raise BracketError(f"bracket of root {n} crosses a Sturm separator")
         rows.append((root, residual, bracket, dps))
-    table = RootTable(params, *map(tuple, zip(*rows)))
-    _ROOT_CACHE.put(key, table)
-    return table
+    return RootTable(params, *map(tuple, zip(*rows)))
 
 
 # ---------------------------------------------------------------------------

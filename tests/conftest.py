@@ -6,10 +6,10 @@ from padiclab import qspecial, spectrum_zeta
 
 
 @pytest.fixture(autouse=True)
-def fresh_root_cache(monkeypatch):
-    """An empty root cache per test, so that no test's work or result
-    depends on the roots an earlier test certified."""
-    monkeypatch.setattr(qspecial, "_ROOT_CACHE", qspecial._RootCache(qspecial.ROOT_CACHE_SIZE))
+def fresh_root_cache():
+    """An empty root cache per test, so that no test's work depends on
+    the roots an earlier test certified."""
+    qspecial._root_table.cache_clear()
 
 
 @pytest.fixture

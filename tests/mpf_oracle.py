@@ -181,10 +181,10 @@ def certify_root(table: MpfSeries, n: int, seed: float, dps: int, terms: int,
 
 
 def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10):
-    """``qspecial.find_roots`` certifying with the mpf route, on a cache of its own."""
+    """``qspecial.find_roots`` certifying with the mpf route, uncached."""
     with mock.patch.object(qspecial, "_series_at", series_at), \
             mock.patch.object(qspecial, "_certify_root", certify_root), \
-            mock.patch.object(qspecial, "_ROOT_CACHE", qspecial._RootCache(1)):
+            mock.patch.object(qspecial, "_root_table", qspecial._root_table.__wrapped__):
         return qspecial.find_roots(params, n_max, target_tol)
 
 

@@ -284,8 +284,8 @@ def two_pass_certify_root(table, n: int, seed: float, dps: int, terms: int,
 
 def two_pass_find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10):
     """``qspecial.find_roots`` on :func:`float_seeds` with
-    :func:`two_pass_certify_root`, on a cache of its own."""
+    :func:`two_pass_certify_root`, uncached."""
     with mock.patch.object(qspecial, "_float_seeds", float_seeds), \
             mock.patch.object(qspecial, "_certify_root", two_pass_certify_root), \
-            mock.patch.object(qspecial, "_ROOT_CACHE", qspecial._RootCache(1)):
+            mock.patch.object(qspecial, "_root_table", qspecial._root_table.__wrapped__):
         return qspecial.find_roots(params, n_max, target_tol)

@@ -17,7 +17,6 @@ import mpf_oracle
 from padiclab import (
     BracketError,
     FieldParams,
-    RootTable,
     SeriesError,
     eigvec_from_series,
     eigvec_recurrence,
@@ -359,46 +358,48 @@ class TestFindRoots:
                 assert abs(phi11(q, root)) < 1e-10
 
     def test_cache_reuse_and_extension(self):
+        """Only the same request returns the cached table; a longer or a
+        shorter request is certified afresh and repeats the common roots."""
         params = FieldParams(5, 1, 1)
         t1 = find_roots(params, 1)
         t2 = find_roots(params, 1)
         assert t1 is t2
         t3 = find_roots(params, 3)
         assert t3.roots[: len(t1.roots)] == t1.roots
-        t4 = find_roots(params, 2)  # shorter request: a prefix of the cache
+        t4 = find_roots(params, 2)  # shorter request: the leading roots of t3
         assert t4.roots == t3.roots[:3]
         assert t4.brackets == t3.brackets[:3]
         assert t4.dps_used == t3.dps_used[:3]
         assert find_roots(params, 3) is t3
 
-    def test_prefix(self):
-        """``prefix`` cuts every per-root field to the same length and keeps
-        the parameters; the cut table is a value, equal to a direct build."""
-        table = find_roots(P211, 4)
-        head = table.prefix(2)
-        assert type(head) is RootTable and head.params == P211 and head.n_max == 2
-        assert head.roots == table.roots[:3] and head.residuals == table.residuals[:3]
-        assert head.brackets == table.brackets[:3] and head.dps_used == table.dps_used[:3]
-        assert head == RootTable(P211, table.roots[:3], table.residuals[:3],
-                                 table.brackets[:3], table.dps_used[:3])
-        assert table.prefix(4) == table and table.prefix(0).roots == table.roots[:1]
-        with pytest.raises(AttributeError):
-            head.roots = ()
+    def test_same_request_same_table(self):
+        """A request is keyed by its value: equal fields, and the default
+        target passed or not, return the cached table."""
+        table = find_roots(P211, 3)
+        assert find_roots(FieldParams(2, 1, 1), 3) is table
+        assert find_roots(P211, 3, target_tol=1e-10) is table
+        assert find_roots(P211, 3, target_tol=1e-12) is not table
+        assert find_roots(P211, 2) is not table
 
-    def test_cache_evicts_least_recently_used(self, monkeypatch):
-        cache = qspecial._RootCache(2)
-        monkeypatch.setattr(qspecial, "_ROOT_CACHE", cache)
-        a, b, c = FieldParams(2, 1, 1), FieldParams(3, 1, 1), FieldParams(5, 1, 1)
-        ta = find_roots(a, 2)
-        tb = find_roots(b, 2)
-        assert find_roots(a, 2) is ta  # a is now the most recently used
-        find_roots(c, 2)  # evicts b
-        assert len(cache) == 2
-        assert find_roots(a, 2) is ta
-        tb_again = find_roots(b, 2)
-        assert tb_again is not tb
-        assert tb_again.roots == tb.roots and tb_again.brackets == tb.brackets
-        assert len(cache) == 2
+    def test_cache_keeps_32_tables(self):
+        assert qspecial._root_table.cache_info().maxsize == 32
+
+    @pytest.mark.parametrize(("key", "short", "long"), [((2, 2, 1), 5, 20), ((2, 8, 1), 5, 14)])
+    @pytest.mark.parametrize("short_first", [True, False], ids=["short-first", "long-first"])
+    def test_table_independent_of_earlier_requests(self, key, short, long, short_first):
+        """A table, residuals included, is the same whether another length
+        of the same field was asked for first or not.  A root's residual
+        differs in its last digits between requests of different lengths
+        (root 4 of (2,2,1): 1.25902096851e-44 at ``n_max`` 20,
+        1.25902096836e-44 at 5), so a table cut from or grown on another
+        length's rows fails."""
+        params = FieldParams(*key)
+        first, second = (short, long) if short_first else (long, short)
+        cold = find_roots(params, second)
+        qspecial._root_table.cache_clear()
+        find_roots(params, first)
+        warm = find_roots(params, second)
+        assert warm == cold and warm.residuals == cold.residuals
 
     def test_interlaced(self):
         for params in ALL_PARAMS:
@@ -428,7 +429,7 @@ class TestFindRoots:
         params = FieldParams(2, 8, 1)
         seeds, _ = qspecial._float_seeds(params, 5)
         monkeypatch.setattr(qspecial, "_float_seeds", lambda params, n_max: (seeds, 30))
-        monkeypatch.setattr(qspecial, "_ROOT_CACHE", qspecial._RootCache(1))
+        monkeypatch.setattr(qspecial, "_root_table", qspecial._root_table.__wrapped__)
         with pytest.raises(BracketError, match=(
                 r"^Sturm count of the order-30 truncation does not separate roots 0\.\.5 ")):
             find_roots(params, 5)
@@ -602,7 +603,7 @@ class TestSeedsMatchDenseOracle:
         assert work == dense_root_work(params, dense[: n_max + 1], 1e-10)
         got = find_roots(params, n_max)
         with mock.patch.object(qspecial, "_float_seeds", dense_seeds), \
-                mock.patch.object(qspecial, "_ROOT_CACHE", qspecial._RootCache(1)):
+                mock.patch.object(qspecial, "_root_table", qspecial._root_table.__wrapped__):
             want = find_roots(params, n_max)
         assert [float(r) for r in got.roots] == [float(r) for r in want.roots]
         assert got.dps_used == want.dps_used
@@ -770,14 +771,15 @@ class TestDyadic:
         assert float(Dyadic(0, 0)) == 0.0
 
     def test_tables_equal_and_hash_alike(self):
-        """Roots recomputed from scratch are equal values, so whole tables and
-        their prefixes compare and hash alike."""
+        """A table recomputed without the cache holds equal roots, so the
+        whole tables compare and hash alike; tables are immutable values."""
         table = find_roots(P211, 6)
-        with mock.patch.object(qspecial, "_ROOT_CACHE", qspecial._RootCache(1)):
+        with mock.patch.object(qspecial, "_root_table", qspecial._root_table.__wrapped__):
             again = find_roots(P211, 6)
         assert again is not table and again == table and hash(again) == hash(table)
-        assert table.prefix(3) == again.prefix(3) and hash(table.prefix(3)) == hash(again.prefix(3))
         assert {table.roots[2], again.roots[2]} == {table.roots[2]}
+        with pytest.raises(AttributeError):
+            again.roots = ()
 
     def test_diagnostics_take_roots(self):
         """``phi11``, ``phi11_derivative`` and the eigenvector routes give the

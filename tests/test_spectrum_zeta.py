@@ -325,7 +325,7 @@ class TestZetaD0:
         assert many.tail_bound < few.tail_bound
 
     def test_sums_only_the_requested_roots(self):
-        # A longer cached table must not leak extra roots into the sum.
+        # A longer table certified first must not leak extra roots into the sum.
         roots = find_roots(P311, 10).roots
         z = zeta_D0(P311, 2.0, n_roots=3)
         assert z.n_roots_used == 3
