@@ -14,8 +14,8 @@ with ``lambda_0`` in ``(0, 1)``.
 
 Series evaluation.  A :class:`_QSeries` holds the ratios
 ``r_k = a_k / a_(k-1)`` of consecutive coefficients of ``F`` at one base and
-one working precision, extended lazily, and sums ``F`` and ``F'`` from them;
-:func:`phi11` and :func:`phi11_derivative` are thin calls into it.
+one working precision, extended lazily, and sums ``F`` and ``F'`` from them
+at that precision or below; :func:`phi11` and :func:`phi11_derivative` call it.
 
 Root search.  :func:`find_roots` seeds every root from the depth-direction
 Jacobi block, whose eigenvalues are the roots of ``F``, and uses the series
@@ -32,8 +32,8 @@ near ``lambda_n`` the terms peak at about ``Q**(n(n+1)/2)`` (``Q = 1/q``),
 more as ``q -> 1``, and the residual gate ``|F(lambda_n)| < target_tol`` is
 absolute, so it needs that many digits beyond the target's own.  One ratio
 table per call, at the largest precision needed, serves every root and every
-level of a precision-doubling Newton lift, each through a truncated copy
-whose ratio mantissas are shifted down to its width.
+level of a precision-doubling Newton lift: a pass at fewer digits reads each
+ratio mantissa shifted down to its own width as it sums.
 Newton converges at the lowest level from the float seed, takes one step on
 each doubled level, and converges again at full precision, where the point
 it evaluated last is the root and its ``|F|`` the residual.  The root must
@@ -118,6 +118,11 @@ class SeriesError(RuntimeError):
 def _bits(dps: int) -> int:
     """Binary precision of ``dps`` decimal digits, as mpmath sets it."""
     return max(1, int(round((dps + 1) * 3.3219280948873626)))
+
+
+def _scale(dps: int) -> int:
+    """Fractional bits of the fixed point at ``dps`` digits."""
+    return _bits(dps) + _GUARD_BITS
 
 
 def _fixed(x: float, scale: int) -> int:
@@ -226,24 +231,23 @@ def _narrowed(ratio: tuple[int, int], width: int) -> tuple[int, int]:
 
 
 class _QSeries:
-    """``F`` and ``F'`` at one base ``q`` and one working precision ``dps``.
+    """``F`` and ``F'`` at one base ``q``, at up to ``dps`` digits.
 
     Holds the ratios ``r_k = a_k / a_(k-1) = -q**(k-1) / (1 - q**k)**2`` of
     the coefficients ``a_k = (-1)**k q**(k(k-1)/2) / ((q;q)_k)**2`` of
-    ``F(z) = sum a_k z**k``, rounded at ``scale = prec + _GUARD_BITS`` bits
-    (``prec`` the binary precision of ``dps`` digits) and extended lazily
-    as evaluations reach further.  ``q = (man, bits)`` is ``man * 2**-bits``.
-    Points, sums and terms are integers in absolute fixed point with
-    ``scale`` fractional bits: each term ``t_k = t_(k-1) * (r_k * z)`` is
-    an exact product with the ratio's mantissa and ``z`` and one floor
-    shift, so no evaluation recomputes a power of ``q`` or rounds a sum.
+    ``F(z) = sum a_k z**k``, rounded at ``scale = _scale(dps)`` bits and
+    extended lazily, at that width, as evaluations reach further.
+    ``q = (man, bits)`` is ``man * 2**-bits``.  A pass at ``d`` digits holds
+    points, sums and terms in absolute fixed point at ``_scale(d)`` bits:
+    each term ``t_k = t_(k-1) * (r_k * z)`` is an exact product with ``z``
+    and the ratio's mantissa rounded to that width, and one floor shift.
     """
 
     def __init__(self, q: tuple[int, int], dps: int):
         if not 0 < q[0] < 1 << q[1]:
             raise ValueError("q must lie in (0, 1)")
         self.dps = dps
-        self.scale = _bits(dps) + _GUARD_BITS
+        self.scale = _scale(dps)
         self._q = q
         self._ratios: list[tuple[int, int]] = []  # r_k at index k - 1
 
@@ -253,32 +257,26 @@ class _QSeries:
         if have + 1 < terms:
             self._ratios += _ratio_table(self._q, self.scale, have + 1, terms)
 
-    def rounded(self, dps: int, terms: int) -> _QSeries:
-        """This series at precision ``dps`` (at most this one's), its table
-        the first ``terms - 1`` ratios of this one shifted to the lower
-        width; this table is extended to ``terms`` coefficients first."""
-        self._grow(terms)
-        lower = _QSeries(self._q, dps)
-        lower._ratios = [_narrowed(r, lower.scale) for r in self._ratios[: terms - 1]]
-        return lower
-
-    def sums(self, z: int, target_tol: float | None = None, max_terms: int = _MAX_TERMS,
-             value: bool = True, derivative: bool = False):
-        """``F(z)`` and ``F'(z)`` from one pass over the terms ``t_k = a_k z**k``.
+    def sums(self, z: int, dps: int, target_tol: float | None = None,
+             max_terms: int = _MAX_TERMS):
+        """``F(z)`` and ``F'(z)`` at ``dps`` digits (at most the table's),
+        from one pass over the terms ``t_k = a_k z**k``.
 
         ``F = sum t_k`` and ``F' = (sum k t_k) / z``.  Each sum ends by the
         tail rule of :func:`phi11` on its own terms (``t_k``, ``k t_k / z``),
         ``target_tol`` (``None``: ``10**-(dps-5)``) taken exactly, and the
-        pass ends once every requested sum has ended.  ``z`` and the results
-        are in fixed point at ``scale``: returns ``(F, F', terms, largest)``,
-        the sums (``None`` where not requested; ``F'`` floored) and, when
-        ``F`` is requested, its number of terms and its largest term
-        magnitude.  Raises :class:`SeriesError` when ``max_terms`` runs out
-        first.
+        pass ends once both have ended.  ``z`` and the results are in fixed
+        point at ``scale = _scale(dps)``; each ratio mantissa is read rounded
+        to nearest at that width, shifted down by ``self.scale - scale``.
+        Returns ``(F, F', terms, largest)``: the sums (``F'`` floored), the
+        number of terms of ``F`` and its largest term magnitude.  Raises
+        :class:`SeriesError` when ``max_terms`` runs out first.
         """
-        scale = self.scale
+        scale = _scale(dps)
+        drop = self.scale - scale
+        half = ((1 << drop) - 1) >> 1  # ratios are negative: ties round away from 0
         if target_tol is None:
-            tol_num, tol_den = 1, 10 ** (self.dps - 5)
+            tol_num, tol_den = 1, 10 ** (dps - 5)
         else:
             tol_num, tol_den = target_tol.as_integer_ratio()
         # The rule "magnitude < tol * size" as magnitude * tol_den < tol_num * size.
@@ -286,23 +284,24 @@ class _QSeries:
         size_z = abs(z)
         zeros = max((z & -z).bit_length() - 1, 0)  # z = z_odd * 2**zeros
         z_odd = z >> zeros
+        offset = scale - drop - zeros
         ratios = self._ratios
-        f_open, d_open = value, derivative and z != 0
+        f_open, d_open = True, z != 0
         term = f_sum = largest = f_prev = one  # F, starting from t_0 = 1
         d_sum, d_prev = 0, size_z  # z F', its rule scaled by |z|
         terms, k = 1, 0
         while f_open or d_open:
             k += 1
             if k > max_terms:
-                tol = f"1e-{self.dps - 5}" if target_tol is None else target_tol
+                tol = f"1e-{dps - 5}" if target_tol is None else target_tol
                 raise SeriesError(
                     f"series did not meet tail tolerance {tol} within {max_terms} terms"
                 )
             if k > len(ratios):
                 self._grow(min(2 * k, max_terms) + 1)
             man, exp = ratios[k - 1]
-            shift = scale - exp - zeros
-            term *= man * z_odd
+            shift = offset - exp
+            term *= ((man + half) >> drop) * z_odd
             term = term >> shift if shift >= 0 else term << -shift
             if f_open:
                 f_sum += term
@@ -321,15 +320,12 @@ class _QSeries:
                     size = abs(d_sum)
                     d_open = mag * tol_den >= tol_num * (size if size > size_z else size_z)
                 d_prev = mag
-        d_value = None
-        if derivative:
-            if z == 0:  # F'(0) = a_1 = r_1, and |r_1| > 1
-                self._grow(2)
-                man, exp = ratios[0]
-                d_value = man << (scale + exp)
-            else:
-                d_value = (d_sum << scale) // z
-        return f_sum if value else None, d_value, terms, largest
+        if z == 0:  # F'(0) = a_1 = r_1, and |r_1| > 1
+            man, exp = ratios[0]
+            d_sum = ((man + half) >> drop) << (scale + drop + exp)
+        else:
+            d_sum = (d_sum << scale) // z
+        return f_sum, d_sum, terms, largest
 
 
 def _caller_sums(q, z, target_tol, max_terms: int, derivative: bool):
@@ -341,7 +337,7 @@ def _caller_sums(q, z, target_tol, max_terms: int, derivative: bool):
     series = _QSeries(((-man if sign else man) << max(exp, 0), max(-exp, 0)), mp.mp.dps)
     z = to_fixed(mp.mpf(z)._mpf_, series.scale)
     tol = None if target_tol is None else float(target_tol)
-    value = series.sums(z, tol, max_terms, not derivative, derivative)[derivative]
+    value = series.sums(z, series.dps, tol, max_terms)[derivative]
     return mp.make_mpf(from_man_exp(value, -series.scale, _bits(series.dps), round_nearest))
 
 
@@ -350,7 +346,8 @@ def phi11(q, z, target_tol=None, max_terms: int = _MAX_TERMS):
 
     Sums until the next term is below ``target_tol * max(1, |sum|)`` *and*
     terms have started decreasing; raises :class:`SeriesError` if
-    ``max_terms`` is exhausted first.  Runs at the caller's mpmath precision
+    ``max_terms`` is exhausted first, by this sum or by the derivative's,
+    which the same pass sums.  Runs at the caller's mpmath precision
     (``target_tol=None`` uses that precision's floor) and returns an mpmath
     number.
     """
@@ -599,12 +596,12 @@ def _newton_levels(dps: int) -> list[int]:
     return levels[::-1]
 
 
-def _newton(series: _QSeries, x: int, guard: tuple[float, float], steps: int = 40):
-    """Newton for ``F`` from ``x`` at the series' precision ``d``, in its fixed point.
+def _newton(table: _QSeries, dps: int, x: int, guard: tuple[float, float], steps: int = 40):
+    """Newton for ``F`` from ``x`` at ``dps`` digits, in fixed point at ``_scale(dps)``.
 
     Evaluates ``F`` and ``F'`` at most ``steps`` times, stopping at the first
-    step below ``10**-(d-10)`` relative; each Newton point is rounded to the
-    binary precision of ``d`` digits, and a step leaving the open interval
+    step below ``10**-(dps-10)`` relative; each Newton point is rounded to the
+    binary precision of ``dps`` digits, and a step leaving the open interval
     ``guard`` is not taken.  Returns ``(x, sums, y)``: the last point ``x``
     evaluated, the pass there (``(F, F', terms, largest)`` as
     :meth:`_QSeries.sums` returns it) and the Newton point ``y`` that
@@ -615,11 +612,11 @@ def _newton(series: _QSeries, x: int, guard: tuple[float, float], steps: int = 4
     dyadic number near ``Q**n``; a point rounded onto it is the root at
     every higher level too, and the last level then stops after one step.
     """
-    scale, bits = series.scale, _bits(series.dps)
+    scale, bits = _scale(dps), _bits(dps)
     lo, hi = _fixed(guard[0], scale), _fixed(guard[1], scale)
-    tol = 10 ** (series.dps - 10)
+    tol = 10 ** (dps - 10)
     for i in range(steps):
-        sums = series.sums(x, derivative=True)
+        sums = table.sums(x, dps)
         fval, dval = sums[:2]
         step = (fval << scale) // dval if fval else 0
         y = x - step
@@ -658,10 +655,11 @@ def _sign_change(sums: tuple, delta: int, dps: int, scale: int) -> bool:
 
     Rounding.  Write ``S`` for the fractional bits, ``prec + _GUARD_BITS``
     (``prec`` the binary precision of ``dps`` digits), which is also the
-    ratio width.  Each ratio is within ``2 * 2**-S`` of its exact value at
-    the table's ``q`` relative (rounded at the widest table's width, then
-    shifted to ``S``), and that ``q``, floored 32 bits beyond the widest
-    width, moves no ratio by as much again within ``_MAX_TERMS``.  The
+    width the pass reads the ratios at.  Each ratio is rounded to nearest at
+    the table's width, at least ``S``, and again at ``S`` by the pass's
+    shift, so it is within ``2 * 2**-S`` of its exact value at the table's
+    ``q`` relative; that ``q``, floored 32 bits beyond the table's width,
+    moves no ratio by as much again within ``_MAX_TERMS``.  The
     product with ``x`` is exact, so after ``k <= _MAX_TERMS`` steps ``t_k``
     has drifted by at most about ``4k 2**-S |t_k|``.  Each shift floors,
     losing less than ``2**-S`` in absolute value; a loss at step ``j``
@@ -690,19 +688,18 @@ def _sign_change(sums: tuple, delta: int, dps: int, scale: int) -> bool:
     return slope > bound << scale
 
 
-def _certify_root(table: _QSeries, n: int, seed: float, dps: int, terms: int,
+def _certify_root(table: _QSeries, n: int, seed: float, dps: int,
                   guard: tuple[float, float], target_tol: float):
     """Certify root ``n`` from its float seed at ``dps`` digits, as described
-    under "Certify" in :func:`find_roots`, on copies of ``table`` truncated
-    to ``terms`` coefficients.  Returns ``(root, residual, bracket)``."""
+    under "Certify" in :func:`find_roots`, every pass read from ``table``.
+    Returns ``(root, residual, bracket)``."""
     levels = _newton_levels(dps)
-    for i, level in enumerate(levels):
-        series = table.rounded(level, terms)
-        root = _fixed(seed, series.scale) if i == 0 else root << (series.scale - scale)
-        scale = series.scale
-        if i + 1 < len(levels):
-            root = _newton(series, root, guard, 40 if i == 0 else 1)[2]
-    root, sums, _ = _newton(series, root, guard)
+    root = _fixed(seed, _scale(levels[0]))
+    for i, (level, up) in enumerate(zip(levels, levels[1:])):
+        root = _newton(table, level, root, guard, 40 if i == 0 else 1)[2]
+        root <<= _scale(up) - _scale(level)
+    scale = _scale(dps)
+    root, sums, _ = _newton(table, dps, root, guard)
     residual = float(Dyadic(abs(sums[0]), -scale))
     if residual >= target_tol:
         raise BracketError(f"root {n} residual {residual:.3e} above target {target_tol}")
@@ -737,7 +734,8 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> Ro
     float estimate of ``log10`` of the largest series term at the seed, plus
     the target's digits, plus ``_GUARD_DPS``.  One ratio table, at the
     largest of these precisions and as long as the deepest root's series,
-    serves every root through narrowed, truncated copies.
+    serves every root and every Newton level: a pass at fewer digits rounds
+    each ratio to its own width as it reads it.
 
     Certify.  Newton lifts the seed through the precision-doubling schedule
     of :func:`_newton_levels`: the lowest level iterates until its step is
@@ -779,10 +777,9 @@ def _root_table(params: FieldParams, n_max: int, target_tol: float) -> RootTable
     series = _series_at(params, max(dps for dps, _ in work))
     series._grow(max(terms for _, terms in work))  # the whole table at once
     rows = []
-    for n, (dps, terms) in enumerate(work):
+    for n, (dps, _) in enumerate(work):
         guard = (separators[n], separators[n + 1])
-        root, residual, bracket = _certify_root(series, n, seeds[n], dps, terms,
-                                                guard, target_tol)
+        root, residual, bracket = _certify_root(series, n, seeds[n], dps, guard, target_tol)
         if not (guard[0] < bracket[0] and bracket[1] < guard[1]):
             raise BracketError(f"bracket of root {n} crosses a Sturm separator")
         rows.append((root, residual, bracket, dps))

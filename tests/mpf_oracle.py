@@ -65,10 +65,11 @@ class MpfSeries:
         if have + 1 < terms:
             self._ratios += ratio_table(self._q, self._width, have + 1, terms)
 
-    def rounded(self, dps: int, terms: int) -> MpfSeries:
-        self._grow(terms)
+    def rounded(self, dps: int) -> MpfSeries:
+        """This series at precision ``dps``, its table a copy of this one's
+        ratios narrowed to the lower width."""
         lower = MpfSeries(self._q, dps)
-        lower._ratios = [_narrowed(r, lower._width) for r in self._ratios[: terms - 1]]
+        lower._ratios = [_narrowed(r, lower._width) for r in self._ratios]
         return lower
 
     def sums(self, z, derivative: bool = False):
@@ -157,15 +158,16 @@ def newton(series: MpfSeries, root, guard: tuple[float, float], steps: int = 40)
             x = y
 
 
-def certify_root(table: MpfSeries, n: int, seed: float, dps: int, terms: int,
+def certify_root(table: MpfSeries, n: int, seed: float, dps: int,
                  guard: tuple[float, float], target_tol: float):
     """``qspecial._certify_root`` in mpf arithmetic: the same schedule,
-    residual gate and enclosure; the root is an mpf."""
+    residual gate and enclosure, each level on a narrowed copy of the
+    table; the root is an mpf."""
     *lower, _ = _newton_levels(dps)
     root = seed
     for i, level in enumerate(lower):
-        root = newton(table.rounded(level, terms), root, guard, 40 if i == 0 else 1)[2]
-    full = table.rounded(dps, terms)
+        root = newton(table.rounded(level), root, guard, 40 if i == 0 else 1)[2]
+    full = table.rounded(dps)
     root, value, _ = newton(full, root, guard)
     residual = float(abs(value))
     if residual >= target_tol:

@@ -248,34 +248,33 @@ def float_seeds(params: FieldParams, n_max: int) -> tuple[list[float], int]:
         prev, L = eigs, 2 * L
 
 
-def sign_pass(series, z: int) -> int | None:
-    """Sign of ``F(z)`` from a value-only pass, or ``None`` when ``|F(z)|`` is
-    at most ``terms * largest * 10**-(dps-1)``."""
-    value, _, terms, largest = series.sums(z)
-    if abs(value) * 10 ** (series.dps - 1) > terms * largest:
+def sign_pass(table, dps: int, z: int) -> int | None:
+    """Sign of ``F(z)`` from a pass at ``dps`` digits, or ``None`` when
+    ``|F(z)|`` is at most ``terms * largest * 10**-(dps-1)``."""
+    value, _, terms, largest = table.sums(z, dps)
+    if abs(value) * 10 ** (dps - 1) > terms * largest:
         return 1 if value > 0 else -1
     return None
 
 
-def two_pass_certify_root(table, n: int, seed: float, dps: int, terms: int,
+def two_pass_certify_root(table, n: int, seed: float, dps: int,
                           guard: tuple[float, float], target_tol: float):
     """``qspecial._certify_root`` with the enclosure ``root (1 -+ 10**-(dps-15))``
-    certified by a value-only :func:`sign_pass` at each end."""
+    certified by the sign of ``F`` from a :func:`sign_pass` at each end."""
     levels = qspecial._newton_levels(dps)
-    for i, level in enumerate(levels):
-        series = table.rounded(level, terms)
-        root = qspecial._fixed(seed, series.scale) if i == 0 else root << (series.scale - scale)
-        scale = series.scale
-        if i + 1 < len(levels):
-            root = qspecial._newton(series, root, guard, 40 if i == 0 else 1)[2]
-    root, (value, *_), _ = qspecial._newton(series, root, guard)
+    root = qspecial._fixed(seed, qspecial._scale(levels[0]))
+    for i, (level, up) in enumerate(zip(levels, levels[1:])):
+        root = qspecial._newton(table, level, root, guard, 40 if i == 0 else 1)[2]
+        root <<= qspecial._scale(up) - qspecial._scale(level)
+    scale = qspecial._scale(dps)
+    root, (value, *_), _ = qspecial._newton(table, dps, root, guard)
     residual = float(Dyadic(abs(value), -scale))
     if residual >= target_tol:
         raise BracketError(f"root {n} residual {residual:.3e} above target {target_tol}")
     delta = root // 10 ** (dps - 15)
     left, right = root - delta, root + delta
-    sign_left = sign_pass(series, left)
-    if sign_left is None or sign_pass(series, right) != -sign_left:
+    sign_left = sign_pass(table, dps, left)
+    if sign_left is None or sign_pass(table, dps, right) != -sign_left:
         raise BracketError(f"final enclosure of root {n} shows no certified sign change")
     bracket = (math.nextafter(float(Dyadic(left, -scale)), -math.inf),
                math.nextafter(float(Dyadic(right, -scale)), math.inf))

@@ -2,7 +2,10 @@
 
 Each file under ``tests/data/golden`` is the CLI's output for one request,
 captured before the root search was reseeded from the Jacobi spectrum.  One
-small request per base ``q`` of the benchmark's root pool, in both formats.
+small request per base ``q`` of the benchmark's root pool, in both formats,
+and ``spectrum`` at residual targets of 1e-3 and 1e-20, where the roots of
+one request work at precisions far apart and most are certified below the
+precision of the request's ratio table.
 ``bench/reference.json`` compares values only to 1e-12; this pins the bytes.
 
 Regenerate (only when an output change is intended and explained) with::
@@ -21,19 +24,25 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 # (p, e, f, N): roots 0..N, one entry per base q of the root pool.
 ENTRIES = [(2, 1, 1, 12), (2, 2, 1, 10), (3, 1, 1, 10), (3, 2, 1, 10),
            (5, 1, 1, 8), (7, 1, 1, 8), (2, 1, 2, 12)]
+# (p, e, f, N, root_tol): spectra of roots 0..N at a residual target other
+# than the default.
+TOL_ENTRIES = [(p, e, f, 12, tol)
+               for p, e, f in ((2, 8, 1), (3, 1, 1)) for tol in ("1e-3", "1e-20")]
 FORMATS = ("json", "csv")
 
 
-def _argv(command: str, p: int, e: int, f: int, n: int) -> list[str]:
+def _argv(command: str, p: int, e: int, f: int, n: int, root_tol: str | None = None) -> list[str]:
     field = ["--p", str(p), "--e", str(e), "--f", str(f)]
     if command == "spectrum":
-        return ["spectrum", *field, "--m-max", "2", "--n-max", str(n)]
+        tol = [] if root_tol is None else ["--root-tol", root_tol]
+        return ["spectrum", *field, "--m-max", "2", "--n-max", str(n), *tol]
     return ["zeta", *field, "--s-min", "1", "--s-max", "8", "--s-step", "1",
             "--n-roots", str(n + 1)]
 
 
-CASES = [(command, entry, fmt)
-         for command in ("spectrum", "zeta") for entry in ENTRIES for fmt in FORMATS]
+CASES = ([(command, entry, fmt)
+          for command in ("spectrum", "zeta") for entry in ENTRIES for fmt in FORMATS]
+         + [("spectrum", entry, fmt) for entry in TOL_ENTRIES for fmt in FORMATS])
 
 
 def _name(command: str, entry: tuple, fmt: str) -> str:

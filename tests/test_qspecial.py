@@ -106,12 +106,12 @@ def _table_base(series) -> mp.mpf:
     return mp.make_mpf(from_man_exp(man, -bits))
 
 
-def _mpf_sums(series, z):
-    """``series.sums(z, derivative=True)`` with ``z`` (an mpf) taken into the
-    series' fixed point and ``F``, ``F'`` and the largest term returned as
-    exact mpf values."""
-    scale = series.scale
-    value, deriv, terms, largest = series.sums(to_fixed(z._mpf_, scale), derivative=True)
+def _mpf_sums(table, dps, z):
+    """``table.sums(z, dps)`` with ``z`` (an mpf) taken into the pass's
+    fixed point and ``F``, ``F'`` and the largest term returned as exact
+    mpf values."""
+    scale = qspecial._scale(dps)
+    value, deriv, terms, largest = table.sums(to_fixed(z._mpf_, scale), dps)
     value, deriv, largest = (mp.make_mpf(from_man_exp(v, -scale)) for v in (value, deriv, largest))
     return value, deriv, terms, largest
 
@@ -251,15 +251,14 @@ class TestFixedPointMatchesReference:
         seeds, _ = qspecial._float_seeds(params, n_max)
         work = qspecial._root_work(params, seeds[: n_max + 1], 1e-10)
         table = qspecial._series_at(params, max(dps for dps, _ in work))
-        for n, (dps, terms) in enumerate(work):
+        for n, (dps, _) in enumerate(work):
             for level in qspecial._newton_levels(dps):
-                series = table.rounded(level, terms)
                 reference = _LibmpSeries(_table_base(table), level)
                 bound = mp.mpf(10) ** (-(level - 1))
                 with mp.workdps(level):
                     points = (mp.mpf(float(seeds[n])), mp.mpf(roots[n]))
                 for z in points:
-                    value, deriv, f_terms, largest = _mpf_sums(series, z)
+                    value, deriv, f_terms, largest = _mpf_sums(table, level, z)
                     want, want_deriv, _, _, d_terms, d_largest = reference.sums(z)
                     assert abs(value - want) <= f_terms * largest * bound, (n, level)
                     d_bound = d_terms * d_largest * bound / abs(z)
@@ -280,15 +279,14 @@ class TestFixedPointMatchesReference:
         work = qspecial._root_work(params, seeds[: n_max + 1], 1e-10)
         wide = qspecial._series_at(params, max(dps for dps, _ in work))
         gap = qspecial._ENCLOSURE_DPS
-        for root, (dps, terms) in zip(table.roots, work):
-            series = wide.rounded(dps, terms)
-            scale = series.scale
+        for root, (dps, _) in zip(table.roots, work):
+            scale = qspecial._scale(dps)
             reference = _LibmpSeries(_table_base(wide), dps + 40)
             at_root = root.man << (scale + root.exp)
             certified = 0
             for i in (None, dps - gap - 2, dps - gap + 1, dps - gap + 4, dps - 3):
                 x = at_root if i is None else at_root + at_root // 10**i
-                sums = series.sums(x, derivative=True)
+                sums = wide.sums(x, dps)
                 for j in range(dps - gap, dps + 4):
                     delta = x // 10**j
                     if not qspecial._sign_change(sums, delta, dps, scale):
@@ -298,7 +296,7 @@ class TestFixedPointMatchesReference:
                                    for z in (x - delta, x + delta))
                     assert mp.sign(left) == -mp.sign(right) != 0, (i, j)
                 assert not qspecial._sign_change(sums, x // 10 ** (dps + 3), dps, scale)
-            assert qspecial._sign_change(series.sums(at_root, derivative=True),
+            assert qspecial._sign_change(wide.sums(at_root, dps),
                                          at_root // 10 ** (dps - gap), dps, scale)
             assert certified > 1
 
@@ -457,9 +455,9 @@ class TestCertificationWork:
             root_dps[0] = dps
             return certify(table, n, seed, dps, *rest)
 
-        def counting_sums(self, *args, **kwargs):
-            result = sums(self, *args, **kwargs)
-            if self.dps == root_dps[0]:
+        def counting_sums(self, z, dps, *args, **kwargs):
+            result = sums(self, z, dps, *args, **kwargs)
+            if dps == root_dps[0]:
                 counts["full"] += 1
                 counts["terms"] = max(counts["terms"], result[2])
             return result
@@ -475,6 +473,21 @@ class TestCertificationWork:
         assert counts["full"] / len(table.roots) <= 2.0
         assert counts["extend"] <= counts["terms"] + 5
 
+    def test_lower_pass_extends_the_table_at_its_width(self):
+        """A pass at fewer digits than the table that reaches past the
+        table's end extends the table at the table's own width: its ratios
+        then equal those of a table built in one go, and so does the pass."""
+        dps = 60
+        z = qspecial._fixed(float(find_roots(P311, 8).roots[8]), qspecial._scale(dps))
+        table = qspecial._series_at(P311, 400)
+        table._grow(3)
+        got = table.sums(z, dps)
+        assert got[2] > 3  # the pass read past the 2 ratios the table held
+        whole = qspecial._series_at(P311, 400)
+        whole._grow(len(table._ratios) + 1)
+        assert table._ratios == whole._ratios
+        assert whole.sums(z, dps) == got
+
 
 class TestEnclosureCertificate:
     def test_moved_root_refused(self, monkeypatch):
@@ -483,10 +496,10 @@ class TestEnclosureCertificate:
         certificate refuses the enclosure, which no longer holds the root."""
         newton = qspecial._newton
 
-        def moved(series, root, guard, steps=40):
-            x, _, y = newton(series, root, guard, steps)
+        def moved(table, dps, root, guard, steps=40):
+            x, _, y = newton(table, dps, root, guard, steps)
             x += x // 10**6
-            return x, series.sums(x, derivative=True), y
+            return x, table.sums(x, dps), y
 
         monkeypatch.setattr(qspecial, "_newton", moved)
         with pytest.raises(BracketError, match="final enclosure of root 0"):
@@ -503,8 +516,8 @@ class TestEnclosureCertificate:
     def test_enclosure_across_separator_refused(self, monkeypatch):
         certify = qspecial._certify_root
 
-        def straddling(table, n, seed, dps, terms, guard, target_tol):
-            root, residual, (lo, hi) = certify(table, n, seed, dps, terms, guard, target_tol)
+        def straddling(table, n, seed, dps, guard, target_tol):
+            root, residual, (lo, hi) = certify(table, n, seed, dps, guard, target_tol)
             if n == 1:  # stretch the enclosure down over the separator s_1
                 lo = math.nextafter(guard[0], 0.0)
             return root, residual, (lo, hi)
