@@ -12,11 +12,13 @@ re-exports them all.
 
 The namespace loads lazily (PEP 562): ``import padiclab`` binds only
 ``__version__``.  The first lookup of any other name, including ``__all__``,
-a submodule or ``from padiclab import *``, imports all six modules and binds
-every public name, so ``padiclab.X`` works as if they had been imported up
-front.  A submodule import such as ``import padiclab.qspecial`` loads only that
-module and what it imports; ``padiclab spectrum`` and ``padiclab zeta`` thus
-never load ``tree``, ``operators`` or ``seminorms``.
+a submodule or ``from padiclab import *``, imports the six modules below and
+binds every public name, so ``padiclab.X`` works as if they had been imported
+up front; ``spectrum_zeta`` serves the three names of the window validator,
+which lives in ``validation``, and imports that module for them.  A submodule
+import such as ``import padiclab.qspecial`` loads only that module and what it
+imports; ``padiclab spectrum`` and ``padiclab zeta`` thus never load numpy,
+``tree``, ``operators``, ``seminorms`` or ``validation``.
 """
 
 import importlib

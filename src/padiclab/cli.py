@@ -11,8 +11,9 @@ Subcommands
     Run the cross-validation suite — truncated-window spectrum checks,
     Hilbert–Schmidt closed-form checks, and the seminorm comparisons — and
     exit 0 only if every gated check passes (informational rows report the
-    depth-drift figures).  A window over ``MAX_WINDOW_VERTICES`` is refused
-    before anything is assembled.
+    depth-drift figures).  The rows are built in :mod:`padiclab.validation`,
+    which refuses a window over its ``MAX_WINDOW_VERTICES`` before anything
+    is assembled.
 
 ``zeta``
     Evaluate the full-spectrum zeta on a real s-grid (columns ``re_s, im_s,
@@ -46,28 +47,16 @@ from typing import Any
 from . import __version__
 from .field_model import FieldParams
 from .qspecial import BracketError, SeriesError
-from .spectrum_zeta import (
-    CutoffError,
-    PoleError,
-    full_spectrum,
-    schatten_m_factor,
-    validate_spectrum,
-    zeta_DR,
-)
+from .spectrum_zeta import CutoffError, PoleError, full_spectrum, zeta_DR
 
-# The operators, seminorms and tree modules are imported by ``validate``
-# alone, inside the functions that use them: spectrum and zeta never load them.
+# The validation module, and through it numpy and the tree, operators and
+# seminorms modules, is imported by ``validate`` alone, when it runs:
+# spectrum and zeta never load it.
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_VALIDATION = 3
-
-# Largest window (vertices) that ``validate`` assembles.  Peak memory grows
-# with the largest window at about 130 (q_res = 2) to 260 (q_res = 7) bytes per
-# vertex: 1,048,575 vertices at 142 MB for (2,2,1), 797,161 at 132 MB for
-# (3,1,1), 960,800 at 246 MB for (7,1,1), peak RSS of the whole process.
-MAX_WINDOW_VERTICES = 2_000_000
 
 # Most s-grid points that ``zeta`` evaluates.
 MAX_ZETA_POINTS = 10_000
@@ -219,163 +208,25 @@ def _cmd_spectrum(args: argparse.Namespace, params: FieldParams) -> int:
     return EXIT_OK
 
 
-def _check_row(
-    name: str, passed: bool, measured: float | None, tolerance: float | None, detail: str = ""
-) -> dict[str, Any]:
-    return {
-        "name": name,
-        "passed": bool(passed),
-        "measured": measured,
-        "tolerance": tolerance,
-        "detail": detail,
-    }
-
-
-def _validate_rows(args: argparse.Namespace, params: FieldParams) -> tuple[list[dict], bool]:
-    from .operators import hs_double_sum, hs_norm_Dg_inverse, hs_total_partial
-    from .seminorms import check_norm_comparison, testfn_library
-    from .tree import tree_window_r
-
-    rows: list[dict[str, Any]] = []
-    ok = True
-
-    report = validate_spectrum(
-        params, N=args.depth, k=args.k, tol=args.tol, with_drift=not args.no_drift
-    )
-    for check in report.checks:
-        rows.append(
-            _check_row(
-                f"spectrum:{check.name}", check.passed, check.measured, check.tolerance, check.detail
-            )
-        )
-        ok = ok and check.passed
-    if report.drift_refined is not None:
-        rows.append(
-            _check_row(
-                "spectrum:drift-refined",
-                True,
-                report.drift_refined,
-                None,
-                f"informational: refined lowest eigenvalue, depth {args.depth} vs {args.depth + 2}",
-            )
-        )
-    if report.drift_raw is not None:
-        rows.append(
-            _check_row(
-                "spectrum:drift-raw",
-                True,
-                report.drift_raw,
-                None,
-                "informational: raw lowest eigenvalue drift",
-            )
-        )
-
-    # Hilbert-Schmidt closed form vs direct double sum.
-    hs_dev = max(
-        abs(hs_norm_Dg_inverse(params, m) - hs_double_sum(params, m)) for m in range(11)
-    )
-    hs_ok = hs_dev < 1e-12
-    rows.append(_check_row("hs:closed-vs-double-sum", hs_ok, hs_dev, 1e-12, "m <= 10"))
-    ok = ok and hs_ok
-
-    # Total HS partial sums: convergent or divergent by parameter regime.
-    if params.ef < 2:
-        limit = hs_norm_Dg_inverse(params, 0) * schatten_m_factor(params, 1.0)
-        dev = abs(hs_total_partial(params, 60) - limit)
-        conv_ok = dev < 1e-10
-        rows.append(
-            _check_row("hs:total-converges", conv_ok, dev, 1e-10, f"limit {limit:.17g}")
-        )
-        ok = ok and conv_ok
-    else:
-        incs = [
-            hs_total_partial(params, m) - hs_total_partial(params, m - 1)
-            for m in range(1, 11)
-        ]
-        div_ok = min(incs) > 0.1
-        rows.append(
-            _check_row(
-                "hs:total-diverges",
-                div_ok,
-                min(incs),
-                0.1,
-                "tail increments stay bounded away from zero",
-            )
-        )
-        ok = ok and div_ok
-
-    # Seminorm comparisons on the function library.
-    window = tree_window_r(params, args.seminorm_depth)
-    for fn in testfn_library(params):
-        rep = check_norm_comparison(window, fn)
-        detail = (
-            f"L1={rep.L1_depthN:.12g} bounds=[{rep.lower_constant * rep.L1_depthN:.12g},"
-            f" {rep.upper_constant * rep.L1_depthN:.12g}] matrix={rep.commutator_norm_depthN:.12g}"
-        )
-        rows.append(
-            _check_row(f"seminorm:{rep.function_id}", rep.passed, rep.LD_formula_depthN, None, detail)
-        )
-        ok = ok and rep.passed
-    return rows, ok
-
-
-def _check_window_budget(args: argparse.Namespace, params: FieldParams) -> None:
-    """Refuse, before any assembly, a window over ``MAX_WINDOW_VERTICES``,
-    and then a random test-function table over it.
-
-    The size is summed level by level over ``0..depth`` (``q_res**n``
-    vertices each).  The sum stops once it passes the square of the limit,
-    so any depth is refused within a few dozen levels; the refusal names the
-    size only when it was summed to the end.  The table of the library's
-    deeper random test function holds one value per vertex of its level,
-    ``q_res**RANDOM_TABLE_DEPTH``; every window passed, so ``q_res`` is
-    within the limit and the table's size is named.
-    """
-    from .seminorms import RANDOM_TABLE_DEPTH
-
-    q = params.q_res
-    windows = [("spectrum", args.depth), ("seminorm", args.seminorm_depth)]
-    if not args.no_drift:
-        windows.insert(1, ("drift", args.depth + 2))
-    for name, depth in windows:
-        size = level = 1
-        for _ in range(depth):
-            if size > MAX_WINDOW_VERTICES**2:
-                raise ValueError(f"{name} window of depth {depth} is over the limit of "
-                                 f"{MAX_WINDOW_VERTICES} vertices")
-            level *= q
-            size += level
-        if size > MAX_WINDOW_VERTICES:
-            raise ValueError(
-                f"{name} window of depth {depth} has {size} vertices, "
-                f"over the limit of {MAX_WINDOW_VERTICES}"
-            )
-    table = q**RANDOM_TABLE_DEPTH
-    if table > MAX_WINDOW_VERTICES:
-        raise ValueError(
-            f"random test function of depth {RANDOM_TABLE_DEPTH} has {table} values, "
-            f"over the limit of {MAX_WINDOW_VERTICES}"
-        )
-
-
 def _cmd_validate(args: argparse.Namespace, params: FieldParams) -> int:
     from .seminorms import MATCH_TOL
+    from .validation import _check_window_budget, _validate_rows
 
     _check_window_budget(args, params)
     rows, ok = _validate_rows(args, params)
     _emit(
         args,
         "validate",
-        rows,
+        [row._asdict() for row in rows],
         ["name", "passed", "measured", "tolerance", "detail"],
         {"eigenvalue_rel": args.tol, "hs_closed": 1e-12, "seminorm_match": MATCH_TOL},
     )
     if not ok:
         print("validation failed:", file=sys.stderr)
         for row in rows:
-            if not row["passed"]:
-                detail = f" ({row['detail']})" if row["detail"] else ""
-                print(f"  {row['name']}: measured {row['measured']}{detail}", file=sys.stderr)
+            if not row.passed:
+                detail = f" ({row.detail})" if row.detail else ""
+                print(f"  {row.name}: measured {row.measured}{detail}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
 

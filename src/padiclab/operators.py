@@ -31,14 +31,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .field_model import Center, FieldParams
+import numpy as np
+
+from .field_model import Center, FieldParams, count_g
 from .tree import TreeWindow
 
-# numpy and scipy are imported inside the functions that use them: loading
-# them takes longer than a whole root-only command (spectrum, zeta), which
-# needs neither.
+# scipy is imported inside the functions that return or solve scipy
+# matrices: validate, which reads the assembled arrays with numpy, never
+# loads it.
 if TYPE_CHECKING:
-    import numpy as np
     import scipy.sparse as sp
 
 __all__ = [
@@ -88,8 +89,6 @@ class TestFunction(NamedTuple):
 
     def __call__(self, point: Center) -> float:
         """Value at one :class:`Center`."""
-        import numpy as np
-
         rank = 0
         for d in point.digits:
             rank = rank * point.params.q_res + d
@@ -109,8 +108,6 @@ def _symmetrized_D_csr(window: TreeWindow) -> tuple[np.ndarray, ...]:
     rows of the deepest level hold the diagonal only.  The arrays are written
     level by level, with no scipy call, in the index dtype scipy would pick.
     """
-    import numpy as np
-
     params = window.params
     q = params.q_res
     itype = np.int32 if window.total + q * window.level_offsets[-2] < 2**31 else np.int64
@@ -185,8 +182,6 @@ def rho_diag(window: TreeWindow, a: TestFunction) -> np.ndarray:
     the zero vertex at its digit-1 child, rank 1, which is ``pi**n``.  This
     is the only place the zero-vertex convention is applied.
     """
-    import numpy as np
-
     q = window.params.q_res
     out = np.empty(window.total)
     for n in window.levels:
@@ -216,8 +211,6 @@ def _commutator_csr(window: TreeWindow, diag: np.ndarray) -> tuple[np.ndarray, .
     Rows are the levels ``min_level .. N-1``, each holding its children in digit
     order; vanishing differences are not stored (a commuting function has none).
     """
-    import numpy as np
-
     params = window.params
     q = params.q_res
     n_rows = window.level_offsets[-2]
@@ -250,8 +243,6 @@ def commutator_row_norms(window: TreeWindow, a: TestFunction) -> np.ndarray:
 
 
 def _commutator_row_norms(window: TreeWindow, diag: np.ndarray) -> np.ndarray:
-    import numpy as np
-
     data, indices, indptr = _commutator_csr(window, diag)
     if indices.size and np.bincount(indices).max() > 1:
         raise ValueError("commutator column with two nonzeros")
@@ -319,8 +310,6 @@ def hs_total_partial(params: FieldParams, m_max: int) -> float:
     as ``m_max`` grows exactly when ``e*f = 1``; for ``e*f >= 2`` the
     increments do not decay (divergence signature).
     """
-    from .field_model import count_g
-
     return sum(count_g(params, m) * hs_norm_Dg_inverse(params, m) for m in range(m_max + 1))
 
 
@@ -358,7 +347,6 @@ def kernel_rho_a_DFinv(
     decay exponent ``alpha > max(1, ef/2)``.  If ``t`` is given, each input
     level ``k`` is damped by the regularizer ``b_t(k)``.
     """
-    import numpy as np
     import scipy.sparse as sp
 
     _check_decay_admissible(window.params, a)
@@ -412,8 +400,6 @@ def kernel_frobenius_norm(window: TreeWindow, a: TestFunction, t: float | None =
     ``p**(-k/e) p**(f(n-k)) |a_n(x)|`` each).  Independent of the sparse
     assembly; used as its oracle.
     """
-    import numpy as np
-
     _check_decay_admissible(window.params, a)
     params = window.params
     diag = rho_diag(window, a)
@@ -438,7 +424,6 @@ def singular_values_window(window: TreeWindow, a: TestFunction, count: int) -> n
     ``count`` meets or exceeds the maximal possible rank, all singular values
     are returned (dense computation).
     """
-    import numpy as np
     import scipy.sparse.linalg as spla
 
     mat = kernel_rho_a_DFinv(window, a)

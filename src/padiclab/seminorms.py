@@ -30,16 +30,13 @@ agreement is part of the validation surface.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
+
+import numpy as np
 
 from .field_model import FieldParams
 from .operators import TestFunction, _commutator_norm, rho_diag
 from .tree import TreeWindow
-
-# numpy is imported inside the functions that use it, like scipy in
-# operators: spectrum and zeta never load it.
-if TYPE_CHECKING:
-    import numpy as np
 
 # Depth of the deeper random test function of testfn_library, whose table of
 # q_res**RANDOM_TABLE_DEPTH floats is drawn when the library is built.
@@ -78,8 +75,6 @@ def lipschitz_depth(window: TreeWindow, a: TestFunction) -> float:
 
 
 def _lipschitz(window: TreeWindow, a: TestFunction, diag: np.ndarray) -> float:
-    import numpy as np
-
     params = window.params
     N = window.max_level
     lo = diag[window.level_slice(N)].copy()
@@ -119,8 +114,6 @@ def spectral_seminorm_formula(window: TreeWindow, a: TestFunction) -> float:
 
 
 def _formula(window: TreeWindow, diag: np.ndarray) -> float:
-    import numpy as np
-
     params = window.params
     q = params.q_res
     best_sq = 0.0
@@ -223,8 +216,6 @@ def _agreement(
     Returns the counts and the compared length; a count equal to the length
     means the string represents the point ``c``.
     """
-    import numpy as np
-
     length = max(width, len(c_digits))
     padded = c_digits + (0,) * (length - len(c_digits))
     agree = np.zeros(len(ranks), dtype=np.int64)
@@ -243,8 +234,6 @@ def _distance_table(params: FieldParams, start: int, length: int) -> list[float]
 def _make_abs_shift(params: FieldParams, c_digits: tuple[int, ...], name: str) -> TestFunction:
     """``|x - c|`` for ``c`` the finite digit string of a point at the window's
     start level (``c_digits = ()`` gives the norm)."""
-    import numpy as np
-
     def ev(start: int, width: int, ranks: np.ndarray) -> np.ndarray:
         agree, length = _agreement(params.q_res, width, ranks, c_digits)
         return np.array(_distance_table(params, start, length))[agree]
@@ -256,8 +245,6 @@ def _make_ball_indicator(
     params: FieldParams, prefix: tuple[int, ...], name: str
 ) -> TestFunction:
     """Indicator of the radius-``p**(-k/e)`` ball with digit prefix of length k."""
-    import numpy as np
-
     k = len(prefix)
 
     def ev(start: int, width: int, ranks: np.ndarray) -> np.ndarray:
@@ -271,8 +258,6 @@ def _make_ball_indicator(
 def _make_random_locally_constant(
     params: FieldParams, depth: int, seed: int
 ) -> TestFunction:
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     table = rng.uniform(0.0, 1.0, size=params.q_res**depth)
 
@@ -283,8 +268,6 @@ def _make_random_locally_constant(
 
 
 def _make_decay(params: FieldParams, alpha: float, name: str) -> TestFunction:
-    import numpy as np
-
     def ev(start: int, width: int, ranks: np.ndarray) -> np.ndarray:
         agree, length = _agreement(params.q_res, width, ranks, ())
         norms = _distance_table(params, start, length)
@@ -302,8 +285,6 @@ def testfn_library(params: FieldParams) -> list[TestFunction]:
     windows (``alpha`` must exceed ``max(1, ef/2)`` to be admissible there —
     the ``alpha = ef`` entry fails that exactly when ``ef = 1``).
     """
-    import numpy as np
-
     lib = [
         TestFunction(
             name="const-1",

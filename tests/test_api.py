@@ -12,6 +12,28 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = (field_model, tree, operators, qspecial, spectrum_zeta, seminorms)
 
 
+# The export list, in order; the validator's three names keep their place in
+# spectrum_zeta's list although they are defined in padiclab.validation.
+EXPORTS = [
+    "FieldParams", "Center", "count_g", "pi_power", "TreeWindow", "tree_window_r",
+    "tree_window_f", "TestFunction", "assemble_symmetrized_D", "assemble_DstarD", "rho_diag",
+    "assemble_commutator", "commutator_norm", "commutator_row_norms", "hs_norm_Dg_inverse",
+    "hs_double_sum", "hs_total_partial", "kernel_rho_a_DFinv", "regularizer_bt",
+    "kernel_frobenius_norm", "singular_values_window", "BracketError", "SeriesError",
+    "RootTable", "phi11", "phi11_derivative", "upper_bracket", "find_roots",
+    "eigvec_recurrence", "eigvec_tail_mass", "eigvec_series_c", "eigvec_from_series",
+    "PoleError", "CutoffError", "SpectrumRow", "SpectrumTable", "ZetaValue", "CheckResult",
+    "ValidationReport", "full_spectrum", "validate_spectrum", "schatten_partial",
+    "schatten_m_factor", "zeta_D0", "zeta_DR", "zeta_factor", "factor_poles", "factor_zeros",
+    "SeminormReport", "lipschitz_depth", "spectral_seminorm_formula", "comparison_constants",
+    "check_norm_comparison", "testfn_library",
+]
+
+
+def test_all_is_pinned():
+    assert padiclab.__all__ == EXPORTS
+
+
 def test_all_is_the_union_of_module_lists():
     names = padiclab.__all__
     assert len(names) == len(set(names))

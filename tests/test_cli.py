@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padiclab import cli
+from padiclab import cli, validation
 from padiclab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -469,7 +469,7 @@ class TestExitContract:
                 "--depth", str(depth), "--k", str(k), "--seminorm-depth", str(seminorm_depth)]
         if not drift:
             argv.append("--no-drift")
-        with mock.patch.object(cli, "MAX_WINDOW_VERTICES", 5_000):
+        with mock.patch.object(validation, "MAX_WINDOW_VERTICES", 5_000):
             rc, err = _exit_and_stderr(argv)
         assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_VALIDATION), (argv, rc, err)
         if rc in (EXIT_CONFIG, EXIT_NUMERICAL):
@@ -610,7 +610,7 @@ class TestImportBoundary:
     def test_validate_loads_every_module(self, tmp_path):
         loaded = self._loaded(tmp_path, self.VALIDATE)["padiclab"]
         assert loaded == sorted([*self.ROOT_LAYER, "padiclab.operators", "padiclab.seminorms",
-                                 "padiclab.tree"])
+                                 "padiclab.tree", "padiclab.validation"])
 
     def test_module_run_clean_under_warnings_as_errors(self, tmp_path):
         """``python -m padiclab.cli`` imports the package first; had the package
@@ -656,9 +656,13 @@ class TestTracer:
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        last = json.loads(spans.read_text().splitlines()[-1])
-        assert last["request"] == 0
-        assert "counters" in last
+        lines = [json.loads(line) for line in spans.read_text().splitlines()]
+        assert lines[-1]["request"] == 0
+        assert "counters" in lines[-1]
+        # Both names are reached through spectrum_zeta, though the validator
+        # lives in padiclab.validation.
+        names = {line.get("name") for line in lines}
+        assert {"spectrum_zeta.validate_spectrum", "spectrum_zeta.full_spectrum"} <= names
 
     @pytest.mark.parametrize("argv, span", [
         (["spectrum", *P211_ARGS, "--n-max", "3"], "spectrum_zeta.full_spectrum"),

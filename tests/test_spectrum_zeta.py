@@ -27,7 +27,7 @@ from padiclab import (
     zeta_DR,
     zeta_factor,
 )
-from padiclab import operators, spectrum_zeta, tree_window_r
+from padiclab import operators, spectrum_zeta, tree_window_r, validation
 from padiclab.operators import _symmetrized_D_csr
 from mpf_oracle import zeta_sum
 from padiclab.qspecial import Dyadic
@@ -139,6 +139,33 @@ class TestValidateSpectrum:
         rep = validate_spectrum(P211, 5, with_drift=False)
         assert rep.failures() == ["eigenvalue-match"]
         assert rep.max_rel_error > 1e-6
+        assert rep.checks[2].detail == "k=8 smallest, boundary error removed by stencil extrapolation"
+
+    def test_shallow_window_names_its_cause(self):
+        """As ``q -> 1`` the default depth is too shallow: at (2,4,1), depth 10,
+        the refined lowest eigenvalue still moves by about the error (2.11e-5
+        against 2.45e-5) from depth 10 to 12, and the failed row says so."""
+        rep = validate_spectrum(FieldParams(2, 4, 1), 10)
+        assert rep.failures() == ["eigenvalue-match"]
+        assert rep.max_rel_error == pytest.approx(2.45e-5, rel=1e-3)
+        assert rep.checks[2].detail == (
+            "k=8 smallest, boundary error removed by stencil extrapolation; "
+            "drift-refined 2.11e-05 from depth 10 to 12: the window is likely too shallow"
+        )
+
+    def test_mismatch_at_a_settled_depth_is_not_blamed_on_depth(self, analytic_error):
+        """Negative control with drift measured: the refined eigenvalue has
+        settled, so the failed row does not call the window shallow."""
+        rep = validate_spectrum(P211, 8)
+        assert rep.failures() == ["eigenvalue-match"]
+        assert rep.drift_refined < 1e-6
+        assert rep.checks[2].detail.endswith(": depth is an unlikely cause")
+
+    def test_validation_names_served_by_spectrum_zeta(self):
+        for name in ("CheckResult", "ValidationReport", "validate_spectrum"):
+            assert getattr(spectrum_zeta, name) is getattr(validation, name)
+        with pytest.raises(AttributeError, match="has no attribute '_haar_blocks'"):
+            spectrum_zeta._haar_blocks
 
     def test_injected_coupling_breaks_block_identity(self, monkeypatch):
         """Negative control: one level-``N-1`` child coefficient of the assembled
@@ -198,7 +225,7 @@ class TestHaarBlocks:
         copy count, against a dense solve of the assembled window: the counts
         are the multiplicity pattern, and the window's lowest eigenvalue is
         the radial block's."""
-        blocks = spectrum_zeta._haar_blocks(params, N)
+        blocks = validation._haar_blocks(params, N)
         for m, (spec, copies) in enumerate(zip(blocks.spectra, blocks.copies)):
             assert spec.shape == (N + 1 - m,)
             assert copies == count_g(params, m)
@@ -212,7 +239,7 @@ class TestHaarBlocks:
 
     @pytest.mark.parametrize("params,N", SUITE_WINDOWS)
     def test_invariant_subspace_residual(self, params, N):
-        blocks = spectrum_zeta._haar_blocks(params, N)
+        blocks = validation._haar_blocks(params, N)
         assert blocks.residual <= 1e-13
         assert blocks.scaling_dev <= 1e-13
 
@@ -220,7 +247,7 @@ class TestHaarBlocks:
     def test_structure_figure_at_rounding_level(self, params, N):
         """The figure the block-scaling gate reads stays at rounding level as
         windows grow: sums over contiguous subtree axes, not long sparse products."""
-        blocks = spectrum_zeta._haar_blocks(params, N)
+        blocks = validation._haar_blocks(params, N)
         assert max(blocks.residual, blocks.scaling_dev) <= 1e-14
 
     @pytest.mark.parametrize("params", [P211, P311, P221, P212, P511, P321])
@@ -232,7 +259,7 @@ class TestHaarBlocks:
         ``q_res**(l+1)`` terms of an entry in sequence)."""
         window = tree_window_r(params, N)
         reference, _, _ = sparse_haar_blocks(params, N)
-        for m, (blocks, _) in enumerate(spectrum_zeta._copy_blocks(window)):
+        for m, (blocks, _) in enumerate(validation._copy_blocks(window)):
             ref = reference[m]
             exact = params.scale_float(2 * m) * jacobi_D0(params, N + 1 - m)
             tol = max(1e-13, 2 * np.abs(ref - exact).max() / np.abs(exact).max())
@@ -257,7 +284,7 @@ class TestHaarBlocks:
         ref_blocks, ref_residuals, _ = sparse_haar_blocks(
             params, N, sp.csr_matrix(arrays, shape=(window.total, window.total))
         )
-        for m, (blocks, residual) in enumerate(spectrum_zeta._copy_blocks(window)):
+        for m, (blocks, residual) in enumerate(validation._copy_blocks(window)):
             ref = ref_blocks[m]
             assert np.abs(blocks - ref).max() <= 1e-13 * np.abs(ref).max(), m
             assert 1e-5 < residual == pytest.approx(ref_residuals[m], rel=1e-9), m
