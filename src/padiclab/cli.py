@@ -26,11 +26,13 @@ written is a configuration error.  Machine output goes to stdout or the file
 only; diagnostics go to stderr.  Identical configuration and seed produce
 byte-identical output.
 
-Exit codes: 0 success; 1 configuration error (including a window, a random
-test-function table or an s-grid over its limit, a zeta value outside the
-float range, and an output path that cannot be written); 2 numerical failure
-(uncertifiable root bracket, a Sturm count that did not end within its row
-cap, series tolerance not met, window cutoff too low); 3 validation failure.
+Exit codes: 0 success; 1 configuration error (including a field outside the
+float model, a window, a random test-function table, a multiplicity's digits
+or an s-grid over its limit, a ``--k`` over the spectrum window's vertices, a
+zeta value outside the float range, and an output path that cannot be
+written); 2 numerical failure (uncertifiable root bracket, a Sturm count that
+did not end within its row cap, series tolerance not met, window cutoff too
+low); 3 validation failure.
 """
 
 from __future__ import annotations

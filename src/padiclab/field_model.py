@@ -20,14 +20,34 @@ from typing import NamedTuple
 __all__ = ["FieldParams", "Center", "count_g", "pi_power"]
 
 
+# The Miller-Rabin test to the 13 prime bases up to 41 passes no composite
+# below _PRIME_LIMIT (Sorenson and Webster, 2015: the least composite that
+# passes it is _PRIME_LIMIT itself); to the bases up to 37 alone it is
+# exact only below 318665857834031151167461.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether ``n < _PRIME_LIMIT`` is prime, by the Miller-Rabin test to
+    the bases ``_PRIME_BASES``, which is exact there."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -53,10 +73,15 @@ class FieldParams(_FieldTuple):
     __slots__ = ()
 
     def __new__(cls, p: int, e: int, f: int) -> FieldParams:
+        if p >= _PRIME_LIMIT:
+            raise ValueError(f"p must be below {_PRIME_LIMIT}, got {p}")
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if e < 1:
             raise ValueError(f"e must be a positive integer, got {e}")
+        # The float model divides by 1 - q and by log10 Q.
+        if not float(p) ** (-2 / e) < 1.0 < float(p) ** (2 / e):
+            raise ValueError(f"e must leave p**(2/e) above 1 in floats, got {e}")
         if f < 1:
             raise ValueError(f"f must be a positive integer, got {f}")
         return super().__new__(cls, p, e, f)

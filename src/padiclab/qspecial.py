@@ -14,8 +14,11 @@ with ``lambda_0`` in ``(0, 1)``.
 
 Series evaluation.  A :class:`_QSeries` holds the ratios
 ``r_k = a_k / a_(k-1)`` of consecutive coefficients of ``F`` at one base and
-one working precision, extended lazily, and sums ``F`` and ``F'`` from them
-at that precision or below; :func:`phi11` and :func:`phi11_derivative` call it.
+one working precision, and sums ``F`` and ``F'`` from them at that precision
+or below; :func:`phi11` and :func:`phi11_derivative` call it.  The table
+grows by one rule: a pass that reads past its last ratio appends exactly the
+next one, from ``q**(k-1)`` carried over from the ratio before, so each
+ratio is computed once and the table ends as long as its longest pass.
 
 Root search.  :func:`find_roots` seeds every root from the depth-direction
 Jacobi block, whose eigenvalues are the roots of ``F``, and uses the series
@@ -98,9 +101,6 @@ _GUARD_DPS = 30
 # Term budget of a series evaluation; _root_work looks for the largest term
 # within it.
 _MAX_TERMS = 2000
-# Coefficients a root's table holds beyond the float estimate of the last
-# term its full-precision evaluations reach.
-_TERM_MARGIN = 3
 # Most rows a Sturm count of the seeds may run through.
 _SEED_MAX_ORDER = 1024
 # A root certified at dps digits is enclosed in root (1 -+ 10**-(dps - _ENCLOSURE_DPS)).
@@ -192,34 +192,6 @@ def _base(params: FieldParams, bits: int) -> tuple[int, int]:
     return _iroot((1 << (e * bits)) // (p * p), e), bits
 
 
-def _ratio_table(q: tuple[int, int], width: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """Ratios ``r_k = a_k / a_(k-1) = -q**(k-1) / (1 - q**k)**2`` for
-    ``start <= k < stop``, each rounded at ``width`` bits, as raw
-    ``(mantissa, exponent)`` pairs: ``r_k = mantissa * 2**exponent``, the
-    mantissa signed.  ``q = (man, bits)`` is ``man * 2**-bits``.
-
-    ``q**k`` is carried as a ``width + _GUARD_BITS``-bit mantissa times a
-    power of two, floored at each step; ``1 - q**k`` is exact on it, and
-    each ratio is a floored quotient of ``width + 2`` bits rounded to
-    nearest at ``width``.
-    """
-    q_man, q_bits = q
-    keep = width + _GUARD_BITS
-    ratios = []
-    man, exp = 1, 0  # q**(k-1)
-    for k in range(1, stop):
-        next_man, next_exp = man * q_man, exp - q_bits  # q**k
-        drop = next_man.bit_length() - keep
-        if drop > 0:
-            next_man, next_exp = next_man >> drop, next_exp + drop
-        if k >= start:
-            den = ((1 << -next_exp) - next_man) ** 2  # ((1 - q**k) 2**-next_exp)**2
-            shift = den.bit_length() - man.bit_length() + width + 2
-            ratios.append(_narrowed((-((man << shift) // den), exp - 2 * next_exp - shift), width))
-        man, exp = next_man, next_exp
-    return ratios
-
-
 def _narrowed(ratio: tuple[int, int], width: int) -> tuple[int, int]:
     """A raw ratio rounded to nearest at ``width`` bits by a right shift."""
     man, exp = ratio
@@ -236,11 +208,11 @@ class _QSeries:
     Holds the ratios ``r_k = a_k / a_(k-1) = -q**(k-1) / (1 - q**k)**2`` of
     the coefficients ``a_k = (-1)**k q**(k(k-1)/2) / ((q;q)_k)**2`` of
     ``F(z) = sum a_k z**k``, rounded at ``scale = _scale(dps)`` bits and
-    extended lazily, at that width, as evaluations reach further.
-    ``q = (man, bits)`` is ``man * 2**-bits``.  A pass at ``d`` digits holds
-    points, sums and terms in absolute fixed point at ``_scale(d)`` bits:
-    each term ``t_k = t_(k-1) * (r_k * z)`` is an exact product with ``z``
-    and the ratio's mantissa rounded to that width, and one floor shift.
+    appended one at a time, at that width, when a pass first reads past the
+    last.  ``q = (man, bits)`` is ``man * 2**-bits``.  A pass at ``d`` digits
+    holds points, sums and terms in absolute fixed point at ``_scale(d)``
+    bits: each term ``t_k = t_(k-1) * (r_k * z)`` is an exact product with
+    ``z`` and the ratio's mantissa rounded to that width, and one floor shift.
     """
 
     def __init__(self, q: tuple[int, int], dps: int):
@@ -250,36 +222,49 @@ class _QSeries:
         self.scale = _scale(dps)
         self._q = q
         self._ratios: list[tuple[int, int]] = []  # r_k at index k - 1
+        self._power = (1, 0)  # q**(k-1) for the next k, as (man, exp)
 
-    def _grow(self, terms: int) -> None:
-        """Extend the ratio table to cover the first ``terms`` coefficients."""
-        have = len(self._ratios)
-        if have + 1 < terms:
-            self._ratios += _ratio_table(self._q, self.scale, have + 1, terms)
+    def _extend(self) -> None:
+        """Append the next ratio ``r_k``, ``k = len(self._ratios) + 1``, as a
+        raw ``(mantissa, exponent)`` pair: ``r_k = mantissa * 2**exponent``,
+        the mantissa signed.
 
-    def sums(self, z: int, dps: int, target_tol: float | None = None,
-             max_terms: int = _MAX_TERMS):
+        ``q**k`` is carried as a ``scale + _GUARD_BITS``-bit mantissa times a
+        power of two, floored at each step; ``1 - q**k`` is exact on it, and
+        the ratio is a floored quotient of ``scale + 2`` bits rounded to
+        nearest at ``scale``.
+        """
+        q_man, q_bits = self._q
+        man, exp = self._power
+        next_man, next_exp = man * q_man, exp - q_bits  # q**k
+        drop = next_man.bit_length() - self.scale - _GUARD_BITS
+        if drop > 0:
+            next_man, next_exp = next_man >> drop, next_exp + drop
+        den = ((1 << -next_exp) - next_man) ** 2  # ((1 - q**k) 2**-next_exp)**2
+        shift = den.bit_length() - man.bit_length() + self.scale + 2
+        ratio = (-((man << shift) // den), exp - 2 * next_exp - shift)
+        self._ratios.append(_narrowed(ratio, self.scale))
+        self._power = next_man, next_exp
+
+    def sums(self, z: int, dps: int):
         """``F(z)`` and ``F'(z)`` at ``dps`` digits (at most the table's),
         from one pass over the terms ``t_k = a_k z**k``.
 
         ``F = sum t_k`` and ``F' = (sum k t_k) / z``.  Each sum ends by the
         tail rule of :func:`phi11` on its own terms (``t_k``, ``k t_k / z``),
-        ``target_tol`` (``None``: ``10**-(dps-5)``) taken exactly, and the
-        pass ends once both have ended.  ``z`` and the results are in fixed
-        point at ``scale = _scale(dps)``; each ratio mantissa is read rounded
-        to nearest at that width, shifted down by ``self.scale - scale``.
-        Returns ``(F, F', terms, largest)``: the sums (``F'`` floored), the
-        number of terms of ``F`` and its largest term magnitude.  Raises
-        :class:`SeriesError` when ``max_terms`` runs out first.
+        and the pass ends once both have ended.  ``z`` and the results are in
+        fixed point at ``scale = _scale(dps)``; each ratio mantissa is read
+        rounded to nearest at that width, shifted down by ``self.scale -
+        scale``.  Returns ``(F, F', terms, largest)``: the sums (``F'``
+        floored), the number of terms of ``F`` and its largest term
+        magnitude.  Raises :class:`SeriesError` when ``_MAX_TERMS`` runs out
+        first.
         """
         scale = _scale(dps)
         drop = self.scale - scale
         half = ((1 << drop) - 1) >> 1  # ratios are negative: ties round away from 0
-        if target_tol is None:
-            tol_num, tol_den = 1, 10 ** (dps - 5)
-        else:
-            tol_num, tol_den = target_tol.as_integer_ratio()
-        # The rule "magnitude < tol * size" as magnitude * tol_den < tol_num * size.
+        # The rule "magnitude < 10**-(dps-5) * size" as magnitude * tol_den < size.
+        tol_den = 10 ** (dps - 5)
         one = 1 << scale
         size_z = abs(z)
         zeros = max((z & -z).bit_length() - 1, 0)  # z = z_odd * 2**zeros
@@ -292,13 +277,11 @@ class _QSeries:
         terms, k = 1, 0
         while f_open or d_open:
             k += 1
-            if k > max_terms:
-                tol = f"1e-{dps - 5}" if target_tol is None else target_tol
-                raise SeriesError(
-                    f"series did not meet tail tolerance {tol} within {max_terms} terms"
-                )
+            if k > _MAX_TERMS:
+                raise SeriesError(f"series did not meet tail tolerance 1e-{dps - 5} "
+                                  f"within {_MAX_TERMS} terms")
             if k > len(ratios):
-                self._grow(min(2 * k, max_terms) + 1)
+                self._extend()
             man, exp = ratios[k - 1]
             shift = offset - exp
             term *= ((man + half) >> drop) * z_odd
@@ -310,7 +293,7 @@ class _QSeries:
                     largest = mag
                 if mag <= f_prev:
                     size = abs(f_sum)
-                    f_open = mag * tol_den >= tol_num * (size if size > one else one)
+                    f_open = mag * tol_den >= (size if size > one else one)
                 f_prev, terms = mag, k + 1
             if d_open:
                 d_term = k * term
@@ -318,7 +301,7 @@ class _QSeries:
                 mag = abs(d_term)
                 if mag <= d_prev:
                     size = abs(d_sum)
-                    d_open = mag * tol_den >= tol_num * (size if size > size_z else size_z)
+                    d_open = mag * tol_den >= (size if size > size_z else size_z)
                 d_prev = mag
         if z == 0:  # F'(0) = a_1 = r_1, and |r_1| > 1
             man, exp = ratios[0]
@@ -328,7 +311,7 @@ class _QSeries:
         return f_sum, d_sum, terms, largest
 
 
-def _caller_sums(q, z, target_tol, max_terms: int, derivative: bool):
+def _caller_sums(q, z, derivative: bool):
     """``F(z)`` or ``F'(z)`` at the caller's mpmath precision, as an mpmath number."""
     import mpmath as mp
     from mpmath.libmp import from_man_exp, round_nearest, to_fixed
@@ -336,27 +319,26 @@ def _caller_sums(q, z, target_tol, max_terms: int, derivative: bool):
     sign, man, exp, _ = mp.mpf(q)._mpf_
     series = _QSeries(((-man if sign else man) << max(exp, 0), max(-exp, 0)), mp.mp.dps)
     z = to_fixed(mp.mpf(z)._mpf_, series.scale)
-    tol = None if target_tol is None else float(target_tol)
-    value = series.sums(z, series.dps, tol, max_terms)[derivative]
+    value = series.sums(z, series.dps)[derivative]
     return mp.make_mpf(from_man_exp(value, -series.scale, _bits(series.dps), round_nearest))
 
 
-def phi11(q, z, target_tol=None, max_terms: int = _MAX_TERMS):
+def phi11(q, z):
     """Evaluate the base q-hypergeometric series at ``z``.
 
-    Sums until the next term is below ``target_tol * max(1, |sum|)`` *and*
-    terms have started decreasing; raises :class:`SeriesError` if
-    ``max_terms`` is exhausted first, by this sum or by the derivative's,
-    which the same pass sums.  Runs at the caller's mpmath precision
-    (``target_tol=None`` uses that precision's floor) and returns an mpmath
-    number.
+    Sums until the next term is below ``10**-(dps-5) * max(1, |sum|)``, at
+    the caller's mpmath precision ``dps``, *and* terms have started
+    decreasing; raises :class:`SeriesError` if ``_MAX_TERMS`` terms run out
+    first, in this sum or in the derivative's, which the same pass sums.
+    The ratios of consecutive coefficients are computed one at a time as
+    the sums reach them.  Returns an mpmath number.
     """
-    return _caller_sums(q, z, target_tol, max_terms, False)
+    return _caller_sums(q, z, False)
 
 
-def phi11_derivative(q, z, target_tol=None, max_terms: int = _MAX_TERMS):
+def phi11_derivative(q, z):
     """Derivative in ``z`` of :func:`phi11` (termwise differentiation)."""
-    return _caller_sums(q, z, target_tol, max_terms, True)
+    return _caller_sums(q, z, True)
 
 
 def _series_at(params: FieldParams, dps: int) -> _QSeries:
@@ -540,9 +522,8 @@ def _float_seeds(params: FieldParams, n_max: int) -> tuple[list[float], int]:
     return eigs, L
 
 
-def _root_work(params: FieldParams, seeds: list[float],
-               target_tol: float) -> list[tuple[int, int]]:
-    """Working precision and series length ``(dps, terms)`` for the root at each seed.
+def _root_work(params: FieldParams, seeds: list[float], target_tol: float) -> list[int]:
+    """Working precision ``dps`` for the root at each seed.
 
     The terms ``|a_k z**k|`` of ``F`` at ``z = lambda_n`` peak at ``10**T``,
     estimated here in floats over the first ``_MAX_TERMS`` terms (``T`` is
@@ -550,15 +531,14 @@ def _root_work(params: FieldParams, seeds: list[float],
     where ``(q;q)_k`` is small).  A ``d``-digit evaluation has absolute error
     near ``10**(T-d)`` and the gate ``|F(lambda_n)| < target_tol`` is
     absolute, so root ``n`` runs at ``T`` digits plus the target's plus
-    ``_GUARD_DPS``.  Its evaluations end past the peak at the first term
-    below ``10**-(dps-5)`` (the tail rule of :func:`phi11` where ``|F| < 1``),
-    and ``terms`` adds ``_TERM_MARGIN`` coefficients to that.
+    ``_GUARD_DPS``.
 
     ``log10 |a_k z**k|`` is concave in ``k``: its second difference is
     ``log10 q + 2 log10((1 - q**k) / (1 - q**(k+1))) < 0``.  So once a term
-    past the running maximum falls below ``10**-(dps-5)``, with ``dps``
-    taken from that maximum, no later term can exceed it, and the scan ends
-    there with the peak and the cut-off of a scan over all ``_MAX_TERMS``.
+    past the running maximum falls below ``10**-(dps-5)`` (the tail rule of
+    :func:`phi11` where ``|F| < 1``), with ``dps`` taken from that maximum,
+    no later term can exceed it, and the scan ends there with the peak of a
+    scan over all ``_MAX_TERMS``.
     """
     q = params.q
     log_q, ln_q = math.log10(q), math.log(q)
@@ -568,7 +548,7 @@ def _root_work(params: FieldParams, seeds: list[float],
     work = []
     for z in seeds:
         log_z = math.log10(z)
-        top, dps, last = 0.0, target_digits + _GUARD_DPS, _MAX_TERMS  # the term k = 0 is 1
+        top, dps = 0.0, target_digits + _GUARD_DPS  # the term k = 0 is 1
         for k in range(1, _MAX_TERMS):
             if k == len(log_coeffs):
                 log_poch += math.log10(-math.expm1(k * ln_q))
@@ -578,9 +558,8 @@ def _root_work(params: FieldParams, seeds: list[float],
                 top = term
                 dps = math.ceil(top) + target_digits + _GUARD_DPS
             elif term < 5 - dps:
-                last = k
                 break
-        work.append((dps, last + 1 + _TERM_MARGIN))
+        work.append(dps)
     return work
 
 
@@ -733,9 +712,10 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10) -> Ro
     Precision.  Root ``n`` works at the digits of :func:`_root_work`: a
     float estimate of ``log10`` of the largest series term at the seed, plus
     the target's digits, plus ``_GUARD_DPS``.  One ratio table, at the
-    largest of these precisions and as long as the deepest root's series,
-    serves every root and every Newton level: a pass at fewer digits rounds
-    each ratio to its own width as it reads it.
+    largest of these precisions, serves every root and every Newton level:
+    a pass at fewer digits rounds each ratio to its own width as it reads
+    it, and a pass that reads past the table's end appends the next ratio
+    at the table's width.
 
     Certify.  Newton lifts the seed through the precision-doubling schedule
     of :func:`_newton_levels`: the lowest level iterates until its step is
@@ -774,10 +754,9 @@ def _root_table(params: FieldParams, n_max: int, target_tol: float) -> RootTable
             f"(params p={params.p}, e={params.e}, f={params.f})"
         )
     work = _root_work(params, seeds[: n_max + 1], target_tol)
-    series = _series_at(params, max(dps for dps, _ in work))
-    series._grow(max(terms for _, terms in work))  # the whole table at once
+    series = _series_at(params, max(work))
     rows = []
-    for n, (dps, _) in enumerate(work):
+    for n, dps in enumerate(work):
         guard = (separators[n], separators[n + 1])
         root, residual, bracket = _certify_root(series, n, seeds[n], dps, guard, target_tol)
         if not (guard[0] < bracket[0] and bracket[1] < guard[1]):

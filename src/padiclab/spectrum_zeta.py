@@ -61,6 +61,12 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# Most decimal digits of a multiplicity in a spectrum table.  CPython turns an
+# int into a string in time quadratic in its digits, so a table of
+# 900,000-digit multiplicities took minutes to print.
+MAX_MULTIPLICITY_DIGITS = 20_000
+
+
 class PoleError(ValueError):
     """The zeta factor was evaluated at (or numerically at) a pole."""
 
@@ -96,11 +102,11 @@ class SpectrumTable(NamedTuple):
 
         out: list[float] = []
         for row in self.rows:
-            out.extend([row.value] * row.multiplicity)
             if k is not None and len(out) >= k:
                 break
-        arr = np.array(out)
-        return arr if k is None else arr[:k]
+            count = row.multiplicity if k is None else min(row.multiplicity, k - len(out))
+            out.extend([row.value] * count)
+        return np.array(out)
 
 
 def full_spectrum(
@@ -112,7 +118,9 @@ def full_spectrum(
     """Analytic spectrum with multiplicities ``count_g(m)``.
 
     Raises :class:`ValueError` naming the first ``(m, n)`` whose value is not a
-    finite float, or, before any root is computed, an ``m`` past the float range.
+    finite float, or, before any root is computed, an ``m`` past the float
+    range or a multiplicity ``count_g(m_max)``, about ``p**(m_max f)``, of
+    over ``MAX_MULTIPLICITY_DIGITS`` digits, judged by its logarithm.
     """
     scales = []
     for m in range(m_max + 1):
@@ -120,6 +128,10 @@ def full_spectrum(
             scales.append(params.scale_float(2 * m))
         except OverflowError:
             raise ValueError(f"scale p**(2m/e) at m = {m} is not a finite float") from None
+    digits = m_max * params.f * math.log10(params.p)
+    if digits > MAX_MULTIPLICITY_DIGITS:
+        raise ValueError(f"multiplicity at m = {m_max} has about {math.ceil(digits)} digits, "
+                         f"over the limit of {MAX_MULTIPLICITY_DIGITS}")
     roots = find_roots(params, n_max, target_tol=target_tol)
     rows = []
     for m, scale in enumerate(scales):

@@ -37,6 +37,7 @@ it loads numpy, and no scipy.  Its public names, :class:`CheckResult`,
 from __future__ import annotations
 
 import argparse
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -472,20 +473,27 @@ def _validate_rows(args: argparse.Namespace, params: FieldParams) -> tuple[list[
 
 def _check_window_budget(args: argparse.Namespace, params: FieldParams) -> None:
     """Refuse, before any assembly, a window over ``MAX_WINDOW_VERTICES``,
-    and then a random test-function table over it.
+    a ``--k`` over the spectrum window's vertices, and then a random
+    test-function table over the limit.
 
-    The size is summed level by level over ``0..depth`` (``q_res**n``
-    vertices each).  The sum stops once it passes the square of the limit,
-    so any depth is refused within a few dozen levels; the refusal names the
-    size only when it was summed to the end.  The table of the library's
-    deeper random test function holds one value per vertex of its level,
-    ``q_res**RANDOM_TABLE_DEPTH``; every window passed, so ``q_res`` is
-    within the limit and the table's size is named.
+    Every window has a level of ``q_res = p**f`` vertices, so an ``f ln p``
+    over ``ln MAX_WINDOW_VERTICES`` refuses the first window before
+    ``p**f`` is formed.  Otherwise the size is summed level by level over
+    ``0..depth`` (``q_res**n`` vertices each).  The sum stops once it passes
+    the square of the limit, so any depth is refused within a few dozen
+    levels; the refusal names the size only when it was summed to the end.
+    The table of the library's deeper random test function holds one value
+    per vertex of its level, ``q_res**RANDOM_TABLE_DEPTH``; every window
+    passed, so ``q_res`` is within the limit and the table's size is named.
     """
-    q = params.q_res
     windows = [("spectrum", args.depth), ("seminorm", args.seminorm_depth)]
     if not args.no_drift:
         windows.insert(1, ("drift", args.depth + 2))
+    if params.f * math.log(params.p) > math.log(MAX_WINDOW_VERTICES):
+        name, depth = windows[0]
+        raise ValueError(f"{name} window of depth {depth} is over the limit of "
+                         f"{MAX_WINDOW_VERTICES} vertices")
+    q = params.q_res
     for name, depth in windows:
         size = level = 1
         for _ in range(depth):
@@ -499,6 +507,9 @@ def _check_window_budget(args: argparse.Namespace, params: FieldParams) -> None:
                 f"{name} window of depth {depth} has {size} vertices, "
                 f"over the limit of {MAX_WINDOW_VERTICES}"
             )
+        if name == "spectrum" and args.k > size:
+            raise ValueError(f"--k {args.k} is over the {size} eigenvalues of the "
+                             f"spectrum window of depth {depth}")
     table = q**RANDOM_TABLE_DEPTH
     if table > MAX_WINDOW_VERTICES:
         raise ValueError(

@@ -8,10 +8,11 @@ the tridiagonal ``LDL^T`` pivots in mpmath arithmetic, and
 accurate relative to itself whatever the grading.  :func:`dense_seeds` and
 :func:`dense_root_work` are the float ``eigvalsh`` seeds and the numpy term
 scan that ``find_roots`` used before its seeds became a float Sturm
-bisection.  :func:`float_seeds` is that float Sturm bisection as it was
-before the seeds became one bisection of the untruncated count: at an order
-doubled until no seed moves by more than ``_SEED_SETTLE``, every eigenvalue
-bisected again at every order.  :func:`two_pass_find_roots` runs
+bisection; the scan's series length ``terms`` sized the ratio table before
+the table grew one ratio at a time.  :func:`float_seeds` is that float
+Sturm bisection as it was before the seeds became one bisection of the
+untruncated count: at an order doubled until no seed moves by more than
+``_SEED_SETTLE``, every eigenvalue bisected again at every order.  :func:`two_pass_find_roots` runs
 ``find_roots`` on those seeds and certifies each enclosure by two
 value-only passes at its ends (:func:`sign_pass`), as before the
 certificate was read off the last Newton pass.  The tests hold the float
@@ -29,12 +30,15 @@ import numpy as np
 
 from padiclab import FieldParams, qspecial
 from padiclab.qspecial import (
-    _GUARD_DPS, _MAX_TERMS, _SEED_MAX_ORDER, _TERM_MARGIN, BracketError, Dyadic,
+    _GUARD_DPS, _MAX_TERMS, _SEED_MAX_ORDER, BracketError, Dyadic,
 )
 
 # The seeds of the doubled orders have settled once doubling the Jacobi
 # order moves none of them by more than this, relative.
 _SEED_SETTLE = 1e-12
+# Coefficients the old route's ratio table held beyond the float estimate
+# of the last term its full-precision evaluations reach.
+_TERM_MARGIN = 3
 
 
 def jacobi_D0(params: FieldParams, L: int) -> np.ndarray:

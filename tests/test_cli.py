@@ -311,6 +311,8 @@ class TestConfigErrors:
              "spectrum window of depth 1000000000 is over the limit of 2000000 vertices"),
             (["validate", *P211_ARGS, "--depth", "3", "--seminorm-depth", "1000000000"],
              "seminorm window of depth 1000000000 is over the limit of 2000000 vertices"),
+            (["validate", *P211_ARGS, "--depth", "3", "--k", "16"],
+             "--k 16 is over the 15 eigenvalues of the spectrum window of depth 3"),
             (["validate", "--p", "3", "--e", "3", "--f", "5", "--depth", "1",
               "--seminorm-depth", "1", "--no-drift"],
              "random test function of depth 4 has 3486784401 values, over the limit of 2000000"),
@@ -400,6 +402,55 @@ class TestConfigErrors:
         assert captured.err == "" and len(captured.out.splitlines()) == 42
         assert hashlib.sha256(captured.out.encode()).hexdigest() == (
             "485f39604e54eb5ccce5475a8e5a2b51a05e49dfe4d63d438e71ee06d1c57071")
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            # Primes past trial division's reach are tested in microseconds.
+            (["spectrum", "--p", "10000000000000061", "--e", "1", "--f", "1", "--n-max", "0",
+              "--m-max", "0"], EXIT_OK, None),
+            (["spectrum", "--p", "1000000000000000003", "--e", "1", "--f", "1", "--n-max", "0",
+              "--m-max", "0"], EXIT_OK, None),
+            (["zeta", "--p", "1000000000000000003", "--e", "1", "--f", "1"], EXIT_NUMERICAL,
+             "numerical failure: roots up to 24 need a Jacobi truncation of order 52, over the "
+             "limit of 8 (params p=1000000000000000003, e=1, f=1)"),
+            *[([command, "--p", "3317044064679887385961981", "--e", "1", "--f", "1"],
+               EXIT_CONFIG, "error: p must be below 3317044064679887385961981, "
+                            "got 3317044064679887385961981")
+              for command in ("spectrum", "zeta")],
+            # p**(2/e) rounds to 1.0, where the float model divides by zero.
+            *[([command, "--p", "2", "--e", "100000000000000000", "--f", "1"], EXIT_CONFIG,
+               "error: e must leave p**(2/e) above 1 in floats, got 100000000000000000")
+              for command in ("spectrum", "zeta", "validate")],
+            # p**f is never formed.
+            (["validate", "--p", "2", "--e", "1", "--f", "100000000000000000000", "--depth", "3",
+              "--seminorm-depth", "2"], EXIT_CONFIG,
+             "error: spectrum window of depth 3 is over the limit of 2000000 vertices"),
+            (["spectrum", "--p", "2", "--e", "1", "--f", "1000000"], EXIT_CONFIG,
+             "error: multiplicity at m = 3 has about 903090 digits, over the limit of 20000"),
+            # No list of a family's whole multiplicity.
+            (["validate", "--p", "7", "--e", "1", "--f", "1", "--depth", "7", "--k", "100000000",
+              "--no-drift", "--seminorm-depth", "1"], EXIT_CONFIG,
+             "error: --k 100000000 is over the 960800 eigenvalues of the spectrum window "
+             "of depth 7"),
+        ],
+    )
+    def test_out_of_model_requests_end_quickly(self, argv, code, message):
+        """Requests the float model cannot run, or that once ran for minutes
+        or out of memory, each end within the timeout, under a 3 GB address
+        space, with a documented exit code and at most one stderr line."""
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        env.pop("PADICLAB_OUTDIR", None)
+        proc = subprocess.run([sys.executable, "-m", "padiclab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=10,
+                              preexec_fn=limit_memory)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr == ("" if message is None else message + "\n")
 
     def test_numerical_failure_exits_2(self, capsys):
         """Roots past the Jacobi truncation cap are refused in one line, with no output."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from padiclab import Center, FieldParams, count_g, pi_power
+from padiclab import Center, FieldParams, count_g, field_model, pi_power
 
 P211 = FieldParams(2, 1, 1)
 P311 = FieldParams(3, 1, 1)
@@ -42,11 +42,35 @@ class TestFieldParams:
             ((1, 1, 1), "p must be prime, got 1"),
             ((2, 0, 1), "e must be a positive integer, got 0"),
             ((2, 1, -1), "f must be a positive integer, got -1"),
+            # A strong pseudoprime to every prime base up to 37.
+            ((318665857834031151167461, 1, 1), "p must be prime, got 318665857834031151167461"),
+            # The least strong pseudoprime to every prime base up to 41.
+            ((3317044064679887385961981, 1, 1),
+             "p must be below 3317044064679887385961981, got 3317044064679887385961981"),
+            ((2, 10**17, 1), "e must leave p[*][*][(]2/e[)] above 1 in floats, got 10{17}"),
+            ((2, 10**400, 1), "e must leave p[*][*][(]2/e[)] above 1 in floats, got 10{400}"),
         ],
     )
     def test_validation_messages(self, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             FieldParams(*args)
+
+    def test_primality_matches_trial_division(self):
+        sieve = [True] * 100_000
+        sieve[0] = sieve[1] = False
+        for n in range(2, 317):
+            if sieve[n]:
+                sieve[n * n::n] = [False] * len(range(n * n, 100_000, n))
+        assert [field_model._is_prime(n) for n in range(100_000)] == sieve
+        for p in (10000000000000061, 1000000000000000003, 2**31 - 1, 2**61 - 1):
+            assert FieldParams(p, 1, 1).p == p
+        assert not field_model._is_prime(3215031751)  # strong pseudoprime to 2, 3, 5, 7
+        assert not field_model._is_prime((2**61 - 1) * (2**31 - 1))
+
+    def test_largest_e_with_a_float_model(self):
+        """At e = 10**16, ``2**(2/e)`` still rounds above 1."""
+        params = FieldParams(2, 10**16, 1)
+        assert params.q < 1.0 < params.Q
 
     def test_value_semantics(self):
         """Equal fields give equal, equally hashed values (the root cache keys

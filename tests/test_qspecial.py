@@ -30,8 +30,8 @@ from padiclab import (
 from padiclab import qspecial
 from padiclab.qspecial import Dyadic
 from sturm_oracle import (
-    _SEED_SETTLE, dense_root_work, dense_seeds, float_seeds, jacobi_D0, jacobi_lowest_eigs,
-    sturm_counter, two_pass_find_roots,
+    _SEED_SETTLE, _TERM_MARGIN, dense_root_work, dense_seeds, float_seeds, jacobi_D0,
+    jacobi_lowest_eigs, sturm_counter, two_pass_find_roots,
 )
 
 P211 = FieldParams(2, 1, 1)
@@ -197,8 +197,16 @@ class TestPhi11:
             phi11(0.0, 0.3)
 
     def test_series_error_on_term_budget(self):
+        """At q = 0.999 and z = 10, ``|r_k z|`` is still about 1.8 at
+        ``k = _MAX_TERMS``: the terms are still rising when the budget runs
+        out, and the table stops at the budget's last ratio."""
+        with pytest.raises(SeriesError, match=r"^series did not meet tail tolerance 1e-10 "
+                                              r"within 2000 terms$"):
+            phi11(0.999, 10.0)
+        series = qspecial._QSeries((qspecial._fixed(0.999, 60), 60), 15)
         with pytest.raises(SeriesError):
-            phi11(0.25, 50.0, max_terms=3)
+            series.sums(qspecial._fixed(10.0, series.scale), 15)
+        assert len(series._ratios) == qspecial._MAX_TERMS
 
     def test_derivative_matches_finite_difference(self):
         q, z = 0.25, 0.7
@@ -250,8 +258,8 @@ class TestFixedPointMatchesReference:
         roots = find_roots(params, n_max).roots
         seeds, _ = qspecial._float_seeds(params, n_max)
         work = qspecial._root_work(params, seeds[: n_max + 1], 1e-10)
-        table = qspecial._series_at(params, max(dps for dps, _ in work))
-        for n, (dps, _) in enumerate(work):
+        table = qspecial._series_at(params, max(work))
+        for n, dps in enumerate(work):
             for level in qspecial._newton_levels(dps):
                 reference = _LibmpSeries(_table_base(table), level)
                 bound = mp.mpf(10) ** (-(level - 1))
@@ -277,9 +285,9 @@ class TestFixedPointMatchesReference:
         table = find_roots(params, n_max)
         seeds, _ = qspecial._float_seeds(params, n_max)
         work = qspecial._root_work(params, seeds[: n_max + 1], 1e-10)
-        wide = qspecial._series_at(params, max(dps for dps, _ in work))
+        wide = qspecial._series_at(params, max(work))
         gap = qspecial._ENCLOSURE_DPS
-        for root, (dps, _) in zip(table.roots, work):
+        for root, dps in zip(table.roots, work):
             scale = qspecial._scale(dps)
             reference = _LibmpSeries(_table_base(wide), dps + 40)
             at_root = root.man << (scale + root.exp)
@@ -445,48 +453,67 @@ class TestCertificationWork:
     def test_full_precision_passes_and_one_table(self, monkeypatch):
         """Roots 0..20 of (3,1,1) from a cold cache: at most 2 series passes
         per root at the root's own precision, on average, and one ratio
-        table extended once, to about the deepest root's series length."""
-        sums, ratio_table, certify = (qspecial._QSeries.sums, qspecial._ratio_table,
-                                      qspecial._certify_root)
+        table, each of its ratios computed once, that ends exactly as long
+        as the longest pass read."""
+        sums, extend, series_at, certify = (qspecial._QSeries.sums, qspecial._QSeries._extend,
+                                            qspecial._series_at, qspecial._certify_root)
         root_dps = [None]
-        counts = {"full": 0, "extend": 0, "terms": 0}
+        tables = []
+        counts = {"full": 0, "extend": 0, "read": 0}
+
+        class ReadCounter(list):
+            def __getitem__(self, index):
+                counts["read"] = max(counts["read"], index + 1)
+                return super().__getitem__(index)
+
+        def counting_series_at(params, dps):
+            table = series_at(params, dps)
+            table._ratios = ReadCounter()
+            tables.append(table)
+            return table
 
         def counting_certify(table, n, seed, dps, *rest):
             root_dps[0] = dps
             return certify(table, n, seed, dps, *rest)
 
-        def counting_sums(self, z, dps, *args, **kwargs):
-            result = sums(self, z, dps, *args, **kwargs)
+        def counting_sums(self, z, dps):
+            result = sums(self, z, dps)
             if dps == root_dps[0]:
                 counts["full"] += 1
-                counts["terms"] = max(counts["terms"], result[2])
             return result
 
-        def counting_ratio_table(q, width, start, stop):
-            counts["extend"] += stop - start
-            return ratio_table(q, width, start, stop)
+        def counting_extend(self):
+            counts["extend"] += 1
+            extend(self)
 
+        monkeypatch.setattr(qspecial, "_series_at", counting_series_at)
         monkeypatch.setattr(qspecial, "_certify_root", counting_certify)
         monkeypatch.setattr(qspecial._QSeries, "sums", counting_sums)
-        monkeypatch.setattr(qspecial, "_ratio_table", counting_ratio_table)
+        monkeypatch.setattr(qspecial._QSeries, "_extend", counting_extend)
         table = find_roots(P311, 20)
         assert counts["full"] / len(table.roots) <= 2.0
-        assert counts["extend"] <= counts["terms"] + 5
+        assert len(tables) == 1
+        assert len(tables[0]._ratios) == counts["read"] == counts["extend"]
 
-    def test_lower_pass_extends_the_table_at_its_width(self):
-        """A pass at fewer digits than the table that reaches past the
-        table's end extends the table at the table's own width: its ratios
-        then equal those of a table built in one go, and so does the pass."""
-        dps = 60
-        z = qspecial._fixed(float(find_roots(P311, 8).roots[8]), qspecial._scale(dps))
+    def test_passes_at_several_precisions_build_the_full_precision_table(self):
+        """Passes at 40, 60 and 100 digits, each reading past the end of the
+        table the pass before left, extend it at the table's own width: with
+        a last pass at full precision, its ratios equal those of a table
+        extended by that full-precision pass alone, and every pass equals
+        the same pass on that table."""
+        roots = find_roots(P311, 8).roots
+        passes = [(dps, qspecial._fixed(float(roots[n]), qspecial._scale(dps)))
+                  for dps, n in ((40, 2), (60, 5), (100, 8), (400, 8))]
         table = qspecial._series_at(P311, 400)
-        table._grow(3)
-        got = table.sums(z, dps)
-        assert got[2] > 3  # the pass read past the 2 ratios the table held
+        got, lengths = [], []
+        for dps, z in passes:
+            got.append(table.sums(z, dps))
+            lengths.append(len(table._ratios))
+        assert lengths == sorted(set(lengths))  # every pass read past the table's end
         whole = qspecial._series_at(P311, 400)
-        whole._grow(len(table._ratios) + 1)
-        assert table._ratios == whole._ratios
-        assert whole.sums(z, dps) == got
+        assert whole.sums(*passes[-1][::-1]) == got[-1]
+        assert whole._ratios == table._ratios
+        assert [whole.sums(z, dps) for dps, z in passes] == got
 
 
 class TestEnclosureCertificate:
@@ -600,10 +627,15 @@ class TestParameterGrid:
         assert np.max(np.abs(seeds - got) / got) <= 4e-15
 
 
+def _dense_precisions(params: FieldParams, seeds) -> list[int]:
+    """The working precisions of :func:`sturm_oracle.dense_root_work` at ``1e-10``."""
+    return [dps for dps, _ in dense_root_work(params, seeds, 1e-10)]
+
+
 class TestSeedsMatchDenseOracle:
     """The float Sturm bisection against the dense ``eigvalsh`` seeds it
     replaced (:func:`sturm_oracle.dense_seeds`): seeds within
-    ``_SEED_SETTLE``, the same ``(dps, terms)`` and the same float roots, or
+    ``_SEED_SETTLE``, the same working precisions and the same float roots, or
     the same refusal."""
 
     @pytest.mark.parametrize("params", GRID, ids=str)
@@ -613,7 +645,7 @@ class TestSeedsMatchDenseOracle:
         dense, _ = dense_seeds(params, n_max)
         assert all(abs(a - b) <= _SEED_SETTLE * b for a, b in zip(seeds, dense))
         work = qspecial._root_work(params, seeds[: n_max + 1], 1e-10)
-        assert work == dense_root_work(params, dense[: n_max + 1], 1e-10)
+        assert work == _dense_precisions(params, dense[: n_max + 1])
         got = find_roots(params, n_max)
         with mock.patch.object(qspecial, "_float_seeds", dense_seeds), \
                 mock.patch.object(qspecial, "_root_table", qspecial._root_table.__wrapped__):
@@ -645,18 +677,18 @@ class TestSeedsMatchDenseOracle:
             want = np.linalg.eigvalsh(jacobi_D0(params, cap))[: n_max + 2]
         assert all(abs(a - b) <= _SEED_SETTLE * b for a, b in zip(seeds, want))
         assert (qspecial._root_work(params, seeds[: n_max + 1], 1e-10)
-                == dense_root_work(params, want[: n_max + 1], 1e-10))
+                == _dense_precisions(params, want[: n_max + 1]))
 
     def test_root_work_scan_matches_full_scan_near_the_budget(self):
         """Seeds whose terms peak early, late, or never fall below the
-        cut-off within ``_MAX_TERMS``: the early-ending scan agrees with the
-        full one."""
+        cut-off within ``_MAX_TERMS``: the early-ending scan finds the
+        precisions of the full one."""
         params = FieldParams(2, 8, 1)
         seeds = [0.5, 1e3, 1e15, 1e60, 1e75, 1e200]
-        work = qspecial._root_work(params, seeds, 1e-10)
-        assert work == dense_root_work(params, seeds, 1e-10)
-        budget = qspecial._MAX_TERMS + 1 + qspecial._TERM_MARGIN
-        assert [terms for _, terms in work][-2:] == [budget, budget]
+        dense = dense_root_work(params, seeds, 1e-10)
+        assert qspecial._root_work(params, seeds, 1e-10) == [dps for dps, _ in dense]
+        budget = qspecial._MAX_TERMS + 1 + _TERM_MARGIN
+        assert [terms for _, terms in dense][-2:] == [budget, budget]
 
 
 # The benchmark's roots-deep entries (p, e, f, N): roots 0..N, up to 334 digits.

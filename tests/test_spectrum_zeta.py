@@ -86,6 +86,28 @@ class TestFullSpectrum:
         with pytest.raises(AttributeError):
             table.rows = ()
 
+    def test_expanded_cut_inside_a_huge_multiplicity(self):
+        """A row whose multiplicity is far past ``k`` adds only the copies
+        ``k`` still needs: a multiplicity of 10**18 is never listed."""
+        rows = (SpectrumRow(0, 0, 0.5, 0.5, 1), SpectrumRow(1, 0, 0.5, 2.0, 10**18))
+        assert SpectrumTable(P211, rows).values_expanded(4).tolist() == [0.5, 2.0, 2.0, 2.0]
+
+    def test_multiplicity_digits_refused_before_roots(self, monkeypatch):
+        """``count_g(3)`` at (2,1,1000000) would have 903,090 digits; at
+        f = 10**20 forming it would not end.  Both are refused from the
+        logarithm, before any root; 18,062 digits at f = 20000 are not."""
+        def no_roots(*args, **kwargs):
+            raise AssertionError("roots computed")
+
+        monkeypatch.setattr(spectrum_zeta, "find_roots", no_roots)
+        with pytest.raises(ValueError, match=(r"^multiplicity at m = 3 has about 903090 digits, "
+                                              r"over the limit of 20000$")):
+            full_spectrum(FieldParams(2, 1, 10**6), 3, 5)
+        with pytest.raises(ValueError, match=r"^multiplicity at m = 3 has about 9\d{19} digits"):
+            full_spectrum(FieldParams(2, 1, 10**20), 3, 5)
+        with pytest.raises(AssertionError, match="roots computed"):
+            full_spectrum(FieldParams(2, 1, 20000), 3, 5)
+
     def test_scale_overflow_refused_before_roots(self, monkeypatch):
         def no_roots(*args, **kwargs):
             raise AssertionError("roots computed")
