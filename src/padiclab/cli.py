@@ -38,9 +38,7 @@ low); 3 validation failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import sys
@@ -53,7 +51,8 @@ from .spectrum_zeta import CutoffError, PoleError, full_spectrum, zeta_DR
 
 # The validation module, and through it numpy and the tree, operators and
 # seminorms modules, is imported by ``validate`` alone, when it runs:
-# spectrum and zeta never load it.
+# spectrum and zeta never load it.  ``json`` and ``csv`` are imported by the
+# output format that uses them.
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -158,8 +157,12 @@ def _emit(
         "meta": {"version": __version__, "seed": args.seed, "tolerances": tolerances},
     }
     if args.format == "json":
+        import json
+
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)

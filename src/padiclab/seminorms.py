@@ -30,6 +30,7 @@ agreement is part of the validation surface.
 from __future__ import annotations
 
 import math
+import random
 from typing import NamedTuple
 
 import numpy as np
@@ -258,8 +259,12 @@ def _make_ball_indicator(
 def _make_random_locally_constant(
     params: FieldParams, depth: int, seed: int
 ) -> TestFunction:
-    rng = np.random.default_rng(seed)
-    table = rng.uniform(0.0, 1.0, size=params.q_res**depth)
+    """Uniform values on the ``q_res**depth`` balls of radius ``p**(-depth/e)``:
+    the first ``q_res**depth`` draws of ``random.Random(seed).random()``, a
+    stream Python keeps fixed across versions for a given seed."""
+    draw = random.Random(seed).random
+    size = params.q_res**depth
+    table = np.fromiter((draw() for _ in range(size)), dtype=float, count=size)
 
     def ev(start: int, width: int, ranks: np.ndarray) -> np.ndarray:
         return table[_prefix(params.q_res, width, ranks, depth)]
@@ -280,7 +285,9 @@ def testfn_library(params: FieldParams) -> list[TestFunction]:
     """Standard library of at least ten test functions.
 
     Constants, the norm function, shifted norms, ball indicators at depths
-    1..3, seeded random locally constant functions, and decaying functions
+    1..3, seeded random locally constant functions (depth 3, seed 7 and
+    depth ``RANDOM_TABLE_DEPTH``, seed 11; each table is the prefix of the
+    ``random.Random(seed).random()`` stream), and decaying functions
     ``1/(1 + |x|**alpha)`` for ``alpha in {2, ef}`` intended for enlarged
     windows (``alpha`` must exceed ``max(1, ef/2)`` to be admissible there —
     the ``alpha = ef`` entry fails that exactly when ``ef = 1``).

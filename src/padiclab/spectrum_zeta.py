@@ -304,6 +304,32 @@ def _lattice_sum(roots, s: complex) -> complex | None:
         return complex(math.inf, 0.0)
 
 
+def _kappa(q: float, n_roots: int) -> float:
+    """Lower-bracket factor ``1 - q**n/(1 - q**n)`` of the zeta tail bound."""
+    return 1.0 - q**n_roots / (1.0 - q**n_roots)
+
+
+def _fewest_roots(q: float) -> int:
+    """The smallest ``n_roots`` whose :func:`_kappa` is positive in floats.
+
+    ``q**n`` falls with ``n``, so the float test is monotone: doubling finds
+    a positive count and bisection the first one, in about ``2 log2 n``
+    tests (4 at (2,8,1), 101 at (2,200,1), 6243314768165360 at
+    ``q = 1 - 2**-53``).
+    """
+    hi = 1
+    while _kappa(q, hi) <= 0:
+        hi *= 2
+    lo = hi // 2  # 0, or a count that failed
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _kappa(q, mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def zeta_D0(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:
     """Base zeta ``sum_n lambda_n**(-s)`` truncated at ``n_roots`` roots.
 
@@ -312,7 +338,8 @@ def zeta_D0(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:
     domination; ``n_roots`` must be large enough for the bracket to be
     positive, that is ``q**n_roots < 1/2``.  Two roots suffice while
     ``q**2 < 1/2``; at (2,8,1), ``q`` about 0.84, it takes four, and a
-    smaller ``n_roots`` raises :class:`ValueError`, and so does an ``s``
+    smaller ``n_roots`` raises :class:`ValueError` naming the smallest
+    count that passes (:func:`_fewest_roots`), and so does an ``s``
     at which the value or the tail bound is not a finite float (for
     example ``s = 2000`` at (2,1,1), where ``lambda_0**-s`` overflows, or
     ``s = 1e-17``, where ``q**s`` rounds to 1 and the tail bound divides by 0).
@@ -330,10 +357,11 @@ def zeta_D0(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:
     if n_roots < 1:
         raise ValueError("need at least one root")
     q = params.q
-    kappa = 1.0 - q**n_roots / (1.0 - q**n_roots)
+    kappa = _kappa(q, n_roots)
     if kappa <= 0:
         raise ValueError(
-            f"tail bound degenerate at n_roots={n_roots}; use more roots"
+            f"tail bound degenerate at n_roots={n_roots}; "
+            f"use at least {_fewest_roots(q)} roots"
         )
     roots = find_roots(params, n_roots - 1).roots
     value = _lattice_sum(roots, s)

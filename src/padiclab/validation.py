@@ -16,7 +16,8 @@ against the honestly assembled window matrix:
   root a six-depth chain without assembling those windows; the chain is
   extrapolated in the known boundary-error ratio ``q = p**(-2/e)``
   (Richardson stages ``[q, q^2, q^2, q^3, ...]`` — the error expansion
-  carries a secular ``d * q**(2d)`` term);
+  carries a secular ``d * q**(2d)`` term); the depth ``N + 2`` drift window
+  is solved only for those six tail lengths;
 * the refined families are compared, as multisets with multiplicities,
   against the analytic table.
 
@@ -37,6 +38,7 @@ it loads numpy, and no scipy.  Its public names, :class:`CheckResult`,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 from typing import NamedTuple
 
@@ -58,6 +60,9 @@ from . import operators, spectrum_zeta
 # vertex: 1,048,575 vertices at 142 MB for (2,2,1), 797,161 at 132 MB for
 # (3,1,1), 960,800 at 246 MB for (7,1,1), peak RSS of the whole process.
 MAX_WINDOW_VERTICES = 2_000_000
+
+# Tail lengths m = 0..5 whose blocks make the depth chain of a refined root.
+_CHAIN_TAILS = 6
 
 
 def _richardson_confluent(chain_vals: list[float], q: float) -> float:
@@ -86,9 +91,13 @@ class _HaarBlocks(NamedTuple):
     the geometric mean of the two diagonal entries it couples; ``copies[m]``
     counts the copies within 1e-7, ``scaling_dev`` is the largest deviation.
     ``residual``: the largest ``||A V_m - V_m blockdiag||_F / ||A V_m||_F``.
+    A partial solve covers only the tail lengths it solved: ``spectra`` and
+    ``copies`` stop there, and ``residual`` and ``scaling_dev`` are taken
+    over those lengths alone.
     """
 
     params: FieldParams
+    depth: int
     spectra: tuple[np.ndarray, ...]
     copies: tuple[int, ...]
     residual: float
@@ -102,10 +111,10 @@ class _HaarBlocks(NamedTuple):
         ``m = min(5, N-1, N-n) .. 0``, unscaled, is the shallow-to-deep depth
         chain of eigenvalue ``n``.
         """
-        N = len(self.spectra) - 1
+        N = self.depth
         chain = [
             self.spectra[m][n] / self.params.scale_float(2 * m)
-            for m in range(min(5, N - 1, N - n), -1, -1)
+            for m in range(min(_CHAIN_TAILS - 1, N - 1, N - n), -1, -1)
         ]
         return _richardson_confluent(chain, self.params.q)
 
@@ -202,16 +211,19 @@ def _copy_blocks(window: TreeWindow):
         yield blocks.reshape(-1, L, L), float(np.sqrt(sq[1] / sq[0]))
 
 
-def _haar_blocks(params: FieldParams, depth: int) -> _HaarBlocks:
+def _haar_blocks(params: FieldParams, depth: int, tails: int | None = None) -> _HaarBlocks:
     """Solve the depth-``depth`` window square block by block in its Haar basis.
 
     Blocks and residuals come from :func:`_copy_blocks` (no sparse product, no
     scipy); every copy is measured, and one ``eigvalsh`` per ``m`` solves copy 0.
+    ``tails`` stops the solve after the tail lengths ``m < tails``, a partial
+    solve that covers only those lengths; by default every length is solved.
     """
     spectra: list[np.ndarray] = []
     copies = []
     residual = scaling_dev = 0.0
-    for m, (blocks, res) in enumerate(_copy_blocks(tree_window_r(params, depth))):
+    solved = itertools.islice(_copy_blocks(tree_window_r(params, depth)), tails)
+    for m, (blocks, res) in enumerate(solved):
         residual = max(residual, res)
         if m == 0:
             radial = blocks[0]
@@ -222,7 +234,7 @@ def _haar_blocks(params: FieldParams, depth: int) -> _HaarBlocks:
         scaling_dev = max(scaling_dev, float(dev.max()))
         copies.append(int(np.sum(dev <= 1e-7)))
         spectra.append(np.linalg.eigvalsh(blocks[0]))
-    return _HaarBlocks(params, tuple(spectra), tuple(copies), residual, scaling_dev)
+    return _HaarBlocks(params, depth, tuple(spectra), tuple(copies), residual, scaling_dev)
 
 
 class CheckResult(NamedTuple):
@@ -282,7 +294,8 @@ def validate_spectrum(
     eigenvalue match, and the reliability cutoff ``p**(2(N-2)/e)`` (raising
     :class:`CutoffError` if the requested ``k`` reaches past it).
     ``with_drift`` takes the same route on the depth ``N + 2`` window for the
-    drift figures.  A failed eigenvalue match then names its likely cause:
+    drift figures, solving only the tail lengths ``m <= 5`` that its refined
+    lowest root reads.  A failed eigenvalue match then names its likely cause:
     a ``drift_refined`` at or above ``tol`` says that the window is too
     shallow for the extrapolation to reach ``tol``.
     """
@@ -335,7 +348,7 @@ def validate_spectrum(
 
     drift_refined = drift_raw = None
     if with_drift:
-        deeper = _haar_blocks(params, N + 2)
+        deeper = _haar_blocks(params, N + 2, tails=_CHAIN_TAILS)
         lam0_here = blocks.refined(0)
         drift_refined = abs(deeper.refined(0) - lam0_here) / lam0_here
         # The lowest eigenvalue of a window is the radial block's: block m >= 1
@@ -385,7 +398,7 @@ def validate_spectrum(
         params=params,
         depth=N,
         k=k,
-        depths_used=tuple(range(N - min(5, N - 1), N + 1)),
+        depths_used=tuple(range(N - min(_CHAIN_TAILS - 1, N - 1), N + 1)),
         checks=checks,
         matrix_values=tuple(float(v) for v in matrix_values),
         analytic_values=tuple(float(v) for v in analytic_values),

@@ -380,6 +380,20 @@ class TestConfigErrors:
         assert captured.out == ""
         assert captured.err == "error: need at least one root\n"
 
+    @pytest.mark.parametrize("e, n_roots, fewest", [
+        ("8", "3", 4), ("200", "25", 101), ("10000000000000000", "25", 6243314768165360),
+        ("10000000000000000", "400", 6243314768165360)])
+    def test_zeta_names_the_fewest_roots(self, e, n_roots, fewest, capsys):
+        """Too few roots for a positive tail-bound bracket: the one line names
+        the smallest count that passes the same float test, however far off
+        (``q = 1 - 2**-53`` at ``e = 10**16``)."""
+        argv = ["zeta", "--p", "2", "--e", e, "--f", "1", "--n-roots", n_roots]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: tail bound degenerate at n_roots={n_roots}; "
+                                f"use at least {fewest} roots\n")
+
     def test_unsettled_seeds_exit_2(self, capsys):
         """A seed whose Sturm count runs through every row up to the cap is
         refused in one line: at q = 2**(-1/25) ~ 0.973 the pivots linger by
@@ -657,6 +671,13 @@ class TestImportBoundary:
     def test_validate_loads_no_scipy(self, tmp_path):
         """The Haar blocks and commutator norms are read off numpy arrays."""
         assert self._loaded(tmp_path, self.VALIDATE)["scipy"] == []
+
+    def test_validate_loads_no_numpy_random(self, tmp_path):
+        """The random test functions draw their tables from the standard
+        library's ``random.Random``."""
+        loaded = self._loaded(tmp_path, self.VALIDATE)["numpy"]
+        assert "numpy" in loaded
+        assert [m for m in loaded if m.split(".")[:2] == ["numpy", "random"]] == []
 
     def test_validate_loads_every_module(self, tmp_path):
         loaded = self._loaded(tmp_path, self.VALIDATE)["padiclab"]

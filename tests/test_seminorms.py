@@ -1,6 +1,7 @@
 """Lipschitz seminorm, spectral seminorm formula, and the comparison sandwich."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -57,7 +58,8 @@ def _ball_indicator(prefix):
 
 
 def _random_locally_constant(params, depth, seed):
-    table = np.random.default_rng(seed).uniform(0.0, 1.0, size=params.q_res**depth)
+    draw = random.Random(seed).random
+    table = [draw() for _ in range(params.q_res**depth)]
 
     def ev(x):
         rank = 0
@@ -326,6 +328,17 @@ class TestLibrary:
         decays = {t.name: t.decay_alpha for t in lib if t.decay_alpha is not None}
         assert decays["decay-quadratic"] == 2.0
         assert decays["decay-ef"] == float(params.e * params.f)
+
+    @pytest.mark.parametrize("params", GRID)
+    def test_random_tables_are_prefixes_of_the_seeded_stream(self, params):
+        """Each random table is the first ``q_res**depth`` values of
+        ``random.Random(seed).random()``, a stream fixed across Python versions."""
+        lib = _lib(params)
+        for depth, seed in [(3, 7), (4, 11)]:
+            size = params.q_res**depth
+            got = lib[f"rand-depth{depth}-seed{seed}"].evaluator(0, depth, np.arange(size))
+            draw = random.Random(seed).random
+            assert got.tolist() == [draw() for _ in range(size)]
 
     def test_deterministic_random_entries(self):
         a = _lib(P211)["rand-depth3-seed7"]

@@ -236,6 +236,16 @@ SUITE_WINDOWS = [
 ]
 
 
+def _depths_in_budget(params):
+    """Window depths from 3 to the deepest within ``MAX_WINDOW_VERTICES``."""
+    depth, size, level = 0, 1, 1
+    while size + level * params.q_res <= validation.MAX_WINDOW_VERTICES:
+        level *= params.q_res
+        size += level
+        depth += 1
+    return range(3, depth + 1)
+
+
 class TestHaarBlocks:
     @pytest.mark.parametrize(
         "params,N",
@@ -271,6 +281,35 @@ class TestHaarBlocks:
         windows grow: sums over contiguous subtree axes, not long sparse products."""
         blocks = validation._haar_blocks(params, N)
         assert max(blocks.residual, blocks.scaling_dev) <= 1e-14
+
+    @pytest.mark.parametrize("params,depth", [
+        pytest.param(params, depth, id=f"{params.p},{params.e},{params.f}-depth{depth}")
+        for params in (P211, P221, P311, P212, P511) for depth in _depths_in_budget(params)])
+    def test_partial_solve_gives_the_drift_figures_bit_for_bit(self, params, depth):
+        """The drift window solves only the tail lengths its refined lowest
+        root reads; ``refined(0)`` and the lowest eigenvalue are those of the
+        full solve, bit for bit."""
+        full = validation._haar_blocks(params, depth)
+        part = validation._haar_blocks(params, depth, tails=validation._CHAIN_TAILS)
+        assert len(part.spectra) == len(part.copies) == min(validation._CHAIN_TAILS, depth + 1)
+        assert part.refined(0) == full.refined(0)
+        assert part.spectra[0][0] == full.spectra[0][0]
+
+    def test_drift_window_solved_only_where_read(self, monkeypatch):
+        """``validate_spectrum`` solves the depth-``N`` window in full and the
+        depth ``N + 2`` one up to the refinement chain; the drift figure is
+        the one a full solve of the deeper window gives."""
+        solve, calls = validation._haar_blocks, []
+
+        def spy(params, depth, tails=None):
+            calls.append((depth, tails))
+            return solve(params, depth, tails)
+
+        monkeypatch.setattr(validation, "_haar_blocks", spy)
+        rep = validate_spectrum(P211, 8)
+        assert calls == [(8, None), (10, validation._CHAIN_TAILS)]
+        here = solve(P211, 8).refined(0)
+        assert rep.drift_refined == abs(solve(P211, 10).refined(0) - here) / here
 
     @pytest.mark.parametrize("params", [P211, P311, P221, P212, P511, P321])
     @pytest.mark.parametrize("N", range(4, 9))
