@@ -249,29 +249,19 @@ def _cmd_zeta(args: argparse.Namespace, params: FieldParams) -> int:
         s = args.s_min + i * args.s_step
         try:
             z = zeta_DR(params, s, n_roots=args.n_roots)
-            results.append(
-                {
-                    "re_s": float(s),
-                    "im_s": 0.0,
-                    "re_zeta": z.value.real,
-                    "im_zeta": z.value.imag,
-                    "tail_bound": z.tail_bound,
-                    "n_roots_used": z.n_roots_used,
-                    "pole": False,
-                }
-            )
         except PoleError:
-            results.append(
-                {
-                    "re_s": float(s),
-                    "im_s": 0.0,
-                    "re_zeta": None,
-                    "im_zeta": None,
-                    "tail_bound": None,
-                    "n_roots_used": args.n_roots,
-                    "pole": True,
-                }
-            )
+            z = None
+        results.append(
+            {
+                "re_s": float(s),
+                "im_s": 0.0,
+                "re_zeta": None if z is None else z.value.real,
+                "im_zeta": None if z is None else z.value.imag,
+                "tail_bound": None if z is None else z.tail_bound,
+                "n_roots_used": args.n_roots,
+                "pole": z is None,
+            }
+        )
     _emit(
         args,
         "zeta",

@@ -24,9 +24,9 @@ from typing import TYPE_CHECKING, NamedTuple
 from .field_model import FieldParams, count_g
 from .qspecial import find_roots
 
-# numpy is imported inside values_expanded and schatten_partial, the only
-# functions here that use it: spectrum and zeta never load it.  mpmath is
-# imported by zeta_D0 alone, for an s off the half-integer lattice.
+# numpy is imported inside values_expanded, the only function here that
+# uses it: spectrum and zeta never load it.  mpmath is imported by the root
+# sum alone, for an s off the half-integer lattice.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -186,14 +186,10 @@ def schatten_partial(params: FieldParams, s: float, m_max: int, n_max: int) -> f
     ``s`` must be positive; the m-sum diverges (term-wise constant or
     growing) for ``s <= ef/2``, which :func:`schatten_m_factor` exposes.
     """
-    import numpy as np
-
     if s <= 0:
         raise ValueError("s must be positive")
-    roots = find_roots(params, n_max)
     factor = schatten_m_factor(params, s, m_max=m_max)
-    lam = roots.values_float()
-    return float(factor * np.sum(lam ** (-s)))
+    return factor * _root_sum(find_roots(params, n_max).roots, complex(s)).real
 
 
 # ---------------------------------------------------------------------------
@@ -210,98 +206,84 @@ class ZetaValue(NamedTuple):
     tail_bound: float
 
 
-def _rounded(man: int, exp: int, prec: int, down: bool = False) -> tuple[int, int]:
-    """``man * 2**exp`` (``man > 0``) rounded to ``prec`` bits as mpmath's
-    ``normalize`` rounds: to nearest with ties to even, or down with ``down``.
-    The mantissa comes back odd."""
-    drop = man.bit_length() - prec
-    if drop > 0:
-        half = 1 << (drop - 1)
-        rest = man & ((half << 1) - 1)
-        man >>= drop
-        exp += drop
-        if not down and (rest > half or (rest == half and man & 1)):
-            man += 1
-    zeros = (man & -man).bit_length() - 1
-    return man >> zeros, exp + zeros
+def _power(man: int, j: int, prec: int) -> tuple[int, int]:
+    """``(a, alpha)``, ``man**j (1 - j 2**(2-prec)) <= a 2**alpha <= man**j``:
+    binary powering, each factor and product cut to ``prec`` bits (a cut
+    loses under ``2**(1-prec)``, and the cuts weigh ``2j`` in all)."""
+    a, alpha, b_exp = 1, 0, 0
+    while True:
+        cut = max(man.bit_length() - prec, 0)
+        man, b_exp = man >> cut, b_exp + cut
+        if j & 1:
+            a, alpha = a * man, alpha + b_exp
+            cut = max(a.bit_length() - prec, 0)
+            a, alpha = a >> cut, alpha + cut
+        j >>= 1
+        if not j:
+            return a, alpha
+        man, b_exp = man * man, 2 * b_exp
 
 
-def _inverse_power(man: int, exp: int, n: int) -> tuple[int, int]:
-    """``x**-n`` for ``x = man * 2**exp`` (``man`` odd) and ``n >= 1``, as
-    mpmath's ``mpf_pow_int(x, -n, 53)``: ``x**n`` at 58 bits (exact, then
-    rounded, for a short product; else binary powering truncated at
-    ``58 + 4*bitcount(n) + 4`` bits), then ``1/x**n`` rounded at 53 bits."""
-    if n > 1:
-        if n == 2 or man.bit_length() * n < 1000:
-            man, exp = _rounded(man**n, exp * n, 58)
-        else:
-            work = 58 + 4 * n.bit_length() + 4
-            pm, pe = 1, 0
-            while True:
-                if n & 1:
-                    pm, pe = pm * man, pe + exp
-                    cut = max(pm.bit_length() - work, 0)
-                    pm, pe = pm >> cut, pe + cut
-                    n -= 1
-                    if not n:
-                        break
-                man, exp = man * man, exp + exp
-                cut = max(man.bit_length() - work, 0)
-                man, exp = man >> cut, exp + cut
-                n //= 2
-            man, exp = _rounded(pm, pe, 58)
-    if man == 1:
-        return 1, -exp
-    extra = man.bit_length() + 57
-    # man is odd and above 1, so the quotient never ends: one sticky bit
-    return _rounded((((1 << extra) // man) << 1) | 1, -exp - extra - 1, 53)
+def _lattice_sum(roots, k: int) -> float:
+    """``sum r**(-k/2)`` over the positive :class:`Dyadic` ``roots``, the exact
+    sum correctly rounded to a float (``inf`` past the float range).
 
-
-def _lattice_sum(roots, s: complex) -> complex | None:
-    """``sum r**-s`` over the :class:`Dyadic` ``roots``, rounded bit for bit as
-    ``mp.fsum(mp.power(r, -s) ...)`` at 53 bits, for a real ``s > 0`` with
-    ``2s`` an integer; ``None`` for any other ``s``.
-
-    Those are mpmath's two integer branches of ``mpc_pow_mpf``: for a
-    half-integer ``s`` the root is first square-rooted, rounded down at 63
-    bits; each term is then :func:`_inverse_power`.  The terms are added
-    exactly under ``mpf_sum``'s rule (a term more than 106 bits below the
-    running sum is dropped, and a running sum that far below a new term is
-    replaced by it), the sum is rounded once at 53 bits, and ``ldexp`` gives
-    the float (``inf`` past the float range, as ``to_float``).
+    A term is ``2**c / a**(1/h)``: ``h = 1`` for an even ``k``, else 2 (with
+    exponents made even), and ``a`` from :func:`_power` at ``j = k/h``; it
+    lies in ``(2**b, 2**(b+1)]``.  The largest ``b`` settles the float range
+    before any shift.  The terms are summed in fixed point ``guard`` bits
+    below it, one under a unit skipped, each with an error bound; once both
+    ends of the bracket round alike, that float is the sum (Ziv's test).  A
+    bracket still across a midpoint at the widest guard is taken for that
+    tie and rounded to even.
     """
-    if s.imag or not (2 * s.real).is_integer():
-        return None
-    n = int(2 * s.real)
-    half = n & 1
-    if not half:
-        n >>= 1
-    man = exp = 0
-    for root in roots:
-        x_man, x_exp = root.man, root.exp
-        if half:  # mpf_sqrt at 63 bits, rounded down
-            if x_exp & 1:
-                x_man, x_exp = x_man << 1, x_exp - 1
-            shift = max(4, 130 - x_man.bit_length())
-            shift += shift & 1
-            x_man, x_exp = _rounded(math.isqrt(x_man << shift), (x_exp - shift) // 2,
-                                    63, down=True)
-        x_man, x_exp = _inverse_power(x_man, x_exp, n)
-        delta = x_exp - exp
-        if delta >= 0:
-            if delta > 106 and (not man or delta - man.bit_length() > 106):
-                man, exp = x_man, x_exp
-            else:
-                man += x_man << delta
-        elif -delta - x_man.bit_length() <= 106:
-            man, exp = (man << -delta) + x_man, x_exp
-        elif not man:
-            man, exp = x_man, x_exp
-    man, exp = _rounded(man, exp, 53)
+    half = k & 1
+    j = k if half else k >> 1
+    for guard in (96, 384, 1536):
+        prec = guard + 8 + j.bit_length()
+        terms = []
+        for r in roots:
+            man, exp = (r.man << 1, r.exp - 1) if half and r.exp & 1 else (r.man, r.exp)
+            a, alpha = _power(man, j, prec)
+            a, alpha = (a << 1, alpha - 1) if half and alpha & 1 else (a, alpha)
+            c = -(alpha >> half) - (exp * k >> 1)
+            terms.append((a, c, c - (a.bit_length() + half >> half)))
+        top = max(b for _, _, b in terms)
+        if top >= 1024 or top + 1 + len(terms).bit_length() <= -1075:
+            return math.inf if top > 0 else 0.0
+        g = top - guard
+        total = err = 0
+        for a, c, b in terms:
+            if b < g:  # at most 2**g, one unit
+                err += 1
+                continue
+            x = math.isqrt((1 << 2 * (c - g)) // a) if half else (1 << c - g) // a
+            total += x
+            err += (x * j >> prec - 3) + 2
+        lo, hi = (_scaled(total + d, g) for d in (-err, err))
+        if lo == hi:
+            return lo
+    return (lo + hi) / 2
+
+
+def _scaled(x: int, g: int) -> float:
+    """``x * 2**g`` correctly rounded (as ``int / int`` is), or ``inf``."""
     try:
-        return complex(math.ldexp(man, exp), 0.0)
+        return float(x << g) if g >= 0 else x / (1 << -g)
     except OverflowError:
-        return complex(math.inf, 0.0)
+        return math.inf
+
+
+def _root_sum(roots, s: complex) -> complex:
+    """``sum r**-s`` over the :class:`Dyadic` ``roots`` for ``Re(s) > 0``:
+    :func:`_lattice_sum` for a real ``s`` with ``2s`` an integer, else
+    mpmath's ``fsum`` of ``power`` at 53 bits."""
+    if not s.imag and (2 * s.real).is_integer():
+        return complex(_lattice_sum(roots, int(2 * s.real)), 0.0)
+    import mpmath as mp
+
+    with mp.workprec(53):
+        return complex(mp.fsum(mp.power(r, -mp.mpc(s)) for r in roots))
 
 
 def _kappa(q: float, n_roots: int) -> float:
@@ -344,11 +326,9 @@ def zeta_D0(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:
     example ``s = 2000`` at (2,1,1), where ``lambda_0**-s`` overflows, or
     ``s = 1e-17``, where ``q**s`` rounds to 1 and the tail bound divides by 0).
 
-    The root sum is ``mp.fsum(mp.power(r, -s) ...)`` at 53 bits, whatever
-    the caller's mpmath precision.  For a real ``s`` with ``2s`` an integer
-    it is formed in Python integers (:func:`_lattice_sum`), with no mpmath:
-    each term is rounded as mpmath's integer-power branch rounds it, and the
-    sum is rounded once.  Any other ``s`` is summed by mpmath itself.
+    The root sum is :func:`_root_sum`: at a real ``s`` with ``2s`` an integer
+    the exact sum correctly rounded, in Python integers with no mpmath; at
+    any other ``s`` mpmath's, at 53 bits whatever the caller's precision.
     """
     s = complex(s)
     sigma = s.real
@@ -363,13 +343,7 @@ def zeta_D0(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:
             f"tail bound degenerate at n_roots={n_roots}; "
             f"use at least {_fewest_roots(q)} roots"
         )
-    roots = find_roots(params, n_roots - 1).roots
-    value = _lattice_sum(roots, s)
-    if value is None:
-        import mpmath as mp
-
-        with mp.workprec(53):
-            value = complex(mp.fsum(mp.power(r, -mp.mpc(s)) for r in roots))
+    value = _root_sum(find_roots(params, n_roots - 1).roots, s)
     try:
         tail = kappa ** (-sigma) * q ** (n_roots * sigma) / (1.0 - q**sigma)
     except (OverflowError, ZeroDivisionError):
@@ -381,59 +355,25 @@ def zeta_D0(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:
     return ZetaValue(s=s, value=value, n_roots_used=n_roots, tail_bound=float(tail))
 
 
-def _quotient(a: complex, b: complex) -> complex:
-    """``a / b`` as numpy divides complex doubles (Smith's method, scaled by a
-    reciprocal), which can differ from Python's ``/`` in the last bit."""
-    if abs(b.real) >= abs(b.imag):
-        rat = b.imag / b.real
-        scl = 1.0 / (b.real + b.imag * rat)
-        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
-    rat = b.real / b.imag
-    scl = 1.0 / (b.imag + b.real * rat)
-    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
-
-
-def _exp_times(x: float, c: float) -> float:
-    """``e**x * c`` for an ``x`` past the range of ``math.exp``: infinite
-    with the sign of ``c`` unless the product is still a float (``0`` stays
-    a signed zero).  Above ``x = 2200`` even the least subnormal ``c``
-    overflows; below it the product is taken in four factors, each finite."""
-    if not c or x > 2200.0:
-        return c if not c else math.copysign(math.inf, c)
-    h = math.exp(x / 4)
-    return c * h * h * h * h
-
-
-def _one_minus_exp(w: complex) -> complex:
-    """``1 - exp(w)`` as numpy forms it: the real 1 taken as ``1 + 0i``, so
-    the imaginary part is ``0.0 - Im exp(w)`` (``+0.0`` where that is 0).
-
-    Where ``cmath.exp`` overflows, numpy's exp returns the parts
-    ``e**Re(w) cos(Im w)`` and ``e**Re(w) sin(Im w)`` infinite instead of
-    raising; they are formed so here (:func:`_exp_times`), the same infinities
-    and signed zeros as numpy's, and a part that stays finite within a few
-    ulps of it.  On the real axis that is ``inf`` and a signed zero.
-    """
-    try:
-        v = cmath.exp(w)
-    except OverflowError:
-        v = complex(_exp_times(w.real, math.cos(w.imag)), _exp_times(w.real, math.sin(w.imag)))
-    return complex(1.0 - v.real, 0.0 - v.imag)
-
-
 def zeta_factor(params: FieldParams, s: complex) -> complex:
-    """Rational continuation factor ``(1 - p**(-2s/e)) / (1 - p**(f - 2s/e))``.
+    """Rational continuation factor ``(1 - x) / (1 - y)``, ``x = p**(-2s/e)``
+    and ``y = p**(f - 2s/e)``, in complex powers of the float ``p``.
 
-    Raises :class:`PoleError` when the denominator is at most 1e-12 in
-    modulus (real-axis pole at ``s = ef/2``).
+    Where ``|y| > 1`` both parts are multiplied by ``u = 1/y``, so no power
+    overflows while ``Re(s) >= 0`` (``|x| <= 1`` there).  Raises
+    :class:`PoleError` when ``|1 - y| <= 1e-12`` (real-axis pole at ``s = ef/2``).
     """
-    s = complex(s)
-    lp = math.log(params.p)
-    num = _one_minus_exp(-2.0 * s * lp / params.e)
-    den = _one_minus_exp((params.f - 2.0 * s / params.e) * lp)
-    if abs(den) <= 1e-12:
+    t = 2.0 * complex(s) / params.e
+    p = float(params.p)
+    num, u = 1.0 - p**-t, 1.0
+    if t.real < params.f:
+        u = p ** (t - params.f)
+        num, den = num * u, u - 1.0
+    else:
+        den = 1.0 - p ** (params.f - t)
+    if abs(den) <= 1e-12 * abs(u):
         raise PoleError(f"zeta factor pole at s = {s} (denominator vanishes)")
-    return _quotient(num, den)
+    return num / den
 
 
 def zeta_DR(params: FieldParams, s: complex, n_roots: int = 25) -> ZetaValue:

@@ -8,8 +8,10 @@ ratio table in mpmath arithmetic, turned every series sum back into an
 package's own seeds, index and working precisions with them, so the tests
 can hold the integer certification against it root by root.
 
-:func:`zeta_sum` is the root sum ``sum r**-s`` as ``zeta_D0`` formed it in
-mpmath at every ``s``, the reference for its integer route.
+:func:`zeta_sum` is the root sum ``sum r**-s`` in mpmath at 53 bits, as
+``zeta_D0`` forms it off the half-integer lattice; :func:`rounded_sum` is the
+exact sum correctly rounded, the reference for its integer route on the
+lattice.
 """
 
 from __future__ import annotations
@@ -191,6 +193,20 @@ def find_roots(params: FieldParams, n_max: int, target_tol: float = 1e-10):
 
 
 def zeta_sum(roots, s) -> complex:
-    """``sum r**-s`` over ``roots``: mpmath powers, ``fsum`` at 53 bits."""
+    """``sum r**-s`` over ``roots``: mpmath powers, ``fsum`` at 53 bits, as
+    ``zeta_D0`` sums at an ``s`` off the half-integer lattice."""
     with mp.workprec(53):
         return complex(mp.fsum(mp.power(r, -mp.mpc(s)) for r in roots))
+
+
+def rounded_sum(roots, s: float, prec: int = 640) -> float:
+    """``sum r**-s`` over ``roots`` for a real ``s``: mpmath powers and
+    ``fsum`` at ``prec`` bits, then rounded once to the nearest float (the
+    mantissa divided exactly by Python, which rounds subnormals correctly,
+    where ``float`` of an mpf would round twice)."""
+    with mp.workprec(prec):
+        _, man, exp, _ = mp.fsum(mp.power(r, -mp.mpf(s)) for r in roots)._mpf_
+    try:
+        return float(man << exp) if exp >= 0 else man / (1 << -exp)
+    except OverflowError:
+        return math.inf

@@ -219,8 +219,9 @@ class TestLargeResidueField:
     zeta factor whose ``p**f`` is past the float range."""
 
     def test_zeta_factor_past_the_float_range(self, capsys):
-        """``exp(f ln p)`` overflows at f = 1100: numpy's exp returned
-        infinity there, so the factor and every value are signed zeros."""
+        """``p**f`` overflows at f = 1100: the factor is formed from
+        ``1/p**(f - 2s/e)``, which underflows, so the factor and every value
+        are signed zeros."""
         argv = ["zeta", "--p", "2", "--e", "1", "--f", "1100", "--n-roots", "3",
                 "--s-max", "2", "--format", "csv"]
         assert main(argv) == EXIT_OK
@@ -359,10 +360,12 @@ class TestConfigErrors:
         assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("s", ["1e-17", "1e-300", "5e-324", "1e10"])
+    @pytest.mark.parametrize("s", ["1e-17", "1e-300", "5e-324", "1e10", "2.47e17"])
     def test_zeta_tail_bound_beyond_float_range_refused(self, s, fmt, capsys):
         """At a tiny ``s``, ``q**s`` rounds to 1 and the tail bound divides by
-        zero; at a huge one, ``kappa**-s`` overflows: one line, exit 1, no output."""
+        zero; at a huge one, ``kappa**-s`` overflows, and the root sum is
+        answered from the exponent of ``lambda_0**-s`` without forming the
+        powers' digits: one line, exit 1, no output."""
         argv = ["zeta", *P211_ARGS, "--s-min", s, "--s-max", s, "--n-roots", "3",
                 "--format", fmt]
         assert main(argv) == EXIT_CONFIG

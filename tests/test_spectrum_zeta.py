@@ -29,7 +29,7 @@ from padiclab import (
 )
 from padiclab import operators, spectrum_zeta, tree_window_r, validation
 from padiclab.operators import _symmetrized_D_csr
-from mpf_oracle import zeta_sum
+from mpf_oracle import rounded_sum, zeta_sum
 from padiclab.qspecial import Dyadic
 from sparse_oracles import sparse_haar_blocks
 from sturm_oracle import jacobi_D0
@@ -471,76 +471,90 @@ class TestZetaClosedForm:
                 assert gap <= slack, (s, float(gap), got.tail_bound)
 
 
+# The roots-deep benchmark fields (p, e, f, N): roots 0..N.
+POOL_FIELDS = [(2, 1, 1, 28), (2, 2, 1, 22), (3, 1, 1, 20), (3, 2, 1, 21), (5, 1, 1, 20),
+               (7, 1, 1, 18), (2, 1, 2, 30)]
+
+
 class TestZetaLatticeSum:
     """At an integer or half-integer ``s`` the root sum is formed in Python
-    integers, and must equal mpmath's ``fsum`` of ``mp.power`` bit for bit."""
+    integers, and must be the exact sum correctly rounded: mpmath's ``fsum``
+    of ``power`` at 640 bits, rounded once (:func:`mpf_oracle.rounded_sum`)."""
 
     @staticmethod
-    def _branches(monkeypatch) -> set:
-        """Record which branch of mpmath's ``mpf_pow_int`` each term takes."""
-        seen = set()
-        inverse_power = spectrum_zeta._inverse_power
+    def _mismatches(cases) -> list:
+        """The ``(terms, s)`` cases whose sum is not the correctly rounded one."""
+        return [(terms, s) for terms, s in cases
+                if spectrum_zeta._lattice_sum(terms, int(2 * s)) != rounded_sum(terms, s)]
 
-        def spy(man, exp, n):
-            seen.add("n=1" if n == 1 else "n=2" if n == 2 else
-                     "exact" if man.bit_length() * n < 1000 else "binary")
-            return inverse_power(man, exp, n)
-
-        monkeypatch.setattr(spectrum_zeta, "_inverse_power", spy)
-        return seen
-
-    def test_bit_identical_to_mpmath_over_the_root_grid(self, monkeypatch):
+    def test_correctly_rounded_over_the_root_grid(self):
         """Every prefix of the roots 0..5 of every grid set, and the six roots
-        in descending order (each term then outgrows the sum, which ``fsum``
-        drops once it is over 106 bits below), at ``s = 1..12`` and
-        ``s = k/2`` for odd ``k <= 23``."""
-        seen = self._branches(monkeypatch)
-        mismatches = []
+        in descending order, at ``s = 1..12`` and ``s = k/2`` for odd ``k <= 23``."""
+        cases = []
         for params in ROOT_GRID:
             roots = find_roots(params, 5).roots
             for terms in [roots[:k] for k in range(1, len(roots) + 1)] + [roots[::-1]]:
-                for s in LATTICE:
-                    got = spectrum_zeta._lattice_sum(terms, complex(s))
-                    if repr(got) != repr(zeta_sum(terms, s)):
-                        mismatches.append((params, terms, s))
-        assert mismatches == []
-        assert seen == {"n=1", "n=2", "exact", "binary"}
+                cases += [(terms, s) for s in LATTICE]
+        assert self._mismatches(cases) == []
+
+    @pytest.mark.parametrize("p, e, f, n", POOL_FIELDS, ids=str)
+    def test_correctly_rounded_on_the_pool_fields(self, p, e, f, n):
+        """All roots of a ``roots-deep`` request, at ``s = 0.5..20`` in steps of 0.5."""
+        roots = find_roots(FieldParams(p, e, f), n).roots
+        assert self._mismatches([(roots, k / 2) for k in range(1, 41)]) == []
 
     @pytest.mark.parametrize("s", LATTICE)
-    def test_bit_identical_at_the_float_range_ends(self, s):
+    def test_correctly_rounded_at_the_float_range_ends(self, s):
         """The roots of (7,1,1) scaled by a power of two so that the sum is
-        subnormal (``ldexp`` rounds it again), near the largest float, or
-        past it (``inf``, as mpmath's ``to_float``)."""
+        subnormal, near the largest float, or past it (``inf``)."""
         roots = find_roots(FieldParams(7, 1, 1), 5).roots
-        for target in (-1070, -1040, 1020, 1030):
-            shift = round(-target / s)
-            scaled = [Dyadic(r.man, r.exp + shift) for r in roots]
-            got = spectrum_zeta._lattice_sum(scaled, complex(s))
-            assert repr(got) == repr(zeta_sum(scaled, s)), target
+        cases = [([Dyadic(r.man, r.exp + round(-target / s)) for r in roots], s)
+                 for target in (-1080, -1074, -1070, -1040, 1020, 1023, 1024, 1030)]
+        assert self._mismatches(cases) == []
         tiny = [Dyadic(r.man, r.exp + round(1070 / s)) for r in roots]
-        assert 0.0 < spectrum_zeta._lattice_sum(tiny, complex(s)).real < 2.0**-1022
+        assert 0.0 < spectrum_zeta._lattice_sum(tiny, int(2 * s)) < 2.0**-1022
+        huge = [Dyadic(r.man, r.exp - round(1030 / s)) for r in roots]
+        assert spectrum_zeta._lattice_sum(huge, int(2 * s)) == math.inf
+
+    @pytest.mark.parametrize("roots, k", [
+        ([Dyadic(1, 0), Dyadic(1, 53)], 2),  # 1 + 2**-53
+        ([Dyadic(1, 2), Dyadic(1, 108)], 1),  # 1/2 + 2**-54, square roots exact
+        ([Dyadic(3, 0), Dyadic(3, -1), Dyadic(1, 53)], 2),  # 1/3 + 2/3 + 2**-53
+    ], ids=["dyadic", "half-integer", "non-dyadic"])
+    def test_tie_rounds_to_even(self, roots, k):
+        """An exact tie is rounded to even.  Terms that are not dyadic keep
+        every bracket across the midpoint; at the widest guard the sum is
+        taken for the tie."""
+        assert spectrum_zeta._lattice_sum(roots, k) == 1.0 / (1 + (k & 1))
 
     @pytest.mark.parametrize("order", [1, -1], ids=["descending", "ascending"])
-    def test_fsum_drop_rule_at_a_tie(self, order):
-        """``1 + 2**-53`` is a tie at 53 bits, so a term ``2**-(53 + j)``
-        decides the rounding if it is kept; ``fsum`` drops it once it is more
-        than 106 bits below the running sum (or, added first, replaces it)."""
-        values = set()
+    def test_term_far_below_a_tie_decides_it(self, order):
+        """``1 + 2**-53`` is a tie, so a term ``2**-(53 + j)`` decides the
+        rounding in either order of summation: a wider guard separates the
+        sum from the midpoint.  Past the widest guard, 1536 bits below the
+        largest term, the term is not seen and the sum is taken for the tie."""
         for j in range(100, 116):
             roots = [Dyadic(1, 0), Dyadic(1, 53), Dyadic(1, 53 + j)][::order]
-            got = spectrum_zeta._lattice_sum(roots, 1 + 0j)
-            assert repr(got) == repr(zeta_sum(roots, 1)), j
-            values.add(got)
-        assert values == {1 + 0j, 1 + 2.0**-52 + 0j}
+            assert spectrum_zeta._lattice_sum(roots, 2) == 1 + 2.0**-52, j
+        roots = [Dyadic(1, 0), Dyadic(1, 53), Dyadic(1, 53 + 1500)][::order]
+        assert spectrum_zeta._lattice_sum(roots, 2) == 1.0
+
+    @pytest.mark.parametrize("s", [1e10, 2.47e17, 1e300])
+    def test_float_range_decided_before_any_shift(self, s):
+        """At a huge ``s`` the sum is past the float range or below it, and
+        is answered from the exponent of the largest term alone."""
+        roots = find_roots(P211, 2).roots  # lambda_0 < 1 < lambda_1
+        assert spectrum_zeta._lattice_sum(roots, int(2 * s)) == math.inf
+        assert spectrum_zeta._lattice_sum(roots[1:], int(2 * s)) == 0.0
 
     @pytest.mark.parametrize("s", [0.25, 1.75, math.pi, 2 + 1j, 1e-3j + 2])
     def test_off_the_lattice_left_to_mpmath(self, s):
         roots = find_roots(P311, 5).roots
-        assert spectrum_zeta._lattice_sum(roots, complex(s)) is None
+        assert spectrum_zeta._root_sum(roots, complex(s)) == zeta_sum(roots, s)
         assert zeta_D0(P311, s, n_roots=6).value == zeta_sum(roots, s)
 
     def test_caller_precision_ignored(self):
-        """Every route sums at 53 bits whatever ``mp.dps`` the caller set."""
+        """Every route sums at its own precision whatever ``mp.dps`` the caller set."""
         points = [*range(1, 9), 2.5, 2.25, 1.5 + 2j]
         before = [zeta_D0(P311, s, 21).value for s in points]
         with mp.workdps(50):
@@ -567,63 +581,49 @@ class TestZetaDR:
             zeta_DR(P212, 1.0)
 
 
-def _numpy_zeta_factor(params, s):
-    """The factor in numpy complex arithmetic, as it was computed before it
-    moved to ``math`` and ``cmath``; a pole is returned as ``None``."""
-    s = complex(s)
-    lp = np.log(float(params.p))
-    num = 1.0 - np.exp(-2.0 * s * lp / params.e)
-    den = 1.0 - np.exp((params.f - 2.0 * s / params.e) * lp)
-    return None if abs(den) <= 1e-12 else complex(num / den)
+def _mp_factor(params, s):
+    """The factor at 60 digits; ``None`` where ``|1 - p**(f - 2s/e)| <= 1e-12``."""
+    with mp.workdps(60):
+        t = 2 * mp.mpc(s) / params.e
+        y = mp.power(params.p, params.f - t)
+        if abs(1 - y) <= mp.mpf("1e-12"):
+            return None
+        return (1 - mp.power(params.p, -t)) / (1 - y)
 
 
-class TestFactorMatchesNumpy:
-    """``zeta_factor`` runs without numpy but must round exactly as numpy's
-    complex exp and division did: ``zeta`` output is compared byte for byte."""
+FACTOR_GRID = [complex(x / 4, y / 3) for x in range(-8, 33) for y in range(-12, 13)]
+
+
+class TestFactorAgainstMpmath:
+    """``zeta_factor`` raises :class:`PoleError` exactly where the 60-digit
+    ``|1 - y|`` is at most 1e-12; elsewhere both parts are finite and within
+    16 ulps of ``|factor|`` of the 60-digit factor."""
+
+    @staticmethod
+    def _check(params, grid):
+        for s in grid:
+            want = _mp_factor(params, s)
+            if want is None:
+                with pytest.raises(PoleError):
+                    zeta_factor(params, s)
+                continue
+            got = zeta_factor(params, s)
+            ulp = math.ulp(float(abs(want)))
+            for a, b in ((got.real, want.real), (got.imag, want.imag)):
+                assert math.isfinite(a), s
+                assert abs(mp.mpf(a) - b) <= 16 * ulp, (s, got, want)
 
     @pytest.mark.parametrize("params", [P211, P311, P221, P212, P511, P321,
                                         FieldParams(7, 3, 2), FieldParams(2, 8, 1)], ids=str)
     def test_real_and_complex_grid(self, params):
-        grid = [k / 8 for k in range(-40, 161)]
-        grid += [complex(x / 4, y / 3) for x in range(-8, 33) for y in range(-12, 13)]
-        for s in grid:
-            want = _numpy_zeta_factor(params, s)
-            try:
-                got = zeta_factor(params, s)
-            except PoleError:
-                got = None
-            assert repr(got) == repr(want), s
+        self._check(params, [k / 8 for k in range(-40, 161)] + FACTOR_GRID)
 
     @pytest.mark.parametrize("params", [FieldParams(2, 1, 1100), FieldParams(3, 2, 700),
                                         FieldParams(7, 5, 400)], ids=str)
-    def test_exp_past_the_float_range(self, params):
-        """``f ln p`` above 709: numpy's exp overflows to infinity where
-        ``cmath.exp`` raises.  On the real axis the factor is numpy's signed
-        zero bit for bit; off it every infinite or zero part is numpy's, and
-        a finite part within 2 ulps of it."""
-        grid = [k / 4 for k in range(1, 41)]
-        grid += [complex(x / 4, y / 3) for x in range(-8, 33) for y in range(-12, 13)]
-        for s in grid:
-            with np.errstate(over="ignore", invalid="ignore"):
-                want = _numpy_zeta_factor(params, s)
-            got = zeta_factor(params, s)
-            if isinstance(s, float):
-                assert repr(got) == repr(want), s
-                continue
-            for a, b in ((got.real, want.real), (got.imag, want.imag)):
-                if math.isfinite(b) and b != 0.0:
-                    assert abs(a - b) <= 2 * math.ulp(b), s
-                else:
-                    assert repr(a) == repr(b), s
-
-    def test_quotient_is_numpy_division(self):
-        rng = np.random.default_rng(12)
-        parts = rng.uniform(-10, 10, (4, 5000)) * 10.0 ** rng.integers(-6, 7, (4, 5000))
-        parts[3, :500] = 0.0  # real divisors
-        parts[1, 500:1000] = 0.0  # real dividends
-        for ar, ai, br, bi in parts.T:
-            a, b = complex(ar, ai), complex(br, bi)
-            assert repr(spectrum_zeta._quotient(a, b)) == repr(complex(np.complex128(a) / b))
+    def test_p_to_the_f_past_the_float_range(self, params):
+        """``p**f`` overflows: the parts are scaled by ``1/y`` instead, and
+        the factor underflows to signed zeros, never to an infinity or NaN."""
+        self._check(params, [k / 4 for k in range(1, 41)] + FACTOR_GRID)
 
 
 class TestFactorLattice:
