@@ -7,10 +7,12 @@ This module assembles:
   ``p**(n/e)`` at level ``n``, and its square ``D*D`` on a window with a
   zero (Dirichlet) boundary condition past the deepest level;
 * diagonal multiplication operators built from test functions.  A test
-  function is evaluated a whole tree level at a time, from the rank numerals
-  of the level-major layout in :mod:`padiclab.tree`; :func:`rho_diag` makes
-  one such call per level and is the only code applying the convention that
-  the zero vertex of level ``n`` carries the value at the point ``pi**n``;
+  function is evaluated on a batch of rank numerals of the level-major
+  layout in :mod:`padiclab.tree`; :func:`rho_diag` makes one such call, on
+  the deepest level, reads every shallower level off it as a strided view
+  (appending zero digits leaves a value unchanged), and is the only code
+  applying the convention that the zero vertex of level ``n`` carries the
+  value at the point ``pi**n``;
 * commutators ``[D, multiplication]`` and their operator norms.  Each
   commutator column holds at most one nonzero (every child has one parent),
   so the rows have disjoint supports and the operator norm is the largest
@@ -76,7 +78,10 @@ class TestFunction(NamedTuple):
             the rank layout of :mod:`padiclab.tree`); the result holds one
             value per rank.  Functions must depend only on the element a
             string represents, so appending zero digits (``rank * q_res`` at
-            ``width + 1``) leaves every value unchanged.
+            ``width + 1``) leaves every value unchanged, bit for bit:
+            :func:`rho_diag` evaluates the deepest level only and reads each
+            shallower vertex off a descendant that appends zeros, so its
+            correctness rests on this.
         known_lipschitz: Exact Lipschitz seminorm when known analytically.
         decay_alpha: Decay exponent ``alpha`` for functions intended on
             enlarged windows, certifying ``|a(x)| <= C/(1 + |x|**alpha)`` for some ``C``.
@@ -176,18 +181,26 @@ def rho_diag(window: TreeWindow, a: TestFunction) -> np.ndarray:
     """Diagonal of the multiplication operator for ``a`` on the window.
 
     The entry at vertex ``(n, x)`` is ``a(x)`` for ``x != 0`` and
-    ``a(pi**n)`` at the zero center (rank 0) of level ``n``.  Each level is
-    one call of ``a.evaluator`` at width ``n + 1 - min_level``: vertex ``x``
-    is evaluated at its digit-0 child ``x * q_res`` (the same element), and
-    the zero vertex at its digit-1 child, rank 1, which is ``pi**n``.  This
-    is the only place the zero-vertex convention is applied.
+    ``a(pi**n)`` at the zero center (rank 0) of level ``n``.  ``a.evaluator``
+    is called once, at width ``N + 1 - min_level`` on the digit-0 children
+    ``x * q_res`` of the deepest level, with rank 1 (``pi**N``) in place of
+    the zero vertex.  Appending zero digits leaves a value unchanged, so
+    level ``n`` is every ``q_res**(N-n)``-th of these values, and its zero
+    vertex takes the value at rank ``q_res**(N-n-1)``, the point ``pi**n``.
+    This is the only place the zero-vertex convention is applied.
     """
     q = window.params.q_res
+    N = window.max_level
+    ranks = np.arange(window.level_size(N), dtype=np.int64) * q
+    ranks[0] = 1
+    deep = a.evaluator(window.min_level, N + 1 - window.min_level, ranks)
     out = np.empty(window.total)
     for n in window.levels:
-        ranks = np.arange(window.level_size(n), dtype=np.int64) * q
-        ranks[0] = 1
-        out[window.level_slice(n)] = a.evaluator(window.min_level, n + 1 - window.min_level, ranks)
+        seg = window.level_slice(n)
+        step = q ** (N - n)
+        out[seg] = deep[::step]
+        if n < N:
+            out[seg.start] = deep[step // q]
     return out
 
 
@@ -210,13 +223,15 @@ def _commutator_csr(window: TreeWindow, diag: np.ndarray) -> tuple[np.ndarray, .
 
     Rows are the levels ``min_level .. N-1``, each holding its children in digit
     order; vanishing differences are not stored (a commuting function has none).
+    A row's count of stored entries is the sum of the ``q_res`` strided views
+    of the kept mask (child ``digit`` of every row is ``keep[digit::q_res]``).
     """
     params = window.params
     q = params.q_res
     n_rows = window.level_offsets[-2]
     itype = np.int32 if max(q * n_rows, window.total) < 2**31 else np.int64
     indptr = np.zeros(n_rows + 1, dtype=itype)
-    indices, data = [], []
+    indices, data = [np.zeros(0, dtype=itype)], [np.zeros(0)]  # a one-level window has no rows
     inv_sqrt_q = 1.0 / np.sqrt(q)
     for n in range(window.min_level, window.max_level):
         seg = window.level_slice(n)
@@ -224,7 +239,9 @@ def _commutator_csr(window: TreeWindow, diag: np.ndarray) -> tuple[np.ndarray, .
         beta = params.scale_float(n)
         vals = beta * inv_sqrt_q * (np.repeat(diag[seg], q) - diag[child_seg])
         keep = vals != 0.0
-        indptr[seg.start + 1 : seg.stop + 1] = keep.reshape(-1, q).sum(axis=1)
+        row_counts = indptr[seg.start + 1 : seg.stop + 1]
+        for digit in range(q):
+            row_counts += keep[digit::q]
         indices.append(np.arange(child_seg.start, child_seg.stop, dtype=itype)[keep])
         data.append(vals[keep])
     np.cumsum(indptr, out=indptr)

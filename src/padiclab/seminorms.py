@@ -17,18 +17,21 @@ Window quantities at explicit depth ``N``:
   and reports pass flags.
 
 Both sweeps and the commutator read the level-major diagonal of
-:func:`rho_diag`, which evaluates a test function once per tree level and
-applies the zero-vertex convention; the zero row of the formula is then an
-ordinary row.  ``check_norm_comparison`` computes that diagonal once for all
-three.  The library functions depend only on a digit prefix or the
-valuation, so they evaluate a level by integer arithmetic on its rank
-numerals and a small table of floats.  The formula route never touches the
-assembled commutator; the matrix route never uses the formula — their
-agreement is part of the validation surface.
+:func:`rho_diag`, which evaluates a test function once, on the deepest
+level, and applies the zero-vertex convention; the zero row of the formula
+is then an ordinary row.  ``check_norm_comparison`` computes that diagonal
+once for all three; the Lipschitz sweep reduces each level's children over
+``q_res`` strided views of the level below.  The library functions depend
+only on a digit prefix or the valuation, so they evaluate a batch by integer
+arithmetic on its rank numerals (a table lookup, or two binary searches over
+nested rank intervals) and a small table of floats.  The formula route
+never touches the assembled commutator; the matrix route never uses the
+formula — their agreement is part of the validation surface.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import NamedTuple
@@ -65,9 +68,11 @@ def lipschitz_depth(window: TreeWindow, a: TestFunction) -> float:
     the zero element and ``pi**N``, the stand-in the operators evaluate there
     (that pair is scored at level ``N``).  Two points meeting at a level-``l`` vertex are at distance
     ``p**(-l/e)``.  One sweep from level ``N`` up reduces subtree minima and
-    maxima by reshapes and takes, per level, the largest subtree spread times
-    ``p**(l/e)``.  A spread whose extremes sit in one child was already scored,
-    at a larger weight, where they meet, so the maximum is the all-pairs one.
+    maxima over the ``q_res`` strided views of the level below (child
+    ``digit`` of every vertex is ``lo[digit::q_res]``) and takes, per level,
+    the largest subtree spread times ``p**(l/e)``.  A spread whose extremes
+    sit in one child was already scored, at a larger weight, where they
+    meet, so the maximum is the all-pairs one.
 
     Exact for functions locally constant at the window depth; in general a
     lower bound for the untruncated seminorm.
@@ -83,10 +88,11 @@ def _lipschitz(window: TreeWindow, a: TestFunction, diag: np.ndarray) -> float:
     a_zero = float(a.evaluator(window.min_level, 0, np.zeros(1, dtype=np.int64))[0])
     lo[0], hi[0] = min(a_zero, lo[0]), max(a_zero, hi[0])
     best = 0.0
+    q = params.q_res
     for level in range(N, window.min_level - 1, -1):
         if level < N:
-            lo = lo.reshape(-1, params.q_res).min(axis=1)
-            hi = hi.reshape(-1, params.q_res).max(axis=1)
+            lo = functools.reduce(np.minimum, [lo[d::q] for d in range(q)])
+            hi = functools.reduce(np.maximum, [hi[d::q] for d in range(q)])
         best = max(best, float(np.max(hi - lo)) * params.scale_float(level))
     return best
 
@@ -121,7 +127,10 @@ def _formula(window: TreeWindow, diag: np.ndarray) -> float:
     for n in range(window.min_level, window.max_level):
         parents = diag[window.level_slice(n)]
         children = diag[window.level_slice(n + 1)].reshape(-1, q)
-        sq = np.float_power(parents[:, None] - children, 2)
+        diff = parents[:, None] - children
+        # Most differences vanish on fine levels; float_power(+-0, 2) is +0.
+        sq = np.zeros_like(diff)
+        np.float_power(diff, 2, out=sq, where=diff != 0.0)
         sibs = np.zeros(len(parents))
         for digit in range(1, q):
             sibs += sq[:, digit]
@@ -215,16 +224,30 @@ def _agreement(
     """Leading digits each string shares with ``c_digits``, both zero-padded.
 
     Returns the counts and the compared length; a count equal to the length
-    means the string represents the point ``c``.
+    means the string represents the point ``c``.  The strings sharing the
+    first ``k`` digits with ``c`` are the ranks of an interval
+    ``[low_k, high_k)``, and these intervals are nested, so the count is the
+    number of lower bounds at or below a rank or of upper bounds above it,
+    whichever is smaller.  A string's digits past ``width`` are zeros, so
+    there the interval stays the same while ``c``'s digits are zero and is
+    empty from its first nonzero digit on.
     """
     length = max(width, len(c_digits))
     padded = c_digits + (0,) * (length - len(c_digits))
-    agree = np.zeros(len(ranks), dtype=np.int64)
+    lows, highs = [0], [q**width]  # k = 0: every string
     c_rank = 0
     for k in range(1, length + 1):
         c_rank = c_rank * q + padded[k - 1]
-        agree += _prefix(q, width, ranks, k) == c_rank
-    return agree, length
+        if k <= width:
+            span = q ** (width - k)
+            lows.append(c_rank * span)
+            highs.append((c_rank + 1) * span)
+        else:
+            lows.append(lows[-1] if padded[k - 1] == 0 else highs[-1])
+            highs.append(highs[-1])
+    below = np.searchsorted(np.array(lows[1:], dtype=np.int64), ranks, side="right")
+    upper = np.array(highs[:0:-1], dtype=np.int64)  # ascending, without k = 0
+    return np.minimum(below, length - np.searchsorted(upper, ranks, side="right")), length
 
 
 def _distance_table(params: FieldParams, start: int, length: int) -> list[float]:

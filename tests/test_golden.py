@@ -1,4 +1,5 @@
-"""Byte-identity of ``spectrum`` and ``zeta`` output against stored files.
+"""Byte-identity of ``spectrum`` and ``zeta`` output against stored files,
+and of the ``seminorm:*`` rows of ``validate``.
 
 Each file under ``tests/data/golden`` is the CLI's output for one request,
 captured before the root search was reseeded from the Jacobi spectrum (the
@@ -11,18 +12,29 @@ s-grid, whose root sums take square roots (at (2,1,1) and (3,1,1) its first
 point is the pole ``s = ef/2``).
 ``bench/reference.json`` compares values only to 1e-12; this pins the bytes.
 
+``validate_seminorm_rows.json`` holds, for each of the six ``validate``
+requests of the benchmark pools (``bench/workloads.pool_keys()``), the
+name, pass flag, measured value and detail of every ``seminorm:*`` row.
+These rows use no LAPACK, so they are the same on every platform; the
+eigenvalue rows are not, and are left out.
+
 Regenerate (only when an output change is intended and explained) with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from padiclab.cli import EXIT_OK, main
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden"
+SEMINORM_ROWS = GOLDEN / "validate_seminorm_rows.json"
 
 # (p, e, f, N): roots 0..N, one entry per base q of the root pool.
 ENTRIES = [(2, 1, 1, 12), (2, 2, 1, 10), (3, 1, 1, 10), (3, 2, 1, 10),
@@ -66,9 +78,37 @@ def test_output_byte_identical(tmp_path, command, entry, fmt):
     assert out.read_bytes() == (GOLDEN / _name(command, entry, fmt)).read_bytes()
 
 
+def _validate_pool() -> list[str]:
+    """The ``validate`` requests of the benchmark pools, as argument strings."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [" ".join(key) for key in workloads.pool_keys() if key[0] == "validate"]
+
+
+def _seminorm_rows(request: str, out: Path) -> list[list]:
+    """``[name, passed, measured, detail]`` of each ``seminorm:*`` row."""
+    assert main([*request.split(), "--format", "json", "--out", str(out)]) == EXIT_OK
+    rows = json.loads(out.read_text())["results"]
+    return [[row["name"], row["passed"], row["measured"], row["detail"]]
+            for row in rows if row["name"].startswith("seminorm:")]
+
+
+@pytest.mark.parametrize("request_args", _validate_pool())
+def test_seminorm_rows_identical(tmp_path, request_args):
+    golden = json.loads(SEMINORM_ROWS.read_text())
+    assert _seminorm_rows(request_args, tmp_path / "out") == golden[request_args]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for case in CASES:
         command, entry, fmt = case
         main([*_argv(command, *entry), "--format", fmt,
               "--out", str(GOLDEN / _name(*case))])
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        golden = {request: _seminorm_rows(request, out) for request in _validate_pool()}
+    SEMINORM_ROWS.write_text(json.dumps(golden, indent=1) + "\n")

@@ -294,6 +294,14 @@ class TestCommutator:
             1.0 / (2.0 * math.sqrt(2.0)), rel=1e-10
         )
 
+    def test_single_level_window_has_no_rows(self):
+        """One level has no parent-child pair: no rows, and norm 0."""
+        w = tree_window_r(P311, 0)
+        a = _lib(P311)["abs"]
+        assert assemble_commutator(w, a).shape == (0, 1)
+        assert commutator_row_norms(w, a).size == 0
+        assert commutator_norm(w, a) == 0.0
+
     def test_constant_commutes(self):
         w = tree_window_r(P311, 4)
         a = _lib(P311)["const-1"]

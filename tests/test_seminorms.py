@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclab import (
     Center,
@@ -21,6 +23,7 @@ from padiclab import (
 )
 from padiclab import TestFunction as PointFunction  # aliased so pytest does not collect it
 from padiclab import testfn_library as function_library
+from padiclab.seminorms import _agreement
 
 P211 = FieldParams(2, 1, 1)
 P311 = FieldParams(3, 1, 1)
@@ -130,7 +133,94 @@ def _reference_formula(window, ev):
 
 
 def _windows(params):
-    return [tree_window_r(params, 4), tree_window_f(params, 2, 2)]
+    return [tree_window_r(params, 0), tree_window_r(params, 1), tree_window_r(params, 4),
+            tree_window_f(params, 2, 2), tree_window_f(params, 3, 1)]
+
+
+# ---------------------------------------------------------------------------
+# Oracles of the batch code: the agreement count one prefix comparison per
+# digit, and the diagonal one evaluator call per level.
+# ---------------------------------------------------------------------------
+
+
+def _agreement_per_digit(q, width, ranks, c_digits):
+    length = max(width, len(c_digits))
+    padded = c_digits + (0,) * (length - len(c_digits))
+    agree = np.zeros(len(ranks), dtype=np.int64)
+    c_rank = 0
+    for k in range(1, length + 1):
+        c_rank = c_rank * q + padded[k - 1]
+        prefix = ranks // q ** (width - k) if width >= k else ranks * q ** (k - width)
+        agree += prefix == c_rank
+    return agree, length
+
+
+def _rho_diag_per_level(window, fn):
+    """Level ``n`` at width ``n + 1 - min_level``: the digit-0 children, and
+    rank 1 (``pi**n``) at the zero vertex."""
+    q = window.params.q_res
+    out = np.empty(window.total)
+    for n in window.levels:
+        ranks = np.arange(window.level_size(n), dtype=np.int64) * q
+        ranks[0] = 1
+        out[window.level_slice(n)] = fn.evaluator(window.min_level, n + 1 - window.min_level, ranks)
+    return out
+
+
+def _assert_agreement_matches(q, width, ranks, c_digits):
+    ranks = np.asarray(ranks, dtype=np.int64)
+    got, length = _agreement(q, width, ranks, c_digits)
+    want, want_length = _agreement_per_digit(q, width, ranks, c_digits)
+    assert length == want_length
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@st.composite
+def _strings_near(draw, q, width, c_digits):
+    """Ranks of width-``width`` strings sharing a drawn number of leading
+    digits with ``c_digits`` (zero-padded), the rest drawn freely."""
+    padded = c_digits + (0,) * max(0, width - len(c_digits))
+    ranks = []
+    for _ in range(draw(st.integers(1, 12))):
+        shared = draw(st.integers(0, width))
+        rest = draw(st.lists(st.integers(0, q - 1), min_size=width - shared,
+                             max_size=width - shared))
+        rank = 0
+        for digit in padded[:shared] + tuple(rest):
+            rank = rank * q + digit
+        ranks.append(rank)
+    return ranks
+
+
+class TestBatchOracles:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_agreement_matches_per_digit(self, q, data):
+        width = data.draw(st.integers(0, 9), label="width")
+        c_digits = tuple(data.draw(st.lists(st.integers(0, q - 1), max_size=width + 3),
+                                   label="c_digits"))
+        ranks = data.draw(_strings_near(q, width, c_digits), label="ranks")
+        _assert_agreement_matches(q, width, ranks, c_digits)
+
+    @pytest.mark.parametrize("q, width, c_digits", [
+        (2, 2, (1, 0, 1)),  # longer than width; prefix 5 of c not divisible by the step 2
+        (3, 1, (2, 0, 0, 0)),  # longer than width, zeros past it: the string (2,) is c
+        (3, 1, (2, 0, 1)),  # the same string, a nonzero digit two past the width
+        (5, 2, (0, 3, 0, 4)),
+        (4, 0, (0, 0)),  # the empty string against zeros
+        (4, 0, (1,)),
+        (2, 3, ()),
+    ])
+    def test_agreement_past_the_width(self, q, width, c_digits):
+        _assert_agreement_matches(q, width, np.arange(q**width), c_digits)
+
+    @pytest.mark.parametrize("params", GRID)
+    def test_rho_diag_matches_per_level(self, params):
+        for w in _windows(params):
+            for fn in function_library(params):
+                assert rho_diag(w, fn).tobytes() == _rho_diag_per_level(w, fn).tobytes(), (
+                    fn.name, w.min_level, w.max_level)
 
 
 class TestLevelProtocol:
