@@ -26,7 +26,8 @@ All matrices are assembled in the plain little-l2 coordinates obtained by the
 diagonal similarity with the square roots of the level weights ``p**(-n*f)``
 (the volume of a depth-``n`` ball), so symmetric matrices here have the same
 spectra as the weighted-space operators they represent.  Assembly order is
-deterministic (level-major, digit-lexicographic).
+deterministic (level-major, digit-lexicographic): the window is a heap, and ``D``
+and the commutator are whole-window arrays over its rows (:mod:`padiclab.tree`).
 """
 
 from __future__ import annotations
@@ -106,34 +107,33 @@ class TestFunction(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _by_level(window: TreeWindow, values: list[float]) -> np.ndarray:
+    """``values[i]`` on every vertex of the ``i``-th level from the top, level-major."""
+    return np.repeat(values, np.diff(window.level_offsets)[: len(values)])
+
+
 def _symmetrized_D_csr(window: TreeWindow) -> tuple[np.ndarray, ...]:
     """CSR arrays ``(data, indices, indptr)`` of :func:`assemble_symmetrized_D`.
 
-    Each row holds its diagonal, then its ``q_res`` children in digit order;
-    rows of the deepest level hold the diagonal only.  The arrays are written
-    level by level, with no scipy call, in the index dtype scipy would pick.
+    Heap row ``g`` holds its diagonal, then (above the deepest level) its children
+    ``q_res*g + 1 .. q_res*g + q_res``.  The arrays are filled in place through
+    reshaped views, with no scipy call, in the index dtype scipy would pick.
     """
     params = window.params
     q = params.q_res
-    itype = np.int32 if window.total + q * window.level_offsets[-2] < 2**31 else np.int64
-    indptr = np.zeros(window.total + 1, dtype=itype)
-    indices, data = [], []
-    off_child = -1.0 / np.sqrt(q)
-    for n in window.levels:
-        seg = window.level_slice(n)
-        size = seg.stop - seg.start
-        beta = params.scale_float(n)
-        cols = np.arange(seg.start, seg.stop, dtype=itype)[:, None]
-        vals = np.full((size, 1), beta)
-        if n < window.max_level:
-            kids = window.level_slice(n + 1).start + np.arange(size * q, dtype=itype)
-            cols = np.hstack([cols, kids.reshape(size, q)])
-            vals = np.hstack([vals, np.full((size, q), beta * off_child)])
-        indptr[seg.start + 1 : seg.stop + 1] = cols.shape[1]
-        indices.append(cols.ravel())
-        data.append(vals.ravel())
-    np.cumsum(indptr, out=indptr)
-    return np.concatenate(data), np.concatenate(indices), indptr
+    rows, total = window.level_offsets[-2], window.total
+    heap = rows * (q + 1)  # entries of the rows with children
+    itype = np.int32 if total + q * rows < 2**31 else np.int64
+    beta = _by_level(window, [params.scale_float(n) for n in window.levels])
+    indptr = np.arange(total + 1, dtype=itype)
+    indptr[: rows + 1] *= q + 1
+    indptr[rows + 1 :] += q * rows
+    indices, data = np.empty(total + q * rows, dtype=itype), np.empty(total + q * rows)
+    cols, vals = indices[:heap].reshape(rows, q + 1), data[:heap].reshape(rows, q + 1)
+    cols[:, 0], cols[:, 1:] = np.arange(rows), np.arange(1, total).reshape(rows, q)
+    vals[:, 0], vals[:, 1:] = beta[:rows], (beta[:rows] * (-1.0 / np.sqrt(q)))[:, None]
+    indices[heap:], data[heap:] = np.arange(rows, total), beta[rows:]
+    return data, indices, indptr
 
 
 def assemble_symmetrized_D(window: TreeWindow) -> sp.csr_matrix:
@@ -221,31 +221,22 @@ def assemble_commutator(window: TreeWindow, a: TestFunction) -> sp.csr_matrix:
 def _commutator_csr(window: TreeWindow, diag: np.ndarray) -> tuple[np.ndarray, ...]:
     """CSR arrays of :func:`assemble_commutator` from the diagonal of :func:`rho_diag`.
 
-    Rows are the levels ``min_level .. N-1``, each holding its children in digit
-    order; vanishing differences are not stored (a commuting function has none).
-    A row's count of stored entries is the sum of the ``q_res`` strided views
-    of the kept mask (child ``digit`` of every row is ``keep[digit::q_res]``).
+    Rows are the heap rows ``g`` above the deepest level, holding the children
+    ``q_res*g + 1 .. q_res*g + q_res``: one ``(rows, q_res)`` array of differences,
+    of which vanishing ones are not stored (a commuting function has none).
     """
     params = window.params
     q = params.q_res
-    n_rows = window.level_offsets[-2]
-    itype = np.int32 if max(q * n_rows, window.total) < 2**31 else np.int64
-    indptr = np.zeros(n_rows + 1, dtype=itype)
-    indices, data = [np.zeros(0, dtype=itype)], [np.zeros(0)]  # a one-level window has no rows
+    rows = window.level_offsets[-2]
+    itype = np.int32 if max(q * rows, window.total) < 2**31 else np.int64
     inv_sqrt_q = 1.0 / np.sqrt(q)
-    for n in range(window.min_level, window.max_level):
-        seg = window.level_slice(n)
-        child_seg = window.level_slice(n + 1)
-        beta = params.scale_float(n)
-        vals = beta * inv_sqrt_q * (np.repeat(diag[seg], q) - diag[child_seg])
-        keep = vals != 0.0
-        row_counts = indptr[seg.start + 1 : seg.stop + 1]
-        for digit in range(q):
-            row_counts += keep[digit::q]
-        indices.append(np.arange(child_seg.start, child_seg.stop, dtype=itype)[keep])
-        data.append(vals[keep])
-    np.cumsum(indptr, out=indptr)
-    return np.concatenate(data), np.concatenate(indices), indptr
+    coef = _by_level(window, [params.scale_float(n) * inv_sqrt_q for n in window.levels[:-1]])
+    vals = diag[:rows, None] - diag[1:].reshape(rows, q)
+    vals *= coef[:, None]
+    keep = vals != 0.0
+    indptr = np.zeros(rows + 1, dtype=itype)
+    indptr[1:] = np.cumsum(keep, dtype=itype)[q - 1 :: q]  # kept through each row's last child
+    return vals[keep], np.arange(1, window.total, dtype=itype)[keep.ravel()], indptr
 
 
 def commutator_row_norms(window: TreeWindow, a: TestFunction) -> np.ndarray:

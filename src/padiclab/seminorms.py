@@ -21,7 +21,8 @@ Both sweeps and the commutator read the level-major diagonal of
 level, and applies the zero-vertex convention; the zero row of the formula
 is then an ordinary row.  ``check_norm_comparison`` computes that diagonal
 once for all three; the Lipschitz sweep reduces each level's children over
-``q_res`` strided views of the level below.  The library functions depend
+``q_res`` strided views of the level below; the formula differences the
+heap rows of :mod:`padiclab.tree` at once.  The library functions depend
 only on a digit prefix or the valuation, so they evaluate a batch by integer
 arithmetic on its rank numerals (a table lookup, or two binary searches over
 nested rank intervals) and a small table of floats.  The formula route
@@ -39,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .field_model import FieldParams
-from .operators import TestFunction, _commutator_norm, rho_diag
+from .operators import TestFunction, _by_level, _commutator_norm, rho_diag
 from .tree import TreeWindow
 
 # Depth of the deeper random test function of testfn_library, whose table of
@@ -110,7 +111,8 @@ def spectral_seminorm_formula(window: TreeWindow, a: TestFunction) -> float:
     with the values of :func:`rho_diag`, so the zero vertex uses the
     convention values ``a(pi**n)`` and, at its zero child, ``a(pi**(n+1))``.
     The square root of the maximum over ``n <= N-1`` equals the commutator
-    norm exactly (disjoint row supports).
+    norm exactly (disjoint row supports).  All rows are formed at once over the
+    heap rows ``g`` of the window, whose children are ``q_res*g + 1 .. q_res*g + q_res``.
 
     Each row sums its digit-``1..q-1`` terms in order from ``0.0`` and then
     adds the digit-0 term in front, with squares taken as ``float ** 2``:
@@ -123,19 +125,16 @@ def spectral_seminorm_formula(window: TreeWindow, a: TestFunction) -> float:
 def _formula(window: TreeWindow, diag: np.ndarray) -> float:
     params = window.params
     q = params.q_res
-    best_sq = 0.0
-    for n in range(window.min_level, window.max_level):
-        parents = diag[window.level_slice(n)]
-        children = diag[window.level_slice(n + 1)].reshape(-1, q)
-        diff = parents[:, None] - children
-        # Most differences vanish on fine levels; float_power(+-0, 2) is +0.
-        sq = np.zeros_like(diff)
-        np.float_power(diff, 2, out=sq, where=diff != 0.0)
-        sibs = np.zeros(len(parents))
-        for digit in range(1, q):
-            sibs += sq[:, digit]
-        rows = sq[:, 0] + sibs
-        best_sq = max(best_sq, float(np.max(rows / q * params.scale_float(2 * n))))
+    rows = window.level_offsets[-2]
+    sq = diag[:rows, None] - diag[1:].reshape(rows, q)
+    # Most differences vanish on fine levels.  Those stay +-0, which adds to the row
+    # sums (they start at +0.0) as their square +0 would.
+    np.float_power(sq, 2, out=sq, where=sq != 0.0)
+    sibs = np.zeros(rows)
+    for digit in range(1, q):
+        sibs += sq[:, digit]
+    scale = _by_level(window, [params.scale_float(2 * n) for n in window.levels[:-1]])
+    best_sq = ((sq[:, 0] + sibs) / q * scale).max(initial=0.0)
     return float(np.sqrt(best_sq))
 
 

@@ -9,6 +9,11 @@ digit-lexicographic within each level, child ranks contiguous
 (``children of (n, r) = (n+1, r*q_res + d)``), and every assembled matrix
 deterministic.
 
+The window is thus a complete ``q_res``-ary heap: global index ``g`` has the
+children ``q_res*g + 1 .. q_res*g + q_res``, so the rows ``0 .. level_offsets[-2]-1``
+above the deepest level have as children exactly ``1 .. total-1``, in order
+(``q_res * level_offsets[-2] + 1 == total``), and every parent-child walk is a reshape.
+
 The descendants of one vertex at a fixed level are consecutive ranks, so the
 tree's Haar (level-group) basis, in which ``D*D`` is block-diagonal, is a
 reshape of each level (see :mod:`padiclab.spectrum_zeta`).

@@ -3,9 +3,10 @@
 The analytic spectrum of :mod:`padiclab.spectrum_zeta` is cross-checked
 against the honestly assembled window matrix:
 
-* ``D`` is assembled once, as CSR arrays whose row pattern is checked; in
-  the Haar basis of each tail length ``m`` a copy's columns live on
-  consecutive ranks of each level, so every copy's block of ``V_m^T D^*D V_m``
+* ``D`` is assembled once, as CSR arrays whose row pattern is checked over
+  the whole window against the heap of :mod:`padiclab.tree` and then split
+  into levels; in the Haar basis of each tail length ``m`` a copy's columns live
+  on consecutive ranks of each level, so every copy's block of ``V_m^T D^*D V_m``
   and the invariant-subspace residual (everything the blocks leave out) are
   read off level reshapes of those arrays, with no sparse product or scipy;
 * family labels ``(m, n)`` come from the transform; the multiplicity of each
@@ -122,26 +123,27 @@ class _HaarBlocks(NamedTuple):
 def _tree_levels(window: TreeWindow) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-level diagonals and ``(size, q_res)`` child coefficients of the assembled ``B``.
 
-    Each row's columns must be its own index, then (above the deepest level) its
-    children ``child_start + q_res*r + d``, or :class:`ValueError` names the level.
+    Row ``g``'s columns must be ``g``, then (above the deepest level) its heap children
+    ``q_res*g + 1 .. q_res*g + q_res``, or :class:`ValueError` names the first bad row's level.
     """
     q = window.params.q_res
+    offsets = window.level_offsets
+    rows, total = offsets[-2], offsets[-1]
+    heap = rows * (q + 1)  # entries of the rows with children
     data, indices, indptr = operators._symmetrized_D_csr(window)
-    spans, lo = [], 0
-    for n in window.levels:
-        seg = window.level_slice(n)
-        cols = np.arange(seg.start, seg.stop)[:, None]
-        if n < window.max_level:
-            kids = window.level_slice(n + 1).start + np.arange(cols.size * q)
-            cols = np.hstack([cols, kids.reshape(-1, q)])
-        size, width = cols.shape
-        ptr = lo + width * np.arange(size + 1)
-        if not (np.array_equal(indptr[seg.start : seg.stop + 1], ptr)
-                and np.array_equal(indices[lo : lo + cols.size], cols.ravel())):
-            raise ValueError(f"assembled D breaks the tree's row pattern at level {n}")
-        spans.append(data[lo : lo + cols.size].reshape(size, width))
-        lo += cols.size
-    return [r[:, 0].copy() for r in spans], [r[:, 1:] for r in spans[:-1]]
+    g = np.arange(total + 1, dtype=indices.dtype)
+    ptr = g + q * np.minimum(g, rows)  # before row g: g diagonals, q_res children per heap row
+    cols = indices[:heap].reshape(rows, q + 1)
+    bad = indptr[1:] != ptr[1:]
+    bad[:rows] |= (cols[:, 0] != g[:rows]) | (cols[:, 1:] != g[1:total].reshape(rows, q)).any(1)
+    bad[rows:] |= indices[heap:] != g[rows:total]
+    if bad.any():
+        level = window.min_level + int(np.searchsorted(offsets, np.argmax(bad), side="right")) - 1
+        raise ValueError(f"assembled D breaks the tree's row pattern at level {level}")
+    vals = data[:heap].reshape(rows, q + 1)
+    cuts = offsets[1:-1]  # np.split's last piece, past the rows with children, is empty
+    diag = np.split(vals[:, 0], cuts)[:-1] + [data[heap:]]
+    return diag, np.split(vals[:, 1:], cuts)[:-1]
 
 
 def _copy_blocks(window: TreeWindow):

@@ -106,9 +106,13 @@ class TestSymmetrizedD:
 
     @pytest.mark.parametrize("params", [*ALL_PARAMS, P511, P321])
     def test_csr_arrays_match_coo_reference(self, params):
-        """The level-by-level CSR arrays, and the matrix wrapping them, equal
-        the COO construction array for array, dtypes included."""
-        for w in [tree_window_r(params, 2), tree_window_r(params, 4), tree_window_f(params, 1, 2)]:
+        """The CSR arrays filled over the heap rows, and the matrix wrapping
+        them, equal the COO construction array for array, dtypes included.
+        ``tree_window_r(params, 0)`` and ``tree_window_f(params, 2, -2)`` are
+        one level, with no rows that have children."""
+        for w in [tree_window_r(params, 0), tree_window_r(params, 2), tree_window_r(params, 4),
+                  tree_window_f(params, 1, 2), tree_window_f(params, 2, 0),
+                  tree_window_f(params, 2, -2)]:
             ref = symmetrized_D_coo(w)
             ref_arrays = (ref.data, ref.indices, ref.indptr)
             wrapped = assemble_symmetrized_D(w)

@@ -98,6 +98,23 @@ class TestWindowShape:
         with pytest.raises(AttributeError):
             w.max_level = 4
 
+    @pytest.mark.parametrize("params", [P211, P311, P212, FieldParams(7, 1, 1)],
+                             ids=["q2", "q3", "q4", "q7"])
+    def test_heap_identity(self, params):
+        """The children of global index ``g``, found through ``level_slice``,
+        are ``q_res*g + 1 .. q_res*g + q_res``, and the rows above the deepest
+        level have as children exactly the vertices ``1 .. total - 1``."""
+        q = params.q_res
+        for w in [tree_window_r(params, 3), tree_window_f(params, 1, 2),
+                  tree_window_f(params, 2, 1)]:
+            for n in range(w.min_level, w.max_level):
+                seg, child_seg = w.level_slice(n), w.level_slice(n + 1)
+                for rank in range(w.level_size(n)):
+                    g = seg.start + rank
+                    kids = [child_seg.start + rank * q + d for d in range(q)]
+                    assert kids == list(range(q * g + 1, q * g + q + 1)), (w, n, rank)
+            assert q * w.level_offsets[-2] + 1 == w.total
+
     @pytest.mark.parametrize("n", [-2, -1, 3])
     def test_level_slice_outside_window_rejected(self, n):
         with pytest.raises(ValueError, match=f"level {n} outside window"):

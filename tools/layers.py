@@ -1,4 +1,4 @@
-"""In-process layer times of the seminorm sweep, per benchmark pool entry.
+"""In-process layer times of the seminorm sweep and window assembly, per pool entry.
 
 Usage::
 
@@ -17,13 +17,22 @@ runs every library function once through each layer of
   the row formula and the commutator norm, each fed that diagonal;
 * ``check_norm_comparison`` — the whole comparison, as ``validate`` runs it.
 
-A layer's time in one sweep is the sum over the 12 functions; the file
-keeps the median and the interquartile range (``statistics.quantiles``,
-``n=4``) over the repeats, in milliseconds, and the number of
-``TestFunction.evaluator`` calls one ``check_norm_comparison`` sweep makes.
-The result is stored under ``layers.<label>`` in the JSON file ``--out``;
-other keys of an existing file are kept.
-``--window P,E,F,DEPTH`` replaces the pool entries by one window.
+A layer's time in one sweep is the sum over the 12 functions.  For each
+``validate-deep`` entry of depth ``N`` the script also times, on the
+spectrum windows ``tree_window_r(params, N)`` and ``N + 2`` (the drift
+window), the two assembly layers ``validate`` runs there (``ASSEMBLY``):
+
+* ``_symmetrized_D_csr`` — the CSR arrays of ``D``;
+* ``_tree_levels`` — those arrays, their row-pattern check and the split
+  into per-level diagonals and child coefficients.
+
+The file keeps the median and the interquartile range
+(``statistics.quantiles``, ``n=4``) over the repeats, in milliseconds, and
+the number of ``TestFunction.evaluator`` calls one ``check_norm_comparison``
+sweep makes.  The result is stored under ``layers.<label>`` in the JSON file
+``--out``; other keys of an existing file are kept.
+``--window P,E,F,DEPTH`` replaces the pool entries by one window, whose
+assembly layers are timed at ``DEPTH`` and ``DEPTH + 2``.
 """
 
 from __future__ import annotations
@@ -38,18 +47,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("rho_diag", "_lipschitz", "_formula", "_commutator_norm", "check_norm_comparison")
+ASSEMBLY = ("_symmetrized_D_csr", "_tree_levels")
 
 
-def pool_entries() -> list[tuple[str, tuple[int, int, int], int]]:
-    """``(workload, (p, e, f), seminorm_depth)`` of every entry timed."""
+def pool_entries() -> list[tuple[str, tuple[int, int, int], int, tuple[int, ...]]]:
+    """``(workload, (p, e, f), seminorm_depth, assembly_depths)`` of every entry timed."""
     sys.path.insert(0, str(ROOT / "bench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    entries = [("seminorm-sweep", (p, e, f), sdepth)
+    entries = [("seminorm-sweep", (p, e, f), sdepth, ())
                for p, e, f, _depth, sdepth in workloads.SEMINORM_POOL]
-    entries += [("validate-deep", (p, e, f), 3) for p, e, f, _depth in workloads.VALIDATE_POOL]
+    entries += [("validate-deep", (p, e, f), 3, (depth, depth + 2))
+                for p, e, f, depth in workloads.VALIDATE_POOL]
     return entries
 
 
@@ -68,6 +79,27 @@ def _summary(samples_ns: list[int]) -> dict[str, float]:
     ms = [s / 1e6 for s in samples_ns]
     q1, _q2, q3 = statistics.quantiles(ms, n=4) if len(ms) > 1 else (ms[0],) * 3
     return {"median": round(statistics.median(ms), 4), "iqr": round(q3 - q1, 4)}
+
+
+def time_assembly(field: tuple[int, int, int], depth: int, repeats: int) -> dict:
+    """Times of the ``ASSEMBLY`` layers on the depth-``depth`` spectrum window."""
+    from padiclab import FieldParams, tree_window_r
+    from padiclab import operators, validation
+
+    window = tree_window_r(FieldParams(*field), depth)
+    steps = {"_symmetrized_D_csr": operators._symmetrized_D_csr,
+             "_tree_levels": validation._tree_levels}
+    clock = time.perf_counter_ns
+    samples: dict[str, list[int]] = {name: [] for name in ASSEMBLY}
+    for name in ASSEMBLY:
+        steps[name](window)  # untimed: warms the path
+    for _ in range(repeats):
+        for name in ASSEMBLY:
+            t0 = clock()
+            steps[name](window)
+            samples[name].append(clock() - t0)
+    return {"depth": depth, "vertices": window.total,
+            "layers_ms": {name: _summary(samples[name]) for name in ASSEMBLY}}
 
 
 def time_entry(field: tuple[int, int, int], sdepth: int, repeats: int) -> dict:
@@ -130,15 +162,16 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.window:
         p, e, f, sdepth = map(int, args.window.split(","))
-        entries = [("window", (p, e, f), sdepth)]
+        entries = [("window", (p, e, f), sdepth, (sdepth, sdepth + 2))]
     else:
         entries = pool_entries()
     run = {
         "machine": {"python": platform.python_version(), "numpy": numpy.__version__,
                     "processor": platform.machine()},
         "entries": [{"workload": workload, "field": list(field), "seminorm_depth": sdepth,
-                     **time_entry(field, sdepth, args.repeats)}
-                    for workload, field, sdepth in entries],
+                     **time_entry(field, sdepth, args.repeats),
+                     "assembly": [time_assembly(field, depth, args.repeats) for depth in depths]}
+                    for workload, field, sdepth, depths in entries],
     }
     out = Path(args.out)
     record = json.loads(out.read_text()) if out.exists() else {}
