@@ -10,15 +10,17 @@ against the honestly assembled window matrix:
   and the invariant-subspace residual (everything the blocks leave out) are
   read off level reshapes of those arrays, with no sparse product or scipy;
 * family labels ``(m, n)`` come from the transform; the multiplicity of each
-  ``m`` counts the copies whose block is ``p**(2m/e)`` times the radial block
-  to 1e-7, and one ``eigvalsh`` per ``m`` solves copy 0;
-* block ``m`` of the depth-``N`` window is ``p**(2m/e)`` times the radial
-  block of the depth-``N - m`` window, so the blocks ``m = 0..5`` give each
-  root a six-depth chain without assembling those windows; the chain is
-  extrapolated in the known boundary-error ratio ``q = p**(-2/e)``
-  (Richardson stages ``[q, q^2, q^2, q^3, ...]`` — the error expansion
-  carries a secular ``d * q**(2d)`` term); the depth ``N + 2`` drift window
-  is solved only for those six tail lengths;
+  ``m`` counts the copies whose block is ``p**(2m/e)`` times the leading
+  block of the radial block of its order, to 1e-7, every copy measured;
+* the leading ``N + 1 - m`` rows of the depth-``N`` radial block are, bit
+  for bit, the radial block of the depth-``N - m`` window, so one
+  ``eigvalsh`` on each leading block ``m = 0..5`` gives each root a
+  six-depth chain without assembling those windows, at most six solves per
+  window; the chain is extrapolated in the known boundary-error ratio
+  ``q = p**(-2/e)`` (Richardson stages ``[q, q^2, q^2, q^3, ...]`` — the
+  error expansion carries a secular ``d * q**(2d)`` term); family
+  ``(m, n)`` takes ``p**(2m/e)`` times refined root ``n``, and the depth
+  ``N + 2`` drift window is read only for its radial block;
 * the refined families are compared, as multisets with multiplicities,
   against the analytic table.
 
@@ -39,7 +41,6 @@ it loads numpy, and no scipy.  Its public names, :class:`CheckResult`,
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 from typing import NamedTuple
 
@@ -62,8 +63,8 @@ from . import operators, spectrum_zeta
 # (3,1,1), 960,800 at 246 MB for (7,1,1), peak RSS of the whole process.
 MAX_WINDOW_VERTICES = 2_000_000
 
-# Tail lengths m = 0..5 whose blocks make the depth chain of a refined root.
-_CHAIN_TAILS = 6
+# Leading blocks m = 0..5 of the radial block that make the depth chain of a refined root.
+_CHAIN_BLOCKS = 6
 
 
 def _richardson_confluent(chain_vals: list[float], q: float) -> float:
@@ -84,40 +85,44 @@ def _richardson_confluent(chain_vals: list[float], q: float) -> float:
 
 
 class _HaarBlocks(NamedTuple):
-    """One assembled window square, solved block by block in its Haar basis.
+    """One assembled window square, measured block by block in its Haar basis.
 
-    ``spectra[m]``: the ascending eigenvalues of copy 0 of tail length ``m``.
-    A copy deviates by its block over ``p**(2m/e)`` minus the leading part of
-    the radial block (that of the depth ``N - m`` window), each entry against
+    ``chain[m]``: the ascending eigenvalues of the radial block's leading block
+    of order ``N + 1 - m`` (the radial block of the depth ``N - m`` window),
+    ``m = 0..min(5, N)``.  A copy of tail length ``m`` deviates by its block
+    over ``p**(2m/e)`` minus the leading block of its order, each entry against
     the geometric mean of the two diagonal entries it couples; ``copies[m]``
-    counts the copies within 1e-7, ``scaling_dev`` is the largest deviation.
+    counts the copies within 1e-7, for every ``m = 0..N``, and ``scaling_dev``
+    is the largest deviation.
     ``residual``: the largest ``||A V_m - V_m blockdiag||_F / ||A V_m||_F``.
-    A partial solve covers only the tail lengths it solved: ``spectra`` and
-    ``copies`` stop there, and ``residual`` and ``scaling_dev`` are taken
-    over those lengths alone.
     """
 
-    params: FieldParams
-    depth: int
-    spectra: tuple[np.ndarray, ...]
+    chain: tuple[np.ndarray, ...]
     copies: tuple[int, ...]
     residual: float
     scaling_dev: float
 
-    def refined(self, n: int) -> float:
-        """Root ``n`` extrapolated over the depths ``N - m``.
 
-        Block ``m`` of the depth-``N`` window is ``p**(2m/e)`` times the
-        radial block of the depth-``N - m`` window, so copy 0 of blocks
-        ``m = min(5, N-1, N-n) .. 0``, unscaled, is the shallow-to-deep depth
-        chain of eigenvalue ``n``.
-        """
-        N = self.depth
-        chain = [
-            self.spectra[m][n] / self.params.scale_float(2 * m)
-            for m in range(min(_CHAIN_TAILS - 1, N - 1, N - n), -1, -1)
-        ]
-        return _richardson_confluent(chain, self.params.q)
+def _chain(radial: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Ascending eigenvalues of the leading blocks ``radial[:N+1-m, :N+1-m]``, ``m = 0..min(5, N)``.
+
+    The leading ``N + 1 - m`` rows of the depth-``N`` radial block are, bit for
+    bit, the radial block of the depth ``N - m`` window, so these are the
+    spectra of up to six windows without assembling the shallower ones.
+    """
+    L = len(radial)
+    return tuple(np.linalg.eigvalsh(radial[: L - m, : L - m]) for m in range(min(_CHAIN_BLOCKS, L)))
+
+
+def _refined(chain: tuple[np.ndarray, ...], n: int, q: float) -> float:
+    """Root ``n`` of the depth-``N`` radial block, extrapolated over the depths ``N - m``.
+
+    Eigenvalue ``n`` of the leading blocks ``m = min(5, N-1, N-n) .. 0`` of
+    :func:`_chain` is the shallow-to-deep depth chain of the root.
+    """
+    N = len(chain[0]) - 1
+    return _richardson_confluent(
+        [chain[m][n] for m in range(min(_CHAIN_BLOCKS - 1, N - 1, N - n), -1, -1)], q)
 
 
 def _tree_levels(window: TreeWindow) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -213,19 +218,17 @@ def _copy_blocks(window: TreeWindow):
         yield blocks.reshape(-1, L, L), float(np.sqrt(sq[1] / sq[0]))
 
 
-def _haar_blocks(params: FieldParams, depth: int, tails: int | None = None) -> _HaarBlocks:
-    """Solve the depth-``depth`` window square block by block in its Haar basis.
+def _haar_blocks(params: FieldParams, depth: int) -> _HaarBlocks:
+    """Measure the depth-``depth`` window square block by block in its Haar basis.
 
     Blocks and residuals come from :func:`_copy_blocks` (no sparse product, no
-    scipy); every copy is measured, and one ``eigvalsh`` per ``m`` solves copy 0.
-    ``tails`` stops the solve after the tail lengths ``m < tails``, a partial
-    solve that covers only those lengths; by default every length is solved.
+    scipy); every copy of every tail length is measured, and the refinement
+    chain is solved on the radial block's leading blocks, at most six
+    ``eigvalsh`` calls.
     """
-    spectra: list[np.ndarray] = []
     copies = []
     residual = scaling_dev = 0.0
-    solved = itertools.islice(_copy_blocks(tree_window_r(params, depth)), tails)
-    for m, (blocks, res) in enumerate(solved):
+    for m, (blocks, res) in enumerate(_copy_blocks(tree_window_r(params, depth))):
         residual = max(residual, res)
         if m == 0:
             radial = blocks[0]
@@ -235,8 +238,7 @@ def _haar_blocks(params: FieldParams, depth: int, tails: int | None = None) -> _
         dev = (np.abs(blocks / params.scale_float(2 * m) - base) / grade).max(axis=(1, 2))
         scaling_dev = max(scaling_dev, float(dev.max()))
         copies.append(int(np.sum(dev <= 1e-7)))
-        spectra.append(np.linalg.eigvalsh(blocks[0]))
-    return _HaarBlocks(params, depth, tuple(spectra), tuple(copies), residual, scaling_dev)
+    return _HaarBlocks(_chain(radial), tuple(copies), residual, scaling_dev)
 
 
 class CheckResult(NamedTuple):
@@ -281,13 +283,14 @@ def validate_spectrum(
 ) -> ValidationReport:
     """Cross-validate window eigenvalues against the analytic spectrum.
 
-    Assembles ``D`` on the depth-``N`` window once and solves its square block
-    by block in the tree's Haar basis (see :func:`_copy_blocks`).
-    Each low family ``(m, n)`` is labelled by its block; the window boundary
-    error is removed by ratio-``q`` extrapolation of root ``n`` over the
-    depths ``N - m`` that the blocks ``m`` stand for; the ``k`` smallest
-    refined eigenvalues (with multiplicities) are compared to the analytic
-    table at relative tolerance ``tol``.
+    Assembles ``D`` on the depth-``N`` window once and reads its square block
+    by block in the tree's Haar basis (see :func:`_copy_blocks`).  The window
+    boundary error of root ``n`` is removed by ratio-``q`` extrapolation over
+    the depths ``N - m`` whose radial blocks lead the depth-``N`` one (see
+    :func:`_chain`); family ``(m, n)``, ``n <= N - m``, takes ``p**(2m/e)``
+    times that refined root, with the measured copies of tail length ``m`` as
+    its multiplicity, and the ``k`` smallest of these values are compared to
+    the analytic table at relative tolerance ``tol``.
 
     Checks reported: the multiplicity pattern (the copies of each tail length
     whose block is ``p**(2m/e)`` times the radial block of the depth
@@ -295,36 +298,27 @@ def validate_spectrum(
     (invariant-subspace residual and the largest such deviation, 1e-7), the
     eigenvalue match, and the reliability cutoff ``p**(2(N-2)/e)`` (raising
     :class:`CutoffError` if the requested ``k`` reaches past it).
-    ``with_drift`` takes the same route on the depth ``N + 2`` window for the
-    drift figures, solving only the tail lengths ``m <= 5`` that its refined
-    lowest root reads.  A failed eigenvalue match then names its likely cause:
-    a ``drift_refined`` at or above ``tol`` says that the window is too
-    shallow for the extrapolation to reach ``tol``.
+    ``with_drift`` refines the lowest root of the depth ``N + 2`` window the
+    same way for the drift figures, reading only its radial block (the first
+    item of :func:`_copy_blocks`).  A failed eigenvalue match then names its
+    likely cause: a ``drift_refined`` at or above ``tol`` says that the
+    window is too shallow for the extrapolation to reach ``tol``.
     """
     blocks = _haar_blocks(params, N)
-
-    # Families (m, n) by their depth-N value, with measured multiplicities.
     mult_detail = []
-    families: list[tuple[float, int, int, int]] = []  # (raw value, m, n, copies)
-    for m, (spec, agree) in enumerate(zip(blocks.spectra, blocks.copies)):
+    for m, agree in enumerate(blocks.copies):
         expected = count_g(params, m)
         if agree != expected:
             mult_detail.append(f"m={m}: {agree} of {expected} copies match p^(2m/e) x radial")
-        families.extend((float(v), m, n, agree) for n, v in enumerate(spec))
-    families.sort()
 
-    # Refined matrix-side multiset over the families covering the k smallest.
-    refined_rows: list[tuple[float, int, int, int]] = []  # (value, mult, m, n)
-    covered = 0
-    for _raw, m, n, cnt in families:
-        if covered >= k:
-            break
-        refined_rows.append((params.scale_float(2 * m) * blocks.refined(n), cnt, m, n))
-        covered += cnt
-    refined_rows.sort()
-
-    # The k smallest with multiplicity, each with its family (m, n).
-    expanded = [(value, m, n) for value, cnt, m, n in refined_rows for _ in range(cnt)][:k]
+    # The k smallest refined values p**(2m/e) refined(n) over the families
+    # (m, n), n <= N - m, each repeated by its measured copies up to k.
+    refined = [_refined(blocks.chain, n, params.q) for n in range(N + 1)]
+    families = sorted((params.scale_float(2 * m) * refined[n], m, n)
+                      for m in range(N + 1) for n in range(N + 1 - m))
+    expanded: list[tuple[float, int, int]] = []  # (value, m, n)
+    for value, m, n in families:
+        expanded += [(value, m, n)] * min(blocks.copies[m], k - len(expanded))
     matrix_values = [value for value, _m, _n in expanded]
 
     # Analytic side.
@@ -350,12 +344,12 @@ def validate_spectrum(
 
     drift_refined = drift_raw = None
     if with_drift:
-        deeper = _haar_blocks(params, N + 2, tails=_CHAIN_TAILS)
-        lam0_here = blocks.refined(0)
-        drift_refined = abs(deeper.refined(0) - lam0_here) / lam0_here
+        (radial,), _residual = next(_copy_blocks(tree_window_r(params, N + 2)))
+        deeper = _chain(radial)
+        drift_refined = abs(_refined(deeper, 0, params.q) - refined[0]) / refined[0]
         # The lowest eigenvalue of a window is the radial block's: block m >= 1
         # is p**(2m/e) > 1 times a principal submatrix of it (Cauchy interlacing).
-        lowest = [float(b.spectra[0][0]) for b in (blocks, deeper)]
+        lowest = [float(chain[0][0]) for chain in (blocks.chain, deeper)]
         drift_raw = abs(lowest[1] - lowest[0]) / lowest[0]
 
     matched = bool(max_rel_error < tol)
@@ -400,7 +394,7 @@ def validate_spectrum(
         params=params,
         depth=N,
         k=k,
-        depths_used=tuple(range(N - min(_CHAIN_TAILS - 1, N - 1), N + 1)),
+        depths_used=tuple(range(N - min(_CHAIN_BLOCKS - 1, N - 1), N + 1)),
         checks=checks,
         matrix_values=tuple(float(v) for v in matrix_values),
         analytic_values=tuple(float(v) for v in analytic_values),

@@ -18,6 +18,13 @@ name, pass flag, measured value and detail of every ``seminorm:*`` row.
 These rows use no LAPACK, so they are the same on every platform; the
 eigenvalue rows are not, and are left out.
 
+``validate_verdicts.json`` holds, for each ``validate`` request of a grid
+over six fields, three depths, two ``--k`` and drift on and off, the exit
+code and every row's name and pass flag: the verdicts, including the
+refusals (exit 1 over the window budget, exit 2 past the reliability
+cutoff) and the windows too shallow for the eigenvalue gate (exit 3).
+Measured values are left out, since they rest on LAPACK.
+
 Regenerate (only when an output change is intended and explained) with::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -35,6 +42,7 @@ from padiclab.cli import EXIT_OK, main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden"
 SEMINORM_ROWS = GOLDEN / "validate_seminorm_rows.json"
+VERDICTS = GOLDEN / "validate_verdicts.json"
 
 # (p, e, f, N): roots 0..N, one entry per base q of the root pool.
 ENTRIES = [(2, 1, 1, 12), (2, 2, 1, 10), (3, 1, 1, 10), (3, 2, 1, 10),
@@ -102,6 +110,28 @@ def test_seminorm_rows_identical(tmp_path, request_args):
     assert _seminorm_rows(request_args, tmp_path / "out") == golden[request_args]
 
 
+# The verdict grid: (p, e, f) x depth x --k x drift, at seminorm depth 4.
+VERDICT_REQUESTS = [
+    f"validate --p {p} --e {e} --f {f} --depth {depth} --k {k} --seminorm-depth 4{drift}"
+    for p, e, f in ((2, 1, 1), (2, 2, 1), (3, 1, 1), (5, 1, 1), (2, 1, 2), (2, 4, 1))
+    for depth in (4, 7, 10) for k in (4, 8) for drift in ("", " --no-drift")
+]
+
+
+def _verdict(request: str, out: Path) -> dict:
+    """Exit code and ``[name, passed]`` of each row (none on a refusal)."""
+    out.unlink(missing_ok=True)
+    code = main([*request.split(), "--format", "json", "--out", str(out)])
+    rows = json.loads(out.read_text())["results"] if out.exists() else []
+    return {"exit": code, "rows": [[row["name"], row["passed"]] for row in rows]}
+
+
+@pytest.mark.parametrize("request_args", VERDICT_REQUESTS)
+def test_validate_verdicts_identical(tmp_path, request_args):
+    golden = json.loads(VERDICTS.read_text())
+    assert _verdict(request_args, tmp_path / "out") == golden[request_args]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for case in CASES:
@@ -111,4 +141,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         golden = {request: _seminorm_rows(request, out) for request in _validate_pool()}
+        verdicts = {request: _verdict(request, out) for request in VERDICT_REQUESTS}
     SEMINORM_ROWS.write_text(json.dumps(golden, indent=1) + "\n")
+    VERDICTS.write_text("{\n" + ",\n".join(f" {json.dumps(request)}: {json.dumps(verdict)}"
+                                             for request, verdict in verdicts.items()) + "\n}\n")

@@ -253,20 +253,24 @@ class TestHaarBlocks:
          (P221, 6)],
     )
     def test_block_union_is_the_assembled_spectrum(self, params, N):
-        """Copy 0's block spectrum of each tail length, repeated by its measured
-        copy count, against a dense solve of the assembled window: the counts
+        """``p**(2m/e)`` times the spectrum of the radial block's leading block
+        of order ``N + 1 - m``, repeated by the measured copy count of tail
+        length ``m``, against a dense solve of the assembled window: the counts
         are the multiplicity pattern, and the window's lowest eigenvalue is
-        the radial block's."""
+        the radial block's.  The chain is the first six of those spectra."""
         blocks = validation._haar_blocks(params, N)
-        for m, (spec, copies) in enumerate(zip(blocks.spectra, blocks.copies)):
-            assert spec.shape == (N + 1 - m,)
-            assert copies == count_g(params, m)
+        assert blocks.copies == tuple(count_g(params, m) for m in range(N + 1))
+        (radial,), _ = next(validation._copy_blocks(tree_window_r(params, N)))
+        leading = [np.linalg.eigvalsh(radial[:N + 1 - m, :N + 1 - m]) for m in range(N + 1)]
+        assert len(blocks.chain) == min(6, N + 1)
+        for got, want in zip(blocks.chain, leading):
+            assert np.array_equal(got, want)
         dense = np.linalg.eigvalsh(assemble_DstarD(tree_window_r(params, N)).toarray())
-        union = np.sort(np.concatenate(
-            [np.tile(s, c) for s, c in zip(blocks.spectra, blocks.copies)]))
+        union = np.sort(np.concatenate([np.tile(params.scale_float(2 * m) * s, c)
+                                        for m, (s, c) in enumerate(zip(leading, blocks.copies))]))
         assert union.shape == dense.shape
         assert np.max(np.abs(union - dense) / dense) <= 1e-12
-        assert union[0] == blocks.spectra[0][0]  # so dense[0] matches it to 1e-12
+        assert union[0] == blocks.chain[0][0]  # so dense[0] matches it to 1e-12
         assert blocks.residual <= 1e-13
 
     @pytest.mark.parametrize("params,N", SUITE_WINDOWS)
@@ -285,31 +289,51 @@ class TestHaarBlocks:
     @pytest.mark.parametrize("params,depth", [
         pytest.param(params, depth, id=f"{params.p},{params.e},{params.f}-depth{depth}")
         for params in (P211, P221, P311, P212, P511) for depth in _depths_in_budget(params)])
-    def test_partial_solve_gives_the_drift_figures_bit_for_bit(self, params, depth):
-        """The drift window solves only the tail lengths its refined lowest
-        root reads; ``refined(0)`` and the lowest eigenvalue are those of the
-        full solve, bit for bit."""
-        full = validation._haar_blocks(params, depth)
-        part = validation._haar_blocks(params, depth, tails=validation._CHAIN_TAILS)
-        assert len(part.spectra) == len(part.copies) == min(validation._CHAIN_TAILS, depth + 1)
-        assert part.refined(0) == full.refined(0)
-        assert part.spectra[0][0] == full.spectra[0][0]
+    def test_leading_rows_are_the_shallower_radial_block(self, params, depth):
+        """The leading ``d + 1`` rows and columns of the depth-``depth`` radial
+        block are, bit for bit, the radial block of the depth-``d`` window, for
+        the five shallower depths of the refinement chain."""
+        (radial,), _ = next(validation._copy_blocks(tree_window_r(params, depth)))
+        for d in range(max(depth - 5, 0), depth):
+            (shallow,), _ = next(validation._copy_blocks(tree_window_r(params, d)))
+            assert np.array_equal(radial[:d + 1, :d + 1], shallow), d
 
     def test_drift_window_solved_only_where_read(self, monkeypatch):
-        """``validate_spectrum`` solves the depth-``N`` window in full and the
-        depth ``N + 2`` one up to the refinement chain; the drift figure is
-        the one a full solve of the deeper window gives."""
-        solve, calls = validation._haar_blocks, []
+        """``validate_spectrum`` reads every tail length of the depth-``N``
+        window and only the first item, the radial block, of the depth
+        ``N + 2`` one; the drift figure refines that block's lowest root."""
+        produce, read = validation._copy_blocks, {}
 
-        def spy(params, depth, tails=None):
-            calls.append((depth, tails))
-            return solve(params, depth, tails)
+        def spy(window):
+            read[window.max_level] = 0
+            for item in produce(window):
+                read[window.max_level] += 1
+                yield item
 
-        monkeypatch.setattr(validation, "_haar_blocks", spy)
+        monkeypatch.setattr(validation, "_copy_blocks", spy)
         rep = validate_spectrum(P211, 8)
-        assert calls == [(8, None), (10, validation._CHAIN_TAILS)]
-        here = solve(P211, 8).refined(0)
-        assert rep.drift_refined == abs(solve(P211, 10).refined(0) - here) / here
+        assert read == {8: 9, 10: 1}
+        (radial,), _ = next(produce(tree_window_r(P211, 10)))
+        here = validation._refined(validation._haar_blocks(P211, 8).chain, 0, P211.q)
+        deeper = validation._refined(validation._chain(radial), 0, P211.q)
+        assert rep.drift_refined == abs(deeper - here) / here
+
+    @pytest.mark.parametrize("params", [P211, P311, P212])
+    @pytest.mark.parametrize("N", range(0, 9))
+    def test_at_most_six_eigensolves_per_window(self, params, N, monkeypatch):
+        """``_haar_blocks`` solves only the chain's leading blocks,
+        ``min(6, N + 1)`` dense ``eigvalsh`` calls, whatever the window's
+        number of tail lengths."""
+        solve, calls = np.linalg.eigvalsh, []
+
+        def counted(a):
+            calls.append(a.shape)
+            return solve(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        blocks = validation._haar_blocks(params, N)
+        assert calls == [(N + 1 - m, N + 1 - m) for m in range(min(6, N + 1))]
+        assert len(blocks.copies) == N + 1
 
     @pytest.mark.parametrize("params", [P211, P311, P221, P212, P511, P321])
     @pytest.mark.parametrize("N", range(4, 9))
